@@ -6,7 +6,7 @@ directed graphs, with exact rational arithmetic throughout, and cross-
 checked by an independent tensor-realization oracle.
 """
 
-from .canonical import ZERO, canonicalize, iso_key, key_bytes
+from .canonical import ZERO, canonicalize, key_bytes
 from .complexes import (
     BULLET,
     BULLET_CONNECTED,

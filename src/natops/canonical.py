@@ -166,9 +166,3 @@ def key_bytes(cg):
             % (v.kind[0], v.label or "", v.order, "%d.%d" % e if e else "-")
         )
     return ";".join(parts).encode()
-
-
-def iso_key(g):
-    """Isomorphism-class key of an arbitrary presentation."""
-    cg, _ = canonicalize(g)
-    return key_bytes(cg)

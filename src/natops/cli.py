@@ -164,6 +164,8 @@ def _jetdata_from_obj(obj, need):
 
 
 def cmd_eval(args):
+    if args.dim < 1:
+        raise ValueError("--dim must be >= 1")
     x = io.obj_to_sum(_read_json(args.infile))
     need = jets.data_requirements(x)
     if args.data:
@@ -204,6 +206,8 @@ def cmd_natcheck(args):
 
 
 def cmd_genfun(args):
+    if args.upto < 1:
+        raise ValueError("--upto must be >= 1")
     rows = genfun.table(args.upto)
     rec = genfun.g_recursion(args.upto)
     if [r[1] for r in rows] != rec:

@@ -105,6 +105,3 @@ def combine(a, b, alpha=1, beta=1):
     for g, c in b.terms.items():
         out.add_canonical(g, c * beta)
     return out
-
-
-zero_sum = FormalSum

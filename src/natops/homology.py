@@ -3,9 +3,10 @@
 The differential matrix of a slice has one column per degree-m basis graph
 holding the coordinates of its differential in the degree-(m+1) basis; a
 differential term missing from the target basis is a fatal completeness
-error.  Ranks use fraction-free elimination, kernels reduced row echelon
-form; the kernel of the degree-0 differential is the space of natural
-operators of the family.
+error.  The matrix stays sparse: its rows go as {col: Fraction} dicts into
+the one sparse exact elimination of :mod:`natops.linalg`, which gives
+ranks, reduced kernel bases and span tests.  The kernel of the degree-0
+differential is the space of natural operators of the family.
 """
 
 from __future__ import annotations
@@ -42,20 +43,18 @@ class SparseMatrixQ:
         else:
             self.entries.pop((r, c), None)
 
-    def get(self, r, c):
-        return self.entries.get((r, c), Fraction(0))
-
-    def dense_rows(self):
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+    def sparse_rows(self):
+        """The nonzero rows as {col: value} dicts."""
+        rows = {}
         for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+            rows.setdefault(r, {})[c] = v
+        return list(rows.values())
 
     def triplets(self):
         return sorted((r, c, v) for (r, c), v in self.entries.items())
 
     def rank(self):
-        return linalg.rank(self.dense_rows()) if self.nrows else 0
+        return linalg.rank(self.sparse_rows())
 
     def __repr__(self):
         return "SparseMatrixQ(%dx%d, %d nonzero)" % (
@@ -96,7 +95,7 @@ def kernel_basis(family, d, m=0):
         family = FAMILIES[family]
     src = enumerate_basis(family, d, m)
     mat = delta_matrix(family, d, m, source=src)
-    vectors = linalg.nullspace(mat.dense_rows(), ncols=mat.ncols)
+    vectors = linalg.nullspace(mat.sparse_rows(), ncols=mat.ncols)
     out = []
     for vec in vectors:
         s = FormalSum()
@@ -122,13 +121,9 @@ def coordinates(x, basis_slice):
 
 
 def spans(vectors, others):
-    """Do ``vectors`` span every vector in ``others`` (exact ranks)?"""
-    base = [list(v) for v in vectors]
-    r0 = linalg.rank(base)
-    for o in others:
-        if linalg.rank(base + [list(o)]) != r0:
-            return False
-    return True
+    """Do ``vectors`` span every vector in ``others`` (exact)?"""
+    echelon = linalg.Echelon(vectors)
+    return not any(echelon.reduce(o) for o in others)
 
 
 def wheel_block_injective(family, d):

@@ -119,10 +119,6 @@ def _frac_to_str(c):
         c.numerator, c.denominator)
 
 
-def _str_to_frac(s):
-    return Fraction(s)
-
-
 def sum_to_obj(x):
     return {
         "schema": SCHEMA,
@@ -141,7 +137,7 @@ def obj_to_sum(obj):
         out.add_graph(obj_to_graph(obj), 1)
         return out
     for t in terms:
-        out.add_graph(obj_to_graph(t["graph"]), _str_to_frac(t["coeff"]))
+        out.add_graph(obj_to_graph(t["graph"]), Fraction(t["coeff"]))
     return out
 
 

@@ -695,6 +695,10 @@ def naturality_check(x, n, trials=20, seed=0):
     from .formal import FormalSum
     from .graphs import Graph
 
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if isinstance(x, Graph):
         x = FormalSum.of(x)
     labels, order, conn_order = data_requirements(x)

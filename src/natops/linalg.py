@@ -1,83 +1,72 @@
-"""Exact linear algebra helpers shared by homology and the rule derivation.
+"""Exact linear algebra over the rationals, shared by homology, the rule
+derivation and the jet oracle.
 
-Everything is over the rationals; no floating point.  Rank uses Bareiss
-fraction-free elimination on cleared-denominator integer matrices, kernels
-come from reduced row echelon form.
+Everything is over Q; no floating point.  One sparse Gauss–Jordan
+elimination (:class:`Echelon`) serves rank, kernels, span tests and the
+incremental rule solver: rows are dicts ``{col: Fraction}``, pivot rows are
+kept fully reduced and keyed by pivot column, and each row's pivot is its
+least nonzero column, so the pivot rows are the reduced row echelon form
+whatever the row order.  Batches are fed shortest row first to limit
+fill-in.  :func:`mat_inv` inverts small dense matrices over any field-like
+scalars (the jet oracle's dual numbers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
-def _clear_denominators(rows):
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(Fraction(x) * lcm) for x in row])
-    return out
+def _as_dict(row):
+    """A sequence or a {col: value} mapping as a new sparse Fraction row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(x) for c, x in items if x}
+
+
+def _sub(dst, f, src):
+    """``dst -= f * src`` in place, dropping the zeros."""
+    for k, v in src.items():
+        x = dst.get(k, 0) - f * v
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+class Echelon:
+    """Fully reduced sparse pivot rows over Q, keyed by pivot column."""
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in sorted(map(_as_dict, rows), key=len):
+            self.add(row)
+
+    def reduce(self, row):
+        """``row`` minus its components along the pivot rows (a new dict)."""
+        out = _as_dict(row)
+        # pivot rows vanish on every other pivot column, so one pass suffices
+        for c in [c for c in out if c in self.rows]:
+            _sub(out, out[c], self.rows[c])
+        return out
+
+    def add(self, row):
+        """Reduce ``row`` in; True when it adds a pivot row."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        lead = min(r)
+        inv = 1 / r[lead]
+        r = {k: v * inv for k, v in r.items()}
+        for p in self.rows.values():
+            f = p.get(lead)
+            if f:
+                _sub(p, f, r)
+        self.rows[lead] = r
+        return True
 
 
 def rank(rows):
-    """Rank by Bareiss fraction-free elimination (exact, integer pivots)."""
-    m = _clear_denominators(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Rank of dense or sparse rows."""
+    return len(Echelon(rows).rows)
 
 
 def nullspace(rows, ncols=None):
@@ -86,40 +75,18 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    m, pivots = rref(rows)
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
+    pivots = Echelon(rows).rows
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for c, r in pivot_of_col.items():
-            v[c] = -m[r][fc]
+        for c, r in pivots.items():
+            if fc in r:
+                v[c] = -r[fc]
         basis.append(v)
     return basis
-
-
-def solve_unique(rows, rhs):
-    """Solve A x = b when the solution is unique; None if inconsistent,
-    raises ValueError if underdetermined."""
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    if len([c for c in pivots if c < ncols]) < ncols:
-        raise ValueError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
-    return x
 
 
 class IncrementalSolver:
@@ -132,36 +99,23 @@ class IncrementalSolver:
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivot_rows = {}
+        self.echelon = Echelon()
 
     @property
     def rank(self):
-        return len(self.pivot_rows)
+        return len(self.echelon.rows)
 
     def add(self, row, rhs):
-        r = [Fraction(x) for x in row] + [Fraction(rhs)]
-        for c, pr in self.pivot_rows.items():
-            if r[c]:
-                f = r[c]
-                r = [a - f * b for a, b in zip(r, pr)]
-        lead = next((c for c in range(self.ncols) if r[c]), None)
-        if lead is None:
-            if r[self.ncols]:
-                raise ArithmeticError("inconsistent linear system")
-            return False
-        inv = 1 / r[lead]
-        r = [x * inv for x in r]
-        for c, pr in self.pivot_rows.items():
-            if pr[lead]:
-                f = pr[lead]
-                self.pivot_rows[c] = [a - f * b for a, b in zip(pr, r)]
-        self.pivot_rows[lead] = r
-        return True
+        r = self.echelon.reduce(list(row) + [rhs])
+        if list(r) == [self.ncols]:
+            raise ArithmeticError("inconsistent linear system")
+        return self.echelon.add(r)
 
     def solution(self):
         if self.rank != self.ncols:
             return None
-        return [self.pivot_rows[c][self.ncols] for c in range(self.ncols)]
+        return [self.echelon.rows[c].get(self.ncols, Fraction(0))
+                for c in range(self.ncols)]
 
 
 def mat_inv(rows, unit=lambda v: bool(v)):
@@ -188,11 +142,7 @@ def mat_inv(rows, unit=lambda v: bool(v)):
         inv = m[c][c]
         m[c] = [x / inv for x in m[c]]
         for i in range(n):
-            if i != c and not _is_zero(m[i][c]):
+            if i != c and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return [row[n:] for row in m]
-
-
-def _is_zero(x):
-    return not x

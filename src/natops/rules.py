@@ -57,8 +57,7 @@ def check_template(t):
         for dj, slot in term.ports:
             fill[dj]["sym" if slot == SYM else slot] += 1
         for j, v in enumerate(term.internals):
-            want = v.order if v.kind != CONNECTION else v.order
-            assert fill[j]["sym"] == want, "unfilled symmetric slots"
+            assert fill[j]["sym"] == v.order, "unfilled symmetric slots"
             if v.kind == CONNECTION:
                 assert fill[j][0] == 1 and fill[j][1] == 1, "unfilled base slot"
     return t
@@ -102,6 +101,8 @@ def replace_vectorfield(v, label="X"):
     Terms with the new white on top carry +1, those with the field on top
     carry -1; the label rides along unchanged.
     """
+    if v < 0:
+        raise ValueError("derivative order must be >= 0")
     terms = []
     ports_all = range(v)
     for s in range(2, v + 2):
@@ -320,7 +321,3 @@ def _template_key(tpl):
     return tuple(sorted(
         (t.coeff, t.internals, t.ranks, t.iout, t.ports) for t in tpl.terms
     ))
-
-
-def template_terms_count(tpl):
-    return len(tpl.terms)

@@ -1,4 +1,7 @@
-"""Shared test helpers: canonical small graphs and presentation shuffles."""
+"""Shared test helpers: canonical small graphs, presentation shuffles and a
+dense reference elimination."""
+
+from fractions import Fraction
 
 from natops.graphs import SYM, Graph, anchor, connection, vector
 
@@ -62,3 +65,49 @@ def shuffle_presentation(g, rng):
             order[i], order[j] = order[j], order[i]
             swaps += 1
     return Graph(verts, out, tuple(order)), (-1) ** swaps
+
+
+def dense_rref(rows, ncols):
+    """Reference reduced row echelon form by dense Fraction Gauss-Jordan.
+
+    Returns (rows, pivot_columns); the slow path the sparse elimination in
+    natops.linalg is checked against.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Reference kernel basis read off dense_rref, one vector per free column."""
+    m, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_matrix(mat):
+    """A SparseMatrixQ as dense Fraction rows (reference inputs only)."""
+    rows = [[Fraction(0)] * mat.ncols for _ in range(mat.nrows)]
+    for (r, c), v in mat.entries.items():
+        rows[r][c] = v
+    return rows

@@ -19,7 +19,7 @@ from natops.homology import (
 from natops.complexes import differential
 from natops import linalg
 
-from .helpers import chain_xy, chain_yx, nabla_xy
+from .helpers import chain_xy, chain_yx, dense_matrix, dense_nullspace, nabla_xy
 
 
 def test_nabla1_matrix_is_row_of_signs():
@@ -41,12 +41,12 @@ def test_bullet2_matrix_rank():
     assert mat.rank() == 3  # kernel is the one-dimensional bracket line
 
 
-@pytest.mark.parametrize("d,want", [(1, 1), (2, 1), (3, 2), (4, 6)])
+@pytest.mark.parametrize("d,want", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 24)])
 def test_h0_bullet_is_factorial(d, want):
     assert h0_dimension("bullet", d) == want == factorial(d - 1)
 
 
-@pytest.mark.parametrize("d,want", [(1, 1), (2, 3), (3, 26)])
+@pytest.mark.parametrize("d,want", [(1, 1), (2, 3), (3, 26), (4, 376)])
 def test_h0_nabla1_matches_sequence(d, want):
     assert h0_dimension("bullet-nabla-1", d) == want
 
@@ -66,8 +66,25 @@ def test_wheel_blocks_full_rank(d):
 def test_rank_plus_nullity():
     for fam, d in [("bullet", 3), ("bullet-nabla-1", 2), ("bullet-wheel", 3)]:
         mat = delta_matrix(fam, d, 0)
-        null = len(linalg.nullspace(mat.dense_rows(), ncols=mat.ncols))
+        null = len(linalg.nullspace(mat.sparse_rows(), ncols=mat.ncols))
         assert mat.rank() + null == mat.ncols
+
+
+_REFERENCE_SLICES = (
+    [("bullet", d) for d in (1, 2, 3, 4)]
+    + [("bullet-connected", 4)]
+    + [("bullet-wheel", d) for d in (1, 2, 3, 4)]
+    + [("bullet-nabla-1", d) for d in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("fam,d", _REFERENCE_SLICES)
+def test_sparse_kernel_matches_dense_reference(fam, d):
+    mat = delta_matrix(fam, d, 0)
+    want = dense_nullspace(dense_matrix(mat), mat.ncols)
+    assert h0_dimension(fam, d) == len(want)
+    src = enumerate_basis(fam, d, 0)
+    assert [coordinates(x, src) for x in kernel_basis(fam, d)] == want
 
 
 def test_kernel_bullet2_is_bracket_line():

@@ -189,3 +189,30 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h0"] == 0
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["natcheck", "--dim", "0"], "dimension must be >= 1"),
+    (["natcheck", "--dim", "-1"], "dimension must be >= 1"),
+    (["natcheck", "--dim", "2", "--trials", "0"], "trials must be >= 1"),
+    (["eval", "--dim", "0"], "--dim must be >= 1"),
+    (["eval", "--dim", "-1"], "--dim must be >= 1"),
+])
+def test_cli_jet_commands_reject_bad_ranges(tmp_path, capsys, args, reason):
+    # the non-natural O2 chain: a silent "pass" here would hide the check
+    p = tmp_path / "o2.json"
+    p.write_text(io.dumps(io.graph_to_obj(chain_xy())))
+    code, out = _run(args[:1] + ["--in", str(p)] + args[1:])
+    assert code == 2 and out == ""
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["rule", "--kind", "vector", "--order", "-1"], "order must be >= 0"),
+    (["genfun", "--upto", "0"], "--upto must be >= 1"),
+    (["genfun", "--upto", "-1"], "--upto must be >= 1"),
+])
+def test_cli_rejects_negative_orders_and_ranges(capsys, args, reason):
+    code, out = _run(args)
+    assert code == 2 and out == ""
+    assert reason in capsys.readouterr().err

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from natops.linalg import (
-    IncrementalSolver,
-    mat_inv,
-    nullspace,
-    rank,
-    rref,
-    solve_unique,
-)
+from hypothesis import given, settings, strategies as st
+
+from natops.linalg import IncrementalSolver, mat_inv, nullspace, rank
+
+from .helpers import dense_nullspace, dense_rref
 
 
 def test_rank_and_nullspace():
@@ -29,21 +26,6 @@ def test_rank_with_fractions():
     assert rank(m) == 2
     assert rank([[Fraction(1, 2), Fraction(1, 3)],
                  [Fraction(3, 2), Fraction(1)]]) == 1
-
-
-def test_rref_pivots():
-    m, pivots = rref([[0, 2, 1], [0, 0, 3]])
-    assert pivots == [1, 2]
-    assert m[0][1] == 1 and m[1][2] == 1
-
-
-def test_solve_unique():
-    rows = [[1, 1], [1, -1], [2, 0]]
-    sol = solve_unique(rows, [3, 1, 4])
-    assert sol == [Fraction(2), Fraction(1)]
-    assert solve_unique(rows, [3, 1, 5]) is None  # inconsistent
-    with pytest.raises(ValueError):
-        solve_unique([[1, 1]], [1])  # underdetermined
 
 
 def test_mat_inv_round_trip():
@@ -74,3 +56,48 @@ def test_incremental_solver():
 def test_empty_matrix_nullspace():
     basis = nullspace([], ncols=3)
     assert len(basis) == 3
+
+
+# small rational matrices, mostly zeros so that rank deficiency is common
+_entries = st.one_of(
+    st.just(0), st.just(0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def _matrices(draw):
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    return rows, ncols
+
+
+@given(_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_nullspace_match_dense_reference(m):
+    rows, ncols = m
+    assert rank(rows) == len(dense_rref(rows, ncols)[1])
+    assert nullspace(rows, ncols=ncols) == dense_nullspace(rows, ncols)
+
+
+@given(_matrices(), st.lists(_entries, min_size=5, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_incremental_solver_matches_dense_reference(m, rhs):
+    rows, ncols = m
+    s = IncrementalSolver(ncols)
+    for k, (row, b) in enumerate(zip(rows, rhs), 1):
+        aug = [list(r) + [c] for r, c in zip(rows[:k], rhs)]
+        red, pivots = dense_rref(aug, ncols + 1)
+        if ncols in pivots:
+            with pytest.raises(ArithmeticError):
+                s.add(row, b)
+            return
+        before = s.rank
+        gained = s.add(row, b)
+        assert s.rank == len(pivots) == before + gained
+        if s.rank == ncols:
+            assert s.solution() == [red[i][ncols] for i in range(ncols)]
+        else:
+            assert s.solution() is None
