@@ -17,6 +17,11 @@ from .complexes import FAMILIES, d_squared_zero, differential, enumerate_basis
 from .homology import delta_matrix, h0_dimension, kernel_basis
 from .operad import compose, lie_expand, trace_sum
 
+#: Largest ``rule --order``.  Templates grow like 2^order; the largest one
+#: allowed, the order-9 connection rule (2036 terms, 5 MB of JSON), is
+#: built and written in about a second.
+MAX_RULE_ORDER = 9
+
 
 def _read_json(path):
     try:
@@ -237,6 +242,9 @@ def cmd_export_dot(args):
 def cmd_rule(args):
     from . import rules
 
+    if args.order > MAX_RULE_ORDER:
+        raise ValueError("--order must be <= %d (templates grow like 2^order)"
+                         % MAX_RULE_ORDER)
     if args.kind == "white":
         tpl = rules.replace_white(args.order)
     elif args.kind == "vector":

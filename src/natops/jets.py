@@ -597,8 +597,15 @@ def realize_graph(g, data, gens=None):
     return state_sum()
 
 
-def realize(x, data):
-    """Realize a degree-0 formal sum; exact and linear in the sum."""
+def realize(x, data, gens=None):
+    """Realize a formal sum; exact and linear in the sum.
+
+    Without ``gens`` the sum must have degree 0.  With ``gens`` (a map
+    arity -> generator array) white vertices hold the generators; together
+    with :func:`infinitesimal_action` this expresses the bottom chain-map
+    identity: realizing the differential of a degree-0 sum against
+    generators equals the flow derivative of its realization.
+    """
     from .formal import FormalSum
     from .graphs import Graph
 
@@ -613,29 +620,6 @@ def realize(x, data):
             raise ValueError("mixed anchored/scalar sum")
     if anchored is None:
         anchored = False
-    acc = [Fraction(0)] * data.n if anchored else Fraction(0)
-    for g, c in x:
-        val = realize_graph(g, data)
-        if anchored:
-            acc = [s + c * v for s, v in zip(acc, val)]
-        else:
-            acc = acc + c * val
-    return acc
-
-
-def realize_with_generators(x, gens, data):
-    """Realize a degree-1 sum with its white vertices holding generators.
-
-    Together with :func:`infinitesimal_action` this expresses the bottom
-    chain-map identity: realizing the differential of a degree-0 sum
-    against generators equals the flow derivative of its realization.
-    """
-    from .formal import FormalSum
-    from .graphs import Graph
-
-    if isinstance(x, Graph):
-        x = FormalSum.of(x)
-    anchored = any(g.has_anchor() for g, _ in x)
     acc = [Fraction(0)] * data.n if anchored else Fraction(0)
     for g, c in x:
         val = realize_graph(g, data, gens=gens)

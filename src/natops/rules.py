@@ -12,11 +12,13 @@ Every term uses each boundary port exactly once.  New white vertices carry
 an insertion rank: rank 1 becomes the minimal element of the orientation
 order (rank 2, when present, the next one).
 
-Rules for white and vector-field vertices are combinatorial unshuffle sums
-with unit coefficients.  Connection rules of derivative order 0 and 1 are
-fixed tables; higher orders are *derived* by matching candidate templates
-against the linearized coordinate-change action on connection jets
-(see :func:`derive_connection_rule`), since no closed formula is used.
+Rules for white vertices are unshuffle sums.  Vector-field and connection
+rules are one closed form, :func:`_lie_derivative_rule`: the Leibniz
+expansion of the Lie derivative along a jet-group generator that vanishes
+to second order, with unit coefficients.  :func:`derive_connection_rule`
+derives connection rules independently, by matching candidate templates
+against the linearized coordinate-change action on connection jets; the
+tests compare it with the closed form, and no runtime path calls it.
 """
 
 from __future__ import annotations
@@ -94,95 +96,63 @@ def replace_white(u):
     return check_template(RuleTemplate(WHITE, u, tuple(terms)))
 
 
+def _lie_derivative_rule(kind, k, vertex, nbase):
+    """Leibniz expansion of the Lie derivative of an order-``k`` vertex.
+
+    ``vertex(order)`` builds the lower-order copy X' of the vertex and
+    ``nbase`` is its number of ordered base slots (0 for a vector field,
+    2 for a connection), which lead the port list ahead of the ``k``
+    symmetric ports.  For each white arity s in 2..k+1, with X' of order
+    k+1-s: +1 for white(s) on top of X' (the white takes s-1 symmetric
+    ports); -1 for X' on top of a white that takes base port b and feeds
+    base slot b; -1, when X' keeps a symmetric slot, for X' on top of a
+    white that takes s symmetric ports.  A connection also carries
+    -white(k+2) over every port.
+    """
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
+    base, sym = range(nbase), range(nbase, nbase + k)
+
+    def ports(base_ports, child):
+        # symmetric ports in ``child`` go to internal 1, the rest to 0
+        return base_ports + tuple(
+            (1, SYM) if p in child else (0, SYM) for p in sym
+        )
+
+    terms = []
+    for s in range(2, k + 2):
+        j = k + 1 - s
+        lower, wht = vertex(j), white(s)
+        for sub in itertools.combinations(sym, j):
+            terms.append(_term(1, (wht, lower), (1, None), (OUT, (0, SYM)),
+                               ports(tuple((1, b) for b in base), sub)))
+        for b in base:
+            fed = tuple((1, SYM) if q == b else (0, q) for q in base)
+            for sub in itertools.combinations(sym, s - 1):
+                terms.append(_term(-1, (lower, wht), (None, 1), (OUT, (0, b)),
+                                   ports(fed, sub)))
+        if j >= 1:
+            for sub in itertools.combinations(sym, s):
+                terms.append(_term(-1, (lower, wht), (None, 1), (OUT, (0, SYM)),
+                                   ports(tuple((0, q) for q in base), sub)))
+    if nbase:
+        terms.append(_term(-1, (white(k + 2),), (1,), (OUT,),
+                           ((0, SYM),) * (nbase + k)))
+    return check_template(RuleTemplate(kind, k, tuple(terms)))
+
+
 @lru_cache(maxsize=None)
 def replace_vectorfield(v, label="X"):
-    """Expansion of a vector-field vertex with ``v`` derivative inputs.
-
-    Terms with the new white on top carry +1, those with the field on top
-    carry -1; the label rides along unchanged.
-    """
-    if v < 0:
-        raise ValueError("derivative order must be >= 0")
-    terms = []
-    ports_all = range(v)
-    for s in range(2, v + 2):
-        u2 = v + 1 - s
-        if u2 < 0:
-            continue
-        # white(s) above field(u2): the child field takes u2 of the inputs
-        for sub in itertools.combinations(ports_all, u2):
-            subset = set(sub)
-            ports = tuple(
-                (1, SYM) if p in subset else (0, SYM) for p in ports_all
-            )
-            terms.append(
-                _term(
-                    1,
-                    (white(s), Vertex(VECTOR, label, u2)),
-                    (1, None),
-                    (OUT, (0, SYM)),
-                    ports,
-                )
-            )
-        # field(u2) above white(s): needs a slot for the white's output
-        if u2 >= 1:
-            for sub in itertools.combinations(ports_all, s):
-                subset = set(sub)
-                ports = tuple(
-                    (1, SYM) if p in subset else (0, SYM) for p in ports_all
-                )
-                terms.append(
-                    _term(
-                        -1,
-                        (Vertex(VECTOR, label, u2), white(s)),
-                        (None, 1),
-                        (OUT, (0, SYM)),
-                        ports,
-                    )
-                )
-    return check_template(RuleTemplate(VECTOR, v, tuple(terms)))
+    """Rule for a vector-field vertex with ``v`` derivative inputs; the
+    label rides along unchanged."""
+    return _lie_derivative_rule(VECTOR, v, lambda u: Vertex(VECTOR, label, u), 0)
 
 
-def _connection_rule_0():
-    # base pair handed to a single binary white, coefficient -1
-    t = _term(-1, (white(2),), (1,), (OUT,), ((0, SYM), (0, SYM)))
-    return RuleTemplate(CONNECTION, 0, (t,))
-
-
-def _connection_rule_1():
-    # ports: (base0, base1, d1)
-    w2, c0 = white(2), connection(0)
-    terms = (
-        # + white(d1, conn(b0,b1))
-        _term(1, (w2, c0), (1, None), (OUT, (0, SYM)), ((1, 0), (1, 1), (0, SYM))),
-        # - conn(white(b0,d1), b1)
-        _term(-1, (c0, w2), (None, 1), (OUT, (0, 0)), ((1, SYM), (0, 1), (1, SYM))),
-        # - conn(b0, white(b1,d1))
-        _term(-1, (c0, w2), (None, 1), (OUT, (0, 1)), ((0, 0), (1, SYM), (1, SYM))),
-        # - white(b0,b1,d1)
-        _term(-1, (white(3),), (1,), (OUT,), ((0, SYM), (0, SYM), (0, SYM))),
-    )
-    return RuleTemplate(CONNECTION, 1, terms)
-
-
-_CONNECTION_CACHE = {0: check_template(_connection_rule_0()),
-                     1: check_template(_connection_rule_1())}
-
-
+@lru_cache(maxsize=None)
 def replace_connection(w):
-    """Replacement rule for a connection vertex of derivative order ``w``.
-
-    Orders 0 and 1 are fixed tables; higher orders are derived once and
-    cached.  Every template has the shape  (trees with one lower-order
-    connection and one smaller white)  minus  a single white of arity w+2.
-    """
-    if w < 0:
-        raise ValueError("derivative order must be >= 0")
-    tpl = _CONNECTION_CACHE.get(w)
-    if tpl is None:
-        tpl = derive_connection_rule(w, 2 * w + 4)
-        _CONNECTION_CACHE[w] = tpl
-    return tpl
+    """Rule for a connection vertex of derivative order ``w``: the Leibniz
+    terms plus the single white of arity w+2 with coefficient -1."""
+    return _lie_derivative_rule(CONNECTION, w, connection, 2)
 
 
 def rule_for(vertex):
@@ -197,7 +167,7 @@ def rule_for(vertex):
 
 
 # ---------------------------------------------------------------------------
-# Derivation of connection rules from the jet action
+# Derivation of connection rules from the jet action (reference for tests)
 # ---------------------------------------------------------------------------
 
 
@@ -290,8 +260,8 @@ def derive_connection_rule(w, n):
     on order-w connection jets is computed exactly (first order in a formal
     parameter), then matched against the realizations of all candidate
     local terms; the match must be unique, which the stable-range bound
-    n >= 2w + 4 guarantees.  Orders 0 and 1 must reproduce the fixed
-    tables bit-exactly.
+    n >= 2w + 4 guarantees.  This is the reference that the closed form
+    :func:`replace_connection` must reproduce bit-exactly.
     """
     from . import jets  # deferred: jets imports graphs only
 
@@ -310,10 +280,7 @@ def derive_connection_rule(w, n):
                 )
             for internals, ranks, iout, ports in orbit:
                 terms.append(_term(c, internals, ranks, iout, ports))
-    tpl = check_template(RuleTemplate(CONNECTION, w, tuple(terms)))
-    if w in (0, 1) and _template_key(tpl) != _template_key(_CONNECTION_CACHE[w]):
-        raise ArithmeticError("derived rule disagrees with the fixed w<=1 table")
-    return tpl
+    return check_template(RuleTemplate(CONNECTION, w, tuple(terms)))
 
 
 def _template_key(tpl):

@@ -1,9 +1,18 @@
-"""Shared test helpers: canonical small graphs, presentation shuffles and a
-dense reference elimination."""
+"""Shared test helpers: canonical small graphs, presentation shuffles, a
+dense reference elimination and the derived connection rules."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 from natops.graphs import SYM, Graph, anchor, connection, vector
+from natops.rules import derive_connection_rule
+
+
+@lru_cache(maxsize=None)
+def derived_rule(w, n):
+    """``derive_connection_rule(w, n)``, derived once per test session:
+    order 2 takes seconds and order 3 minutes."""
+    return derive_connection_rule(w, n)
 
 
 def unit():

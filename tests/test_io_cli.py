@@ -8,7 +8,7 @@ import pytest
 
 from natops import io
 from natops.canonical import canonicalize, key_bytes
-from natops.cli import run
+from natops.cli import MAX_RULE_ORDER, run
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.rules import replace_connection
@@ -216,3 +216,12 @@ def test_cli_rejects_negative_orders_and_ranges(capsys, args, reason):
     code, out = _run(args)
     assert code == 2 and out == ""
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["white", "vector", "connection"])
+def test_cli_rule_order_cap(capsys, kind):
+    code, out = _run(["rule", "--kind", kind, "--order", str(MAX_RULE_ORDER)])
+    assert code == 0 and json.loads(out)["terms"]
+    code, out = _run(["rule", "--kind", kind, "--order", str(MAX_RULE_ORDER + 1)])
+    assert code == 2 and out == ""
+    assert "--order must be <= %d" % MAX_RULE_ORDER in capsys.readouterr().err

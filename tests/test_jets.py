@@ -248,7 +248,6 @@ def test_differential_realizes_as_flow_derivative(family, d, with_conn):
     from natops.jets import (
         Dual,
         lift_with_variation,
-        realize_with_generators,
         random_tensor,
     )
 
@@ -264,7 +263,7 @@ def test_differential_realizes_as_flow_derivative(family, d, with_conn):
     delta = infinitesimal_action(list(gens.values()), data)
     dual_data = lift_with_variation(data, delta)
     for g in enumerate_basis(family, d, 0).graphs:
-        lhs = realize_with_generators(differential(FormalSum.of(g)), gens, data)
+        lhs = realize(differential(FormalSum.of(g)), data, gens=gens)
         moved = realize(FormalSum.of(g), dual_data)
         rhs = [c.b if isinstance(c, Dual) else Fraction(0) for c in moved]
         assert lhs == rhs

@@ -1,4 +1,5 @@
-"""Replacement-rule templates: counts, shapes, and the derived tables."""
+"""Replacement-rule templates: counts, shapes, and the derivation that
+the closed-form connection rules must reproduce."""
 
 from math import comb
 
@@ -13,6 +14,8 @@ from natops.rules import (
     replace_white,
     _template_key,
 )
+
+from .helpers import derived_rule
 
 
 def test_white_rule_small_cases():
@@ -46,6 +49,16 @@ def test_vector_rule_term_count(v):
         if u2 >= 1:
             want += comb(v, s)
     assert len(replace_vectorfield(v).terms) == want
+
+
+@pytest.mark.parametrize("w", range(0, 9))
+def test_connection_rule_term_count(w):
+    want = 1
+    for s in range(2, w + 2):
+        want += 3 * comb(w, s - 1)
+        if s <= w:
+            want += comb(w, s)
+    assert len(replace_connection(w).terms) == want
 
 
 def test_all_coefficients_integral():
@@ -88,19 +101,18 @@ def test_connection_rule_w1():
     assert lone[0].coeff == -1
 
 
-def test_derivation_reproduces_fixed_tables():
-    assert _template_key(derive_connection_rule(0, 4)) == _template_key(
-        replace_connection(0)
-    )
-    assert _template_key(derive_connection_rule(1, 6)) == _template_key(
-        replace_connection(1)
+@pytest.mark.parametrize("w", [0, 1, 2, 3])
+def test_derivation_matches_closed_form(w):
+    # w = 3 derives for about 150 s; no other test derives that order
+    assert _template_key(derived_rule(w, 2 * w + 4)) == _template_key(
+        replace_connection(w)
     )
 
 
 @pytest.mark.parametrize("w,n1,n2", [(0, 4, 5), (1, 6, 7), (2, 8, 9)])
 def test_derivation_independent_of_probe_dimension(w, n1, n2):
-    assert _template_key(derive_connection_rule(w, n1)) == _template_key(
-        derive_connection_rule(w, n2)
+    assert _template_key(derived_rule(w, n1)) == _template_key(
+        derived_rule(w, n2)
     )
 
 
