@@ -22,6 +22,12 @@ from .operad import compose, lie_expand, trace_sum
 #: built and written in about a second.
 MAX_RULE_ORDER = 9
 
+#: Largest ``natcheck --dim`` and ``eval --dim``: the stable dimension
+#: 2d - 1 of the largest tabulated slice (bullet-nabla-1, d = 5) is 9.  One
+#: natcheck trial of a bullet d = 4 kernel element takes 16 s at n = 9 and
+#: 37 s at n = 10, and about doubles with each further dimension.
+MAX_DIM = 10
+
 
 def _read_json(path):
     try:
@@ -168,9 +174,16 @@ def _jetdata_from_obj(obj, need):
     return jets.JetData(n, order, fields, conn, conn_order)
 
 
+def _check_dim(dim):
+    if dim > MAX_DIM:
+        raise ValueError("--dim must be <= %d (the oracle's cost grows like "
+                         "a power of the dimension)" % MAX_DIM)
+
+
 def cmd_eval(args):
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
+    _check_dim(args.dim)
     x = io.obj_to_sum(_read_json(args.infile))
     need = jets.data_requirements(x)
     if args.data:
@@ -193,6 +206,7 @@ def cmd_eval(args):
 
 
 def cmd_natcheck(args):
+    _check_dim(args.dim)
     x = io.obj_to_sum(_read_json(args.infile))
     bad = jets.naturality_check(x, args.dim, trials=args.trials, seed=args.seed)
     if bad is None:

@@ -7,6 +7,12 @@ sum is *natural* when realization commutes with every such change.  All
 arithmetic is exact: rationals, or rationals with a nilpotent dual part
 when linearizing along a flow.
 
+Both steps run in polynomial time.  A graph contracts bottom-up along its
+trees and wheels (:func:`realize_graph`), never summing over all n^edges
+index assignments.  A coordinate change is applied through one
+:class:`Substitution` per map, which multiplies each monomial up once and
+serves every field label and component the change moves.
+
 Conventions (fixed by the integer-coefficient replacement rules and
 verified by the rule-derivation regression):
 
@@ -26,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE
+from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, wheel_vertices
 from .linalg import IncrementalSolver, mat_inv
 
 
@@ -122,12 +128,13 @@ def p_add_into(acc, p, c=1):
 
 def p_mul(a, b, trunc):
     out = {}
-    bitems = [(eb, vb, sum(eb)) for eb, vb in b.items()]
+    bitems = sorted(((sum(eb), eb, vb) for eb, vb in b.items()),
+                    key=lambda t: t[0])
     for ea, va in a.items():
-        da = sum(ea)
-        for eb, vb, db in bitems:
-            if da + db > trunc:
-                continue
+        room = trunc - sum(ea)
+        for db, eb, vb in bitems:
+            if db > room:
+                break
             e = tuple(x + y for x, y in zip(ea, eb))
             w = out.get(e, 0) + va * vb
             if w:
@@ -147,28 +154,35 @@ def p_diff(a, j):
     return out
 
 
-def p_compose(a, comps, n, trunc):
-    """Substitute comps[j] for variable j of ``a``; comps fix the origin."""
-    powers = [{0: p_const(n, 1)} for _ in range(n)]
+class Substitution:
+    """Composition with one fixed map ``comps`` (its components fix the
+    origin), truncated above total degree ``trunc``.
 
-    def power(j, k):
-        cache = powers[j]
-        if k not in cache:
-            cache[k] = p_mul(power(j, k - 1), comps[j], trunc)
-        return cache[k]
+    Build one per map and call it on every polynomial to compose: each
+    monomial comps^e is multiplied up once, as comps^(e - e_j) * comps_j
+    for the first variable j of e, and cached, so a composition is a sum
+    of cached monomials.  Monomials of degree above ``trunc`` vanish.
+    """
 
-    out = {}
-    for e, v in a.items():
-        term = p_const(n, 1)
-        for j, k in enumerate(e):
-            if k:
-                term = p_mul(term, power(j, k), trunc)
-        p_add_into(out, term, v)
-    return out
+    def __init__(self, comps, n, trunc):
+        self.comps = comps
+        self.trunc = trunc
+        self.monos = {(0,) * n: p_const(n, 1)}
 
+    def mono(self, e):
+        m = self.monos.get(e)
+        if m is None:
+            j = next(j for j, k in enumerate(e) if k)
+            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            m = self.monos[e] = p_mul(self.mono(lower), self.comps[j], self.trunc)
+        return m
 
-def map_compose(F, G, n, trunc):
-    return [p_compose(f, G, n, trunc) for f in F]
+    def __call__(self, a):
+        out = {}
+        for e, v in a.items():
+            if sum(e) <= self.trunc:
+                p_add_into(out, self.mono(e), v)
+        return out
 
 
 def map_linear_part(F, n):
@@ -208,7 +222,8 @@ def map_inverse(F, n, trunc):
         high.append(h)
     psi = [dict(l) for l in lin]
     for _ in range(trunc - 1):
-        corr = [p_compose(h, psi, n, trunc) for h in high]
+        sub = Substitution(psi, n, trunc)
+        corr = [sub(h) for h in high]
         nxt = []
         for a in range(n):
             acc = dict(lin[a])
@@ -340,9 +355,8 @@ class CoordinateChange:
     def compose(self, other):
         """self after other (self o other), truncated at min order."""
         trunc = min(self.trunc, other.trunc)
-        return CoordinateChange(
-            self.n, trunc, map_compose(self.comps, other.comps, self.n, trunc)
-        )
+        sub = Substitution(other.comps, self.n, trunc)
+        return CoordinateChange(self.n, trunc, [sub(f) for f in self.comps])
 
     def linear_part(self):
         return map_linear_part(self.comps, self.n)
@@ -471,7 +485,8 @@ def jet_transform(data, phi):
         raise ValueError("coordinate change truncated below jet order + 1")
     F = phi.comps
     K = data.order
-    psiK = map_inverse(F, n, K) if K else map_inverse(F, n, 1)
+    subK = Substitution(map_inverse(F, n, K) if K else map_inverse(F, n, 1),
+                        n, K)
     J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
     fields = {}
     for lab, arrays in data.fields.items():
@@ -483,12 +498,13 @@ def jet_transform(data, phi):
                 Jaj = {e: v for e, v in J[a][j].items() if sum(e) <= K}
                 if Jaj and P[j]:
                     p_add_into(acc, p_mul(Jaj, P[j], K))
-            out.append(p_compose(acc, psiK, n, K))
+            out.append(subK(acc))
         fields[lab] = _polys_field(out, n, K)
     conn = None
     if data.conn is not None:
         W = data.conn_order
-        psiW = map_inverse(F, n, W) if W else map_inverse(F, n, 1)
+        subW = Substitution(map_inverse(F, n, W) if W else map_inverse(F, n, 1),
+                            n, W)
         G = _conn_polys(data.conn, n, W)
         Jw = [[{e: v for e, v in J[a][j].items() if sum(e) <= W}
                for j in range(n)] for a in range(n)]
@@ -521,80 +537,153 @@ def jet_transform(data, phi):
                         if Bb[k] and Jinv[k][c]:
                             p_add_into(acc, p_mul(Jinv[k][c], Bb[k], W))
                     if acc:
-                        out[(a, b, c)] = p_compose(acc, psiW, n, W)
+                        out[(a, b, c)] = subW(acc)
         conn = _polys_conn(out, n, W)
     return JetData(n, K, fields, conn, data.conn_order)
 
 
 # ---------------------------------------------------------------------------
-# Realization (state sum)
+# Realization (contraction along trees and wheels)
 # ---------------------------------------------------------------------------
+
+
+def _vertex_arrays(g, data, gens):
+    """Jet array per vertex (None for the anchor), checking the data."""
+    arrays = []
+    for v in g.vertices:
+        if v.kind == VECTOR:
+            if v.order > data.order:
+                raise ValueError("jet data truncated below graph order")
+            arrays.append(data.fields[v.label][v.order])
+        elif v.kind == CONNECTION:
+            if data.conn is None or v.order > data.conn_order:
+                raise ValueError("connection jets missing or truncated")
+            arrays.append(data.conn[v.order])
+        elif v.kind == WHITE:
+            if gens is None or v.order not in gens:
+                raise ValueError("realization is defined on degree-0 sums only")
+            arrays.append(gens[v.order])
+        else:
+            arrays.append(None)
+    return arrays
+
+
+def _cycles(g):
+    """The directed cycles of g, each listed along its edges."""
+    cycles = []
+    left = wheel_vertices(g)
+    while left:
+        cycle = [min(left)]
+        while g.out[cycle[-1]][0] != cycle[0]:
+            cycle.append(g.out[cycle[-1]][0])
+        left -= set(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+def _contract(arr, n, inputs):
+    """Contract one vertex array against its inputs.
+
+    ``inputs`` lists (slot, entries) per in-edge, entries being the nonzero
+    (index, value) pairs of the vector the edge carries, or None for the
+    open in-edge of a cycle vertex.  Returns the length-n vector over the
+    out index, or with an open in-edge the matrix out[i][j] over the out
+    index i and the open index j.  Each in-edge multiplies the n lookups
+    per input combination by its number of entries, at most n.
+    """
+    nbase = arr.nfixed - 1
+    lists = [entries if entries is not None else [(j, None) for j in range(n)]
+             for _, entries in inputs]
+    slots = [slot for slot, _ in inputs]
+    opened = any(entries is None for _, entries in inputs)
+    zero = Fraction(0)
+    out = [[zero] * n for _ in range(n)] if opened else [zero] * n
+    table = arr.data
+    for combo in itertools.product(*lists):
+        weight = 1
+        base = [0, 0]
+        sym = []
+        col = 0
+        for slot, (idx, val) in zip(slots, combo):
+            if val is None:
+                col = idx
+            else:
+                weight = weight * val
+            if slot == SYM:
+                sym.append(idx)
+            else:
+                base[slot] = idx
+        sym.sort()
+        tail = tuple(base[:nbase]) + tuple(sym)
+        for i in range(n):
+            x = table.get((i,) + tail)
+            if x:
+                if opened:
+                    out[i][col] = out[i][col] + x * weight
+                else:
+                    out[i] = out[i] + x * weight
+    return out
 
 
 def realize_graph(g, data, gens=None):
     """Contract one graph against jet data: a length-n list when anchored,
     a scalar otherwise.  With ``gens`` (a map arity -> generator array),
     white vertices contract against the generators; without it they are an
-    error, realization being defined on degree-0 sums."""
+    error, realization being defined on degree-0 sums.
+
+    Every non-anchor vertex has exactly one out-edge, so each component is
+    a tree into the anchor or one cycle (a wheel; a self-loop is a cycle of
+    length 1) with trees hanging off it.  The contraction runs bottom-up: a
+    tree vertex becomes a length-n vector over its out-edge, at a cost of
+    n^(1 + in-degree) array lookups; a cycle vertex becomes an n x n matrix
+    over its out-edge and its in-edge from the cycle, at n^(2 + in-degree
+    off the cycle), and the cycle closes as the trace of the product of its
+    matrices.  Scalar components multiply.
+    """
     n = data.n
-    verts = g.vertices
-    edges = []          # edge id per source vertex
-    edge_of_src = {}
-    for src, e in enumerate(g.out):
-        if e is not None:
-            edge_of_src[src] = len(edges)
-            edges.append((src, e[0], e[1]))
-    anchored = g.has_anchor()
-    anchor_edge = None
-    plan = []
-    for i, v in enumerate(verts):
+    arrays = _vertex_arrays(g, data, gens)
+    ins = g.in_edges()
+
+    def entries(src):
+        return [(i, x) for i, x in enumerate(vector(src)) if x]
+
+    def vector(v):
+        return _contract(arrays[v], n, [(slot, entries(src))
+                                        for src, slot in ins[v]])
+
+    cycles = _cycles(g)
+    scalar = Fraction(1)
+    for cycle in cycles:
+        # walking against the edges, each matrix takes the previous one's
+        # output index as its open input
+        prod = None
+        for pos, v in enumerate(cycle):
+            pred = cycle[pos - 1]
+            m = _contract(arrays[v], n, [
+                (slot, None if src == pred else entries(src))
+                for src, slot in ins[v]])
+            prod = m if prod is None else _mat_mul(m, prod, n)
+        scalar = scalar * sum((prod[i][i] for i in range(n)), Fraction(0))
+    for i, v in enumerate(g.vertices):
         if v.kind == ANCHOR:
-            for eid, (src, dst, slot) in enumerate(edges):
-                if dst == i:
-                    anchor_edge = eid
-            continue
-        ins_sym = [eid for eid, (src, dst, slot) in enumerate(edges)
-                   if dst == i and slot == SYM]
-        if v.kind == VECTOR:
-            if v.order > data.order:
-                raise ValueError("jet data truncated below graph order")
-            arr = data.fields[v.label][v.order]
-            plan.append((arr, (edge_of_src[i],), tuple(ins_sym)))
-        elif v.kind == CONNECTION:
-            if data.conn is None or v.order > data.conn_order:
-                raise ValueError("connection jets missing or truncated")
-            b0 = [eid for eid, (s, dd, sl) in enumerate(edges) if dd == i and sl == 0]
-            b1 = [eid for eid, (s, dd, sl) in enumerate(edges) if dd == i and sl == 1]
-            arr = data.conn[v.order]
-            plan.append((arr, (edge_of_src[i], b0[0], b1[0]), tuple(ins_sym)))
-        elif v.kind == WHITE:
-            if gens is None or v.order not in gens:
-                raise ValueError("realization is defined on degree-0 sums only")
-            plan.append((gens[v.order], (edge_of_src[i],), tuple(ins_sym)))
-    free = [eid for eid in range(len(edges)) if eid != anchor_edge]
+            vec = vector(ins[i][0][0])
+            return [x * scalar for x in vec] if cycles else vec
+    return scalar
 
-    def state_sum(fix_anchor=None):
-        total = Fraction(0)
-        idx = [0] * len(edges)
-        for assign in itertools.product(range(n), repeat=len(free)):
-            for pos, eid in enumerate(free):
-                idx[eid] = assign[pos]
-            if fix_anchor is not None:
-                idx[anchor_edge] = fix_anchor
-            term = Fraction(1)
-            for arr, fixed, syms in plan:
-                v = arr.get(tuple(idx[e] for e in fixed), tuple(idx[e] for e in syms))
-                if not v:
-                    term = 0
-                    break
-                term = term * v
-            if term:
-                total += term
-        return total
 
-    if anchored:
-        return [state_sum(a) for a in range(n)]
-    return state_sum()
+def _mat_mul(a, b, n):
+    zero = Fraction(0)
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        ai, oi = a[i], out[i]
+        for k in range(n):
+            x = ai[k]
+            if x:
+                bk = b[k]
+                for j in range(n):
+                    if bk[j]:
+                        oi[j] = oi[j] + x * bk[j]
+    return out
 
 
 def realize(x, data, gens=None):

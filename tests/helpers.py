@@ -1,10 +1,22 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, a
-dense reference elimination and the derived connection rules."""
+dense reference elimination, the derived connection rules and the
+realization state sum."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from natops.graphs import SYM, Graph, anchor, connection, vector
+from natops.graphs import (
+    ANCHOR,
+    CONNECTION,
+    SYM,
+    VECTOR,
+    WHITE,
+    Graph,
+    anchor,
+    connection,
+    vector,
+)
 from natops.rules import derive_connection_rule
 
 
@@ -120,3 +132,49 @@ def dense_matrix(mat):
     for (r, c), v in mat.entries.items():
         rows[r][c] = v
     return rows
+
+
+def state_sum(g, data, gens=None):
+    """Reference realization of one graph: the sum over all n^edges index
+    assignments of the product of the vertex arrays, the anchor edge held
+    at each output index in turn.  natops.jets.realize_graph is checked
+    against this slow path."""
+    edges = [(src, e[0], e[1]) for src, e in enumerate(g.out) if e is not None]
+    edge_of_src = {src: k for k, (src, _, _) in enumerate(edges)}
+    anchor_edge = None
+    plan = []
+    for i, v in enumerate(g.vertices):
+        into = {slot: [] for slot in (0, 1, SYM)}
+        for k, (_, dst, slot) in enumerate(edges):
+            if dst == i:
+                into[slot].append(k)
+        if v.kind == ANCHOR:
+            anchor_edge, = into[SYM]
+            continue
+        if v.kind == VECTOR:
+            arr, base = data.fields[v.label][v.order], ()
+        elif v.kind == CONNECTION:
+            arr, base = data.conn[v.order], (into[0][0], into[1][0])
+        elif v.kind == WHITE:
+            arr, base = gens[v.order], ()
+        plan.append((arr, (edge_of_src[i],) + base, into[SYM]))
+    free = [k for k in range(len(edges)) if k != anchor_edge]
+
+    def total(out_index):
+        acc = Fraction(0)
+        idx = [out_index] * len(edges)
+        for assign in itertools.product(range(data.n), repeat=len(free)):
+            for k, i in zip(free, assign):
+                idx[k] = i
+            term = Fraction(1)
+            for arr, fixed, syms in plan:
+                term = term * arr.get([idx[k] for k in fixed],
+                                      [idx[k] for k in syms])
+                if not term:
+                    break
+            acc += term
+        return acc
+
+    if anchor_edge is None:
+        return total(0)
+    return [total(a) for a in range(data.n)]

@@ -189,6 +189,20 @@ def test_criterion_09_naturality_oracle():
     _report(9, ok, "kernel elements natural; O2 and bare-connection graphs fail")
 
 
+def test_criterion_09_naturality_full_bases():
+    """Criterion 9 on the largest bases: all 6 elements of bullet d = 4 at
+    n = 4 and all 26 of bullet-nabla-1 d = 3 at its stable n = 5, two
+    seeded trials each (8-10 s on a 2-core host; three trials take
+    about 13 s)."""
+    ok = True
+    for family, d, n, size in (("bullet", 4, 4, 6), ("bullet-nabla-1", 3, 5, 26)):
+        basis = kernel_basis(family, d)
+        ok = ok and len(basis) == size
+        for x in basis:
+            ok = ok and naturality_check(x, n, trials=2, seed=5) is None
+    _report(9, ok, "every element of bullet d=4 and bullet-nabla-1 d=3 natural")
+
+
 def test_criterion_10_stability_boundary():
     g1, g2 = trace_pair()
     d1 = random_jet_data(random.Random(5), 1, ["X1", "X2"], 1)

@@ -8,7 +8,7 @@ import pytest
 
 from natops import io
 from natops.canonical import canonicalize, key_bytes
-from natops.cli import MAX_RULE_ORDER, run
+from natops.cli import MAX_DIM, MAX_RULE_ORDER, run
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.rules import replace_connection
@@ -225,3 +225,16 @@ def test_cli_rule_order_cap(capsys, kind):
     code, out = _run(["rule", "--kind", kind, "--order", str(MAX_RULE_ORDER + 1)])
     assert code == 2 and out == ""
     assert "--order must be <= %d" % MAX_RULE_ORDER in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["natcheck", "eval"])
+def test_cli_dim_cap(tmp_path, capsys, command):
+    b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
+    p = tmp_path / "b.json"
+    p.write_text(io.dumps(io.sum_to_obj(b)))
+    extra = ["--trials", "1"] if command == "natcheck" else []
+    code, out = _run([command, "--in", str(p), "--dim", str(MAX_DIM)] + extra)
+    assert code == 0 and json.loads(out)
+    code, out = _run([command, "--in", str(p), "--dim", str(MAX_DIM + 1)] + extra)
+    assert code == 2 and out == ""
+    assert "--dim must be <= %d" % MAX_DIM in capsys.readouterr().err

@@ -7,22 +7,29 @@ import pytest
 
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
-from natops.graphs import vector
+from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, vector, wheel_vertices
 from natops.jets import (
     CoordinateChange,
+    Dual,
     JetData,
+    Substitution,
     Tensor,
     apply_linear,
     infinitesimal_action,
     jet_transform,
+    map_inverse,
     naturality_check,
+    p_add_into,
+    p_mul,
+    p_var,
     random_jet_data,
     random_tensor,
     realize,
+    realize_graph,
 )
 from natops.linalg import mat_inv, rank
 
-from .helpers import chain_xy, chain_yx, nabla_xy, trace_pair, unit
+from .helpers import chain_xy, chain_yx, nabla_xy, state_sum, trace_pair, unit
 
 
 def test_realize_unit_returns_field_value():
@@ -71,6 +78,65 @@ def test_realize_is_linear():
         assert lv == [al * a + be * b for a, b in zip(rx, ry)]
 
 
+#: Slices whose degree-0 and degree-1 graphs the contraction is checked on.
+STATE_SUM_SLICES = [("bullet", 1), ("bullet", 2), ("bullet", 3),
+                    ("bullet-wheel", 0), ("bullet-wheel", 1),
+                    ("bullet-wheel", 2), ("bullet-wheel", 3),
+                    ("bullet-nabla-1", 1), ("bullet-nabla-1", 2),
+                    ("bullet-nabla-wheel", 3), ("bullet-nabla-trace", 2)]
+
+
+def _slice_graphs(family, d):
+    return [g for m in (0, 1) for g in enumerate_basis(family, d, m).graphs]
+
+
+@pytest.mark.parametrize("family,d", STATE_SUM_SLICES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_realize_graph_matches_state_sum(family, d, n):
+    """The tree-and-wheel contraction equals the n^edges state sum, graph
+    by graph, with generators for the white vertices."""
+    graphs = _slice_graphs(family, d)
+    verts = [v for g in graphs for v in g.vertices]
+    labels = sorted({v.label for v in verts if v.kind == VECTOR})
+    order = max([v.order for v in verts if v.kind == VECTOR], default=0)
+    conn_order = max([v.order for v in verts if v.kind == CONNECTION],
+                     default=None)
+    rng = random.Random(repr(("state-sum", family, d, n)))
+    data = random_jet_data(rng, n, labels, order,
+                           with_conn=conn_order is not None,
+                           conn_order=conn_order)
+    gens = {s: random_tensor(rng, n, 1, s)
+            for s in {v.order for v in verts if v.kind == WHITE}}
+    for g in graphs:
+        assert realize_graph(g, data, gens=gens) == state_sum(g, data, gens), g
+
+
+def test_state_sum_slices_cover_wheels_loops_and_base_slots():
+    """The graphs above hold self-loops, longer wheels, wheels through
+    either connection base slot, wheels beside an anchor, and whites."""
+    seen = set()
+    for family, d in STATE_SUM_SLICES:
+        for g in _slice_graphs(family, d):
+            wheel = wheel_vertices(g)
+            for src, e in enumerate(g.out):
+                if e is None:
+                    continue
+                if e[0] == src:
+                    seen.add("self-loop")
+                elif src in wheel and e[0] in wheel:
+                    seen.add("wheel edge into slot %s"
+                             % ("sym" if e[1] == SYM else e[1]))
+            if wheel and g.has_anchor():
+                seen.add("wheel beside anchor")
+            if len(wheel) >= 3:
+                seen.add("wheel of length >= 3")
+            if g.count(WHITE):
+                seen.add("white")
+    assert seen == {"self-loop", "wheel edge into slot sym",
+                    "wheel edge into slot 0", "wheel edge into slot 1",
+                    "wheel beside anchor", "wheel of length >= 3", "white"}
+
+
 def test_stability_boundary_trace_pair():
     g1, g2 = trace_pair()
     d1 = random_jet_data(random.Random(5), 1, ["X1", "X2"], 1)
@@ -91,6 +157,63 @@ def test_stable_injectivity_of_realization(d):
         for j, g in enumerate(slice0.graphs):
             vectors[j].extend(realize(FormalSum.of(g), data))
     assert rank(vectors) == len(slice0.graphs)
+
+
+def _random_coeff(rng, dual):
+    v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Dual(v, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) if dual else v
+
+
+def _random_poly(rng, n, lo, hi, dual):
+    """Random polynomial with monomials of total degree lo..hi."""
+    p = {}
+    for deg in range(lo, hi + 1):
+        for _ in range(3):
+            e = [0] * n
+            for _ in range(deg):
+                e[rng.randrange(n)] += 1
+            p_add_into(p, {tuple(e): _random_coeff(rng, dual)})
+    return p
+
+
+def _naive_compose(a, comps, n, trunc):
+    """Reference: every monomial of ``a`` multiplied up from scratch."""
+    out = {}
+    for e, v in a.items():
+        term = {(0,) * n: Fraction(1)}
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = p_mul(term, comps[j], trunc)
+        p_add_into(out, term, v)
+    return out
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_substitution_matches_naive_composition(n, dual):
+    rng = random.Random(repr(("substitution", n, dual)))
+    for trunc in (1, 2, 3, 4):
+        comps = [_random_poly(rng, n, 1, trunc, dual) for _ in range(n)]
+        sub = Substitution(comps, n, trunc)
+        for _ in range(4):
+            # degrees above trunc too: they must vanish
+            a = _random_poly(rng, n, 0, trunc + 1, dual)
+            assert sub(a) == _naive_compose(a, comps, n, trunc)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_map_inverse_composes_to_identity(n, dual):
+    rng = random.Random(repr(("map-inverse", n, dual)))
+    for trunc in (1, 2, 3, 4):
+        F = CoordinateChange.random(rng, n, trunc).comps
+        if dual:
+            F = [{e: Dual(v, _random_coeff(rng, False)) for e, v in f.items()}
+                 for f in F]
+        psi = map_inverse(F, n, trunc)
+        ident = [p_var(n, a) for a in range(n)]
+        assert [Substitution(psi, n, trunc)(f) for f in F] == ident
+        assert [Substitution(F, n, trunc)(p) for p in psi] == ident
 
 
 def test_identity_transform_fixes_jets():
