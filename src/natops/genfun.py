@@ -1,7 +1,7 @@
 """Generating-function arithmetic for operator-space dimensions.
 
 Two independent routes to the dimension sequence of the connection-and-
-vector-field operator spaces: a direct recursion (explicit double sum over
+vector-field operator spaces: a direct recursion (a double sum over
 compositions) and a coefficient-by-coefficient solution of the functional
 equation  exp(g) * (1 - t - g^2) = 1.  Both report plain integers; a
 quadratic-dual identity q(-g(t)) = -t with q(t) = exp(t) - 1 + t^2 ties
@@ -17,50 +17,38 @@ from math import factorial
 from .series import Series, solve_fixed_coefficients
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def g_recursion(N):
     """g_1..g_N by the direct recursion (seeded with g_1 = 1).
 
     g_{n+1}/(n+1)! collects rooted-tree contributions: compositions of n
     weighted 1/s!, plus compositions of n+1 weighted (s(s-1)-1)/s! for
-    s >= 2.  Asserts integrality of every term of the sequence.
+    s >= 2, each composition contributing the product of g_i/i! over its
+    parts.  The sum over compositions of m into s parts is built up one
+    first part at a time and kept, so the whole sequence costs O(N^3)
+    products.  Asserts integrality of every term of the sequence.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    g = {1: Fraction(1)}
+    a = {1: Fraction(1)}  # a[i] = g_i / i!
+    # comp[s, m]: sum over compositions of m into s parts of prod a[part]
+    comp = {(1, 1): a[1]}
     for n in range(1, N):
-        total = Fraction(0)
-        for s in range(1, n + 1):
-            c = Fraction(1, factorial(s))
-            for comp in _compositions(n, s):
-                prod = c
-                for i in comp:
-                    prod *= g[i] / factorial(i)
-                total += prod
-        for s in range(2, n + 2):
-            c = Fraction(s * (s - 1) - 1, factorial(s))
-            for comp in _compositions(n + 1, s):
-                if any(i > n for i in comp):
-                    continue
-                prod = c
-                for i in comp:
-                    prod *= g[i] / factorial(i)
-                total += prod
-        g[n + 1] = total * factorial(n + 1)
+        m = n + 1
+        # parts of m into s >= 2 pieces are at most n, so a[1..n] suffice
+        for s in range(2, m + 1):
+            comp[s, m] = sum((a[i] * comp[s - 1, m - i]
+                              for i in range(1, m - s + 2)), Fraction(0))
+        total = sum((comp[s, n] / factorial(s) for s in range(1, n + 1)),
+                    Fraction(0))
+        total += sum((comp[s, m] * (s * (s - 1) - 1) / factorial(s)
+                      for s in range(2, m + 1)), Fraction(0))
+        a[m] = comp[1, m] = total
     out = []
     for d in range(1, N + 1):
-        if g[d].denominator != 1:
-            raise ArithmeticError("non-integer dimension g_%d = %s" % (d, g[d]))
-        out.append(int(g[d]))
+        g = a[d] * factorial(d)
+        if g.denominator != 1:
+            raise ArithmeticError("non-integer dimension g_%d = %s" % (d, g))
+        out.append(int(g))
     return out
 
 

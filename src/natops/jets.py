@@ -13,8 +13,9 @@ index assignments.  A coordinate change is applied through one
 :class:`Substitution` per map, which multiplies each monomial up once and
 serves every field label and component the change moves.
 
-Conventions (fixed by the integer-coefficient replacement rules and
-verified by the rule-derivation regression):
+Conventions (fixed by the integer-coefficient replacement rules, which
+:func:`natops.rules.derive_connection_rule` rederives from
+:func:`infinitesimal_action` through :func:`realize`):
 
 * vector-field jets are plain partial-derivative arrays X^a_(s1..sv);
 * connection jets are classical Christoffel arrays transforming as
@@ -33,7 +34,7 @@ from fractions import Fraction
 from math import factorial
 
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, wheel_vertices
-from .linalg import IncrementalSolver, mat_inv
+from .linalg import mat_inv
 
 
 class Dual:
@@ -290,6 +291,16 @@ def random_tensor(rng, n, nfixed, nsym):
     for fixed in itertools.product(range(n), repeat=nfixed):
         for sym in itertools.combinations_with_replacement(range(n), nsym):
             t.data[fixed + sym] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return t
+
+
+def random_sparse_tensor(rng, n, nfixed, nsym, entries):
+    """Array with at most ``entries`` random nonzero entries."""
+    t = Tensor(n, nfixed, nsym)
+    for _ in range(entries):
+        fixed = tuple(rng.randrange(n) for _ in range(nfixed))
+        sym = tuple(sorted(rng.randrange(n) for _ in range(nsym)))
+        t.set(fixed, sym, Fraction(rng.randint(1, 4), rng.randint(1, 2)))
     return t
 
 
@@ -792,15 +803,13 @@ def naturality_check(x, n, trials=20, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Infinitesimal action and connection-rule matching
+# Infinitesimal action
 # ---------------------------------------------------------------------------
 
 
 def generator_flow(gens, n, trunc):
     """Coordinate change id + eps * sum_s H_s(x,..,x)/s! for generator
-    arrays H_s; a single array is accepted too."""
-    if isinstance(gens, Tensor):
-        gens = [gens]
+    arrays H_s."""
     comps = []
     for a in range(n):
         p = p_var(n, a)
@@ -852,135 +861,3 @@ def infinitesimal_action(gens, data):
     phi = generator_flow(gens, n, trunc)
     moved = jet_transform(_lift_dual(data), phi)
     return _eps_part(moved)
-
-
-def _candidate_entry(term, Hs, conn_arrays, n, idx):
-    """Realize one local candidate term at boundary indices idx=(a,b,c,*ds)."""
-    internals, ranks, iout, ports = term
-    a = idx[0]
-    bvals = idx[1:]
-    total = Fraction(0)
-    for i in range(n):
-        prod = Fraction(1)
-        for j, vert in enumerate(internals):
-            syms = []
-            base = {}
-            for p, (tj, slot) in enumerate(ports):
-                if tj != j:
-                    continue
-                if slot == SYM:
-                    syms.append(bvals[p])
-                else:
-                    base[slot] = bvals[p]
-            for jj, tgt in enumerate(iout):
-                if tgt != ("out",) and tgt[0] == j and jj != j:
-                    if tgt[1] == SYM:
-                        syms.append(i)
-                    else:
-                        base[tgt[1]] = i
-            out_idx = a if iout[j] == ("out",) else i
-            if vert.kind == WHITE:
-                v = Hs.get((out_idx,), syms)
-            else:
-                v = conn_arrays[vert.order].get((out_idx, base[0], base[1]), syms)
-            if not v:
-                prod = 0
-                break
-            prod = prod * v
-        if prod:
-            total += prod
-        if len(internals) == 1:
-            break  # no contraction index
-    return total
-
-
-def _sparse_tensor(rng, n, nfixed, nsym, entries):
-    t = Tensor(n, nfixed, nsym)
-    for _ in range(entries):
-        fixed = tuple(rng.randrange(n) for _ in range(nfixed))
-        sym = tuple(sorted(rng.randrange(n) for _ in range(nsym)))
-        t.set(fixed, sym, Fraction(rng.randint(1, 4), rng.randint(1, 2)))
-    return t
-
-
-def match_connection_rule(w, n, orbits_by_s, max_samples=80):
-    """Coefficients for the candidate orbits of the order-``w`` connection
-    rule, matched exactly against the infinitesimal action.
-
-    ``orbits_by_s`` maps generator arity s to its orbit list.  Each sample
-    runs one flow carrying independent generators of every arity (the
-    variation is additive); sparse samples at the stable dimension
-    accumulate rank until the coefficients are pinned uniquely, then the
-    identity is verified on every index at a small dimension with dense
-    fresh data.  Returns {s: coefficient list}.
-    """
-    arities = sorted(s for s, orbs in orbits_by_s.items() if orbs)
-    flat = [(s, orbit) for s in arities for orbit in orbits_by_s[s]]
-    if not flat:
-        return {s: [] for s in orbits_by_s}
-    nun = len(flat)
-
-    def build_side(dim, rng, sparse):
-        if sparse:
-            gens = {s: _sparse_tensor(rng, dim, 1, s, sparse) for s in arities}
-            conn = [_sparse_tensor(rng, dim, 3, v, 3 * sparse)
-                    for v in range(w + 1)]
-            data = JetData(dim, w, {}, conn, w)
-        else:
-            gens = {s: random_tensor(rng, dim, 1, s) for s in arities}
-            data = random_jet_data(rng, dim, [], w, with_conn=True,
-                                   conn_order=w)
-        delta = infinitesimal_action(list(gens.values()), data).conn[w]
-        return gens, data.conn, delta
-
-    rng = random.Random(repr(("connrule", w, n)))
-    solver = IncrementalSolver(nun)
-    sol = None
-    for sample in range(max_samples):
-        # progressively denser samples: rank stalls on very sparse draws
-        gens, conn, delta = build_side(n, rng, sparse=2 + sample)
-        picks = list(delta.data.keys())
-        rng.shuffle(picks)
-        picks = picks[: 6 * nun]
-        for _ in range(nun + 5):
-            picks.append((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                         + tuple(sorted(rng.randrange(n) for _ in range(w))))
-        for key in picks:
-            idx = key[:3] + tuple(sorted(key[3:]))
-            row = [sum(_candidate_entry(m, gens[s], conn, n, idx)
-                       for m in orbit) for s, orbit in flat]
-            solver.add(row, delta.get(idx[:3], idx[3:]))
-            if solver.rank == nun:
-                break
-        sol = solver.solution()
-        if sol is not None:
-            break
-    if sol is None:
-        raise ArithmeticError(
-            "singular rule-matching system for w=%d (rule-basis bug)" % w)
-    # full verification at a small dimension with dense fresh data
-    nv = min(n, w + 2, 5) if w else min(n, 3)
-    rng2 = random.Random(repr(("connrule-verify", w, n)))
-    gv, connv, deltav = build_side(nv, rng2, sparse=0)
-    for a in range(nv):
-        for b in range(nv):
-            for c in range(nv):
-                for ds in itertools.combinations_with_replacement(range(nv), w):
-                    idx = (a, b, c) + ds
-                    lhs = sum(
-                        (coeff * sum(_candidate_entry(m, gv[s], connv, nv, idx)
-                                     for m in orbit)
-                         for coeff, (s, orbit) in zip(sol, flat)),
-                        Fraction(0))
-                    if lhs != deltav.get((a, b, c), ds):
-                        raise ArithmeticError(
-                            "derived rule fails verification at w=%d" % w)
-    out = {}
-    pos = 0
-    for s in arities:
-        k = len(orbits_by_s[s])
-        out[s] = sol[pos:pos + k]
-        pos += k
-    for s in orbits_by_s:
-        out.setdefault(s, [])
-    return out

@@ -3,12 +3,12 @@ derivation and the jet oracle.
 
 Everything is over Q; no floating point.  One sparse Gauss–Jordan
 elimination (:class:`Echelon`) serves rank, kernels, span tests and the
-incremental rule solver: rows are dicts ``{col: Fraction}``, pivot rows are
-kept fully reduced and keyed by pivot column, and each row's pivot is its
-least nonzero column, so the pivot rows are the reduced row echelon form
-whatever the row order.  Batches are fed shortest row first to limit
-fill-in.  :func:`mat_inv` inverts small dense matrices over any field-like
-scalars (the jet oracle's dual numbers).
+linear system of the connection-rule derivation: rows are dicts
+``{col: Fraction}``, pivot rows are kept fully reduced and keyed by pivot
+column, and each row's pivot is its least nonzero column, so the pivot rows
+are the reduced row echelon form whatever the row order.  Batches are fed
+shortest row first to limit fill-in.  :func:`mat_inv` inverts small dense
+matrices over any field-like scalars (the jet oracle's dual numbers).
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ class Echelon:
         return out
 
     def add(self, row):
-        """Reduce ``row`` in; True when it adds a pivot row."""
+        """Reduce ``row`` in; it adds a pivot row unless it reduces to 0."""
         r = self.reduce(row)
         if not r:
-            return False
+            return
         lead = min(r)
         inv = 1 / r[lead]
         r = {k: v * inv for k, v in r.items()}
@@ -61,7 +61,6 @@ class Echelon:
             if f:
                 _sub(p, f, r)
         self.rows[lead] = r
-        return True
 
 
 def rank(rows):
@@ -87,35 +86,6 @@ def nullspace(rows, ncols=None):
                 v[c] = -r[fc]
         basis.append(v)
     return basis
-
-
-class IncrementalSolver:
-    """Incrementally reduced augmented system A x = b over the rationals.
-
-    Feed rows one at a time; ``rank`` grows until it reaches the number of
-    unknowns, at which point ``solution()`` returns the unique solution.
-    An inconsistent row raises ArithmeticError immediately.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.echelon = Echelon()
-
-    @property
-    def rank(self):
-        return len(self.echelon.rows)
-
-    def add(self, row, rhs):
-        r = self.echelon.reduce(list(row) + [rhs])
-        if list(r) == [self.ncols]:
-            raise ArithmeticError("inconsistent linear system")
-        return self.echelon.add(r)
-
-    def solution(self):
-        if self.rank != self.ncols:
-            return None
-        return [self.echelon.rows[c].get(self.ncols, Fraction(0))
-                for c in range(self.ncols)]
 
 
 def mat_inv(rows, unit=lambda v: bool(v)):

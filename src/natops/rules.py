@@ -16,18 +16,37 @@ Rules for white vertices are unshuffle sums.  Vector-field and connection
 rules are one closed form, :func:`_lie_derivative_rule`: the Leibniz
 expansion of the Lie derivative along a jet-group generator that vanishes
 to second order, with unit coefficients.  :func:`derive_connection_rule`
-derives connection rules independently, by matching candidate templates
-against the linearized coordinate-change action on connection jets; the
-tests compare it with the closed form, and no runtime path calls it.
+derives connection rules independently: it realizes every candidate
+degree-1 graph on the fields of :func:`connection_probe` with the jet
+oracle's :func:`natops.jets.realize` and matches the candidates against the
+linearized coordinate-change action on connection jets.  The tests compare
+it with the differential of the probe, and no runtime path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import namedtuple
 from functools import lru_cache
 
-from .graphs import CONNECTION, SYM, VECTOR, WHITE, Vertex, connection, white
+from . import jets
+from .canonical import canonicalize
+from .formal import FormalSum
+from .graphs import (
+    CONNECTION,
+    SYM,
+    VECTOR,
+    WHITE,
+    Graph,
+    Vertex,
+    anchor,
+    connection,
+    relabel,
+    vector,
+    white,
+)
+from .linalg import Echelon
 
 #: out-target marker: the internal vertex's output leaves the local graph.
 OUT = ("out",)
@@ -171,120 +190,108 @@ def rule_for(vertex):
 # ---------------------------------------------------------------------------
 
 
-def _candidate_terms(w, s):
-    """All local shapes available to the arity-``s`` part of the rule.
+def connection_probe(w):
+    """The order-``w`` connection vertex fed from order-0 fields X1..X(w+2),
+    X1 and X2 in the base slots, and anchored.  The fields name the boundary
+    ports, so its differential is the connection rule written as a sum of
+    graphs."""
+    fields = tuple(vector("X%d" % (i + 1)) for i in range(w + 2))
+    c = w + 2
+    return Graph(fields + (connection(w), anchor),
+                 ((c, 0), (c, 1)) + ((c, SYM),) * w + ((c + 1, SYM), None))
 
-    Shapes are two-vertex trees with one connection of order w+1-s and one
-    white of arity s, plus (for s = w+2) the single big white.  Returned as
-    concrete-port terms grouped into orbits under permutations of the
-    derivative ports, so that one coefficient per orbit keeps the template
-    symmetric in the symmetric inputs it replaces.
-    """
-    ports = list(range(w + 2))  # 0,1 = base; 2.. = derivative ports
-    base_ports, d_ports = ports[:2], ports[2:]
-    shapes = []
 
-    def orbit_key(assign):
-        # assign: port -> (internal, slotclass); derivative ports unordered
-        fixed = tuple(assign[p] for p in base_ports)
-        dmulti = tuple(sorted(assign[p] for p in d_ports))
-        return fixed, dmulti
-
-    def emit(internals, ranks, iout, assign):
-        shapes.append((internals, ranks, iout, dict(assign)))
-
-    if s == w + 2:
-        emit((white(s),), (1,), (OUT,), {p: (0, SYM) for p in ports})
-    v2 = w + 1 - s
-    if v2 >= 0:
-        conn = connection(v2)
-        wht = white(s)
-        # white on top: conn output fills one white slot, s-1 ports remain
-        for rest in itertools.combinations(ports, s - 1):
-            restset = set(rest)
-            remaining = [p for p in ports if p not in restset]
-            # conn base slots take an ordered pair from remaining, sym the rest
-            for b0, b1 in itertools.permutations(remaining, 2):
-                assign = {p: (0, SYM) for p in restset}
-                assign[b0] = (1, 0)
-                assign[b1] = (1, 1)
-                for p in remaining:
-                    if p not in (b0, b1):
-                        assign[p] = (1, SYM)
-                emit((wht, conn), (1, None), (OUT, (0, SYM)), assign)
-        # conn on top: white output goes into a base or a sym slot of conn
-        for wslot in ([0, 1] + ([SYM] if v2 >= 1 else [])):
-            for wports in itertools.combinations(ports, s):
-                wset = set(wports)
-                remaining = [p for p in ports if p not in wset]
-                free_base = [b for b in (0, 1) if b != wslot or wslot == SYM]
-                if wslot == SYM:
-                    free_base = [0, 1]
-                need_sym = v2 - (1 if wslot == SYM else 0)
-                if len(remaining) != len(free_base) + need_sym:
-                    continue
-                for bsel in itertools.permutations(remaining, len(free_base)):
-                    assign = {p: (1, SYM) for p in wset}
-                    for b, p in zip(free_base, bsel):
-                        assign[p] = (0, b)
-                    for p in remaining:
-                        if p not in bsel:
-                            assign[p] = (0, SYM)
-                    emit((conn, wht), (None, 1), (OUT, (0, wslot)), assign)
-
-    orbits = {}
-    for internals, ranks, iout, assign in shapes:
-        key = (internals, iout, orbit_key(assign))
-        orbits.setdefault(key, []).append((internals, ranks, iout, assign))
-    out = []
-    seen = set()
-    for key, members in orbits.items():
-        uniq = []
-        mseen = set()
-        for internals, ranks, iout, assign in members:
-            pk = tuple(assign[p] for p in ports)
-            if pk in mseen:
-                continue
-            mseen.add(pk)
-            uniq.append((internals, ranks, iout, tuple(assign[p] for p in ports)))
-        if key not in seen:
-            seen.add(key)
-            out.append(uniq)
-    return out
+def _unit_fields(n, ports, conn, w):
+    """Jet data whose field Xk is the unit vector at index ``ports[k-1]``."""
+    fields = {"X%d" % (k + 1): [jets.Tensor(n, 1, 0, {(i,): 1})]
+              for k, i in enumerate(ports)}
+    return jets.JetData(n, 0, fields, conn, w)
 
 
 def derive_connection_rule(w, n):
     """Derive the order-``w`` connection rule in probe dimension ``n``.
 
-    The infinitesimal coordinate-change action of each jet-group generator
-    on order-w connection jets is computed exactly (first order in a formal
-    parameter), then matched against the realizations of all candidate
-    local terms; the match must be unique, which the stable-range bound
-    n >= 2w + 4 guarantees.  This is the reference that the closed form
-    :func:`replace_connection` must reproduce bit-exactly.
+    The candidates are the degree-1 graphs on the fields of
+    :func:`connection_probe`, with one coefficient per orbit under
+    permutations of the derivative ports.  Each sample draws sparse
+    generators of every arity and sparse connection jets at dimension
+    ``n``, denser from one sample to the next, and asks the candidates,
+    realized at unit-vector fields on boundary indices where the action is
+    nonzero, to reproduce the exact first-order action of the generators on
+    the order-``w`` connection jet.  The match must be unique, which the
+    stable-range bound n >= 2w + 4 guarantees, and is then verified at
+    every boundary index of a small dimension with dense fresh data.
+    Returns the rule as a formal sum, which the closed form must reproduce
+    as ``differential(connection_probe(w))``.
     """
-    from . import jets  # deferred: jets imports graphs only
+    from .complexes import BULLET_NABLA1, _wirings  # complexes imports rules
 
     if n < 2 * w + 4:
         raise ValueError("probe dimension below stable bound 2w+4")
-    orbits_by_s = {s: _candidate_terms(w, s) for s in range(2, w + 3)}
-    coeffs_by_s = jets.match_connection_rule(w, n, orbits_by_s)
-    terms = []
-    for s in sorted(orbits_by_s):
-        for orbit, c in zip(orbits_by_s[s], coeffs_by_s[s]):
-            if not c:
-                continue
-            if c.denominator != 1:
+    arities = range(2, w + 3)
+    # merging the derivative labels into one names a graph's orbit
+    merged = {"X%d" % k: "D" for k in range(3, w + 3)}
+    orbits = {}
+    for s in arities:
+        ws = (w + 1 - s,) if s <= w + 1 else ()
+        for g in _wirings(BULLET_NABLA1, w + 2, (0,) * (w + 2), ws, (s,)):
+            orbits.setdefault(canonicalize(relabel(g, merged))[0], {})[g] = 1
+    orbits = [FormalSum(orbit) for orbit in orbits.values()]
+    norb = len(orbits)
+
+    def action(dim, gens, conn):
+        data = jets.JetData(dim, 0, {}, conn, w)
+        return jets.infinitesimal_action(list(gens.values()), data).conn[w]
+
+    # one row per output index a: the orbit realizations, then the action
+    # in the augmented column norb, which turns pivot when no rule matches
+    rng = random.Random(repr(("connrule", w, n)))
+    echelon = Echelon()
+    for k in range(40):
+        if len(echelon.rows) == norb or norb in echelon.rows:
+            break
+        # sparse draws pin few orbits, and acting on a draw costs more than
+        # realizing the orbits at one pick: read each at norb/2 + 1 picks
+        density = 2 + 4 * k
+        gens = {s: jets.random_sparse_tensor(rng, n, 1, s, density)
+                for s in arities}
+        conn = [jets.random_sparse_tensor(rng, n, 3, v, 3 * density)
+                for v in range(w + 1)]
+        delta = action(n, gens, conn)
+        picks = sorted({key[1:3] + tuple(sorted(key[3:]))
+                        for key in delta.data})
+        rng.shuffle(picks)
+        for ports in picks[:norb // 2 + 1]:
+            data = _unit_fields(n, ports, conn, w)
+            cols = [jets.realize(orbit, data, gens) for orbit in orbits]
+            for a in range(n):
+                row = {j: col[a] for j, col in enumerate(cols) if col[a]}
+                row[norb] = delta.get((a,) + ports[:2], ports[2:])
+                echelon.add(row)
+    if norb in echelon.rows:
+        raise ArithmeticError(
+            "no order-%d connection rule matches the jet action" % w)
+    if len(echelon.rows) < norb:
+        raise ArithmeticError(
+            "singular rule-matching system for w=%d (rule-basis bug)" % w)
+    rule = FormalSum()
+    for j, orbit in enumerate(orbits):
+        coeff = echelon.rows[j].get(norb, 0)
+        if coeff.denominator != 1:
+            raise ArithmeticError(
+                "non-integer connection-rule coefficient %s" % (coeff,))
+        rule = rule + orbit.scale(coeff)
+    nv = min(n, max(w + 2, 3), 5)
+    rng = random.Random(repr(("connrule-verify", w, n)))
+    gens = {s: jets.random_tensor(rng, nv, 1, s) for s in arities}
+    conn = jets.random_jet_data(rng, nv, [], w, with_conn=True,
+                                conn_order=w).conn
+    delta = action(nv, gens, conn)
+    for b, c in itertools.product(range(nv), repeat=2):
+        for ds in itertools.combinations_with_replacement(range(nv), w):
+            data = _unit_fields(nv, (b, c) + ds, conn, w)
+            if jets.realize(rule, data, gens) != [
+                    delta.get((a, b, c), ds) for a in range(nv)]:
                 raise ArithmeticError(
-                    "non-integer connection-rule coefficient %s" % (c,)
-                )
-            for internals, ranks, iout, ports in orbit:
-                terms.append(_term(c, internals, ranks, iout, ports))
-    return check_template(RuleTemplate(CONNECTION, w, tuple(terms)))
-
-
-def _template_key(tpl):
-    """Order-insensitive fingerprint of a template (term multiset)."""
-    return tuple(sorted(
-        (t.coeff, t.internals, t.ranks, t.iout, t.ports) for t in tpl.terms
-    ))
+                    "derived rule fails verification at w=%d" % w)
+    return rule

@@ -23,7 +23,7 @@ from natops.rules import derive_connection_rule
 @lru_cache(maxsize=None)
 def derived_rule(w, n):
     """``derive_connection_rule(w, n)``, derived once per test session:
-    order 2 takes seconds and order 3 minutes."""
+    order 2 takes seconds and order 3 most of a minute."""
     return derive_connection_rule(w, n)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from natops import io
 from natops.canonical import canonicalize, key_bytes
-from natops.cli import MAX_DIM, MAX_RULE_ORDER, run
+from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, run
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.rules import replace_connection
@@ -85,6 +85,8 @@ def test_cli_genfun():
         (2, 3, 1),
         (3, 26, 2),
     ]
+    code, out = _run(["genfun", "--upto", str(MAX_UPTO)])
+    assert code == 0 and len(json.loads(out)["rows"]) == MAX_UPTO
 
 
 def test_cli_natcheck_counterexample(tmp_path):
@@ -211,6 +213,7 @@ def test_cli_jet_commands_reject_bad_ranges(tmp_path, capsys, args, reason):
     (["rule", "--kind", "vector", "--order", "-1"], "order must be >= 0"),
     (["genfun", "--upto", "0"], "--upto must be >= 1"),
     (["genfun", "--upto", "-1"], "--upto must be >= 1"),
+    (["genfun", "--upto", str(MAX_UPTO + 1)], "--upto must be <= %d" % MAX_UPTO),
 ])
 def test_cli_rejects_negative_orders_and_ranges(capsys, args, reason):
     code, out = _run(args)

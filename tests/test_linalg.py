@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from natops.linalg import IncrementalSolver, mat_inv, nullspace, rank
+from natops.linalg import mat_inv, nullspace, rank
 
 from .helpers import dense_nullspace, dense_rref
 
@@ -40,19 +40,6 @@ def test_mat_inv_round_trip():
         mat_inv([[1, 2], [2, 4]])
 
 
-def test_incremental_solver():
-    s = IncrementalSolver(2)
-    assert s.solution() is None
-    s.add([1, 1], 3)
-    s.add([2, 2], 6)  # dependent: no rank gain
-    assert s.rank == 1
-    s.add([1, -1], 1)
-    assert s.rank == 2
-    assert s.solution() == [Fraction(2), Fraction(1)]
-    with pytest.raises(ArithmeticError):
-        s.add([1, 1], 4)  # inconsistent with the solved system
-
-
 def test_empty_matrix_nullspace():
     basis = nullspace([], ncols=3)
     assert len(basis) == 3
@@ -81,23 +68,3 @@ def test_rank_and_nullspace_match_dense_reference(m):
     assert rank(rows) == len(dense_rref(rows, ncols)[1])
     assert nullspace(rows, ncols=ncols) == dense_nullspace(rows, ncols)
 
-
-@given(_matrices(), st.lists(_entries, min_size=5, max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_incremental_solver_matches_dense_reference(m, rhs):
-    rows, ncols = m
-    s = IncrementalSolver(ncols)
-    for k, (row, b) in enumerate(zip(rows, rhs), 1):
-        aug = [list(r) + [c] for r, c in zip(rows[:k], rhs)]
-        red, pivots = dense_rref(aug, ncols + 1)
-        if ncols in pivots:
-            with pytest.raises(ArithmeticError):
-                s.add(row, b)
-            return
-        before = s.rank
-        gained = s.add(row, b)
-        assert s.rank == len(pivots) == before + gained
-        if s.rank == ncols:
-            assert s.solution() == [red[i][ncols] for i in range(ncols)]
-        else:
-            assert s.solution() is None

@@ -1,18 +1,21 @@
 """Replacement-rule templates: counts, shapes, and the derivation that
 the closed-form connection rules must reproduce."""
 
+import itertools
 from math import comb
 
 import pytest
 
+from natops import jets
+from natops.complexes import differential
 from natops.graphs import CONNECTION, WHITE
 from natops.rules import (
     OUT,
+    connection_probe,
     derive_connection_rule,
     replace_connection,
     replace_vectorfield,
     replace_white,
-    _template_key,
 )
 
 from .helpers import derived_rule
@@ -58,7 +61,11 @@ def test_connection_rule_term_count(w):
         want += 3 * comb(w, s - 1)
         if s <= w:
             want += comb(w, s)
-    assert len(replace_connection(w).terms) == want
+    terms = replace_connection(w).terms
+    assert len(terms) == want
+    # on distinct fields no two terms collapse into one graph
+    rule = differential(connection_probe(w))
+    assert sorted(c for _, c in rule) == sorted(t.coeff for t in terms)
 
 
 def test_all_coefficients_integral():
@@ -103,17 +110,13 @@ def test_connection_rule_w1():
 
 @pytest.mark.parametrize("w", [0, 1, 2, 3])
 def test_derivation_matches_closed_form(w):
-    # w = 3 derives for about 150 s; no other test derives that order
-    assert _template_key(derived_rule(w, 2 * w + 4)) == _template_key(
-        replace_connection(w)
-    )
+    # w = 3 derives for about 40 s; no other test derives that order
+    assert derived_rule(w, 2 * w + 4) == differential(connection_probe(w))
 
 
 @pytest.mark.parametrize("w,n1,n2", [(0, 4, 5), (1, 6, 7), (2, 8, 9)])
 def test_derivation_independent_of_probe_dimension(w, n1, n2):
-    assert _template_key(derived_rule(w, n1)) == _template_key(
-        derived_rule(w, n2)
-    )
+    assert derived_rule(w, n1) == derived_rule(w, n2)
 
 
 def test_derived_w2_shape():
@@ -131,6 +134,24 @@ def test_derived_w2_shape():
 def test_stable_bound_enforced():
     with pytest.raises(ValueError):
         derive_connection_rule(2, 7)
+
+
+def test_derivation_rejects_an_action_no_rule_matches(monkeypatch):
+    act = jets.infinitesimal_action
+
+    def shifted(gens, data):
+        # a constant no realization of the candidates can reproduce
+        moved = act(gens, data)
+        top = moved.conn[-1]
+        for b, c in itertools.product(range(top.n), repeat=2):
+            for ds in itertools.combinations_with_replacement(
+                    range(top.n), top.nsym):
+                top.set((0, b, c), ds, top.get((0, b, c), ds) + 1)
+        return moved
+
+    monkeypatch.setattr(jets, "infinitesimal_action", shifted)
+    with pytest.raises(ArithmeticError, match="no order-1 connection rule"):
+        derive_connection_rule(1, 6)
 
 
 def test_white_ranks_cover_template():
