@@ -9,7 +9,13 @@ hold, and the first three values must equal the kernel dimensions computed
 by exact linear algebra on the graph complex.
 """
 
-from natops.genfun import dual_consistency, g_functional, g_recursion, lie_dimensions
+from natops.genfun import (
+    dual_consistency,
+    g_functional,
+    g_recursion,
+    g_series,
+    lie_dimensions,
+)
 from natops.homology import h0_dimension
 
 N = 12
@@ -19,7 +25,7 @@ print("d :", *("%9d" % d for d in range(1, N + 1)))
 print("rec:", *("%9d" % g for g in rec))
 print("fun:", *("%9d" % g for g in fun))
 print("routes agree:", rec == fun)
-print("dual identity holds to N=%d:" % N, dual_consistency(N))
+print("dual identity holds to N=%d:" % N, dual_consistency(g_series(N)))
 
 homology = [h0_dimension("bullet-nabla-1", d) for d in (1, 2, 3)]
 print("homology dimensions d<=3:", homology, "match:", homology == rec[:3])

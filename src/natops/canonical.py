@@ -1,11 +1,25 @@
 """Canonical forms of graphs with orientation signs.
 
 Two presentations of the same graph must map to an identical canonical
-presentation.  The algorithm is colour refinement (vertex species, arity,
-label, in/out profiles) followed by individualization backtracking over the
-remaining symmetric cells; the canonical form is the minimum serialization
-over all discrete refinements.  Ordered base slots of connection vertices
-are never permuted.
+presentation.  The algorithm is individualization-refinement (McKay,
+"Practical graph isomorphism", 1981): exact colour refinement of the
+vertices by species, arity, label and in/out profiles, then backtracking
+over the remaining symmetric cells; the canonical form is the minimum
+serialization over all discrete refinements.  Ordered base slots of
+connection vertices are never permuted.
+
+A colour is the position of its cell, the number of vertices in smaller
+cells, so splitting a cell leaves every other colour unchanged and each
+round re-keys only the members of tied cells.  When the initial colours
+are already distinct, the positions are their ranks and nothing is
+refined.  Twin leaves, order-0 vector vertices without inputs that share
+a cell and an out-edge, are swapped by an automorphism that fixes every
+white vertex and commutes with the refinement, so the search branches on
+one of them per out-edge: k fields feeding one white cost k refinements
+instead of k! leaves.  Discrete starts, the cell-wise rounds and the
+pruning change how much work is done, never the result: the
+representatives, their vertex order and the signs are those of the
+unpruned search over globally re-ranked colours.
 
 The returned sign is the parity of the permutation carrying the presented
 white order to the canonical white order.  If two minimal labelings
@@ -16,7 +30,7 @@ distinguished ``ZERO`` class is returned.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import VECTOR, Graph
 
 
 class _ZeroClass:
@@ -30,57 +44,82 @@ class _ZeroClass:
 ZERO = _ZeroClass()
 
 
-def _initial_colors(g):
-    return [(v.kind, v.order, v.label or "") for v in g.vertices]
+def _refine(out, ins, colors, cells):
+    """Split the tied ``cells`` until the colouring is stable.
 
-
-def _refine(g, colors, ins):
-    """Stable colour refinement; colours are rank ints, order-invariant."""
-    n = len(g.vertices)
-    colors = _rank(colors)
-    ncell = len(set(colors))
-    while True:
-        new = []
-        for i in range(n):
-            e = g.out[i]
-            oc = (colors[e[0]], e[1]) if e is not None else None
-            ic = tuple(sorted((s, colors[src]) for src, s in ins[i]))
-            new.append((colors[i], oc, ic))
-        new = _rank(new)
-        nnew = len(set(new))
-        if nnew == ncell:
-            return new
-        colors, ncell = new, nnew
-
-
-def _rank(keys):
-    order = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
-
-
-def _cells(colors):
-    cells = {}
-    for i, c in enumerate(colors):
-        cells.setdefault(c, []).append(i)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _search(g, colors, ins, leaves):
-    cells = _cells(colors)
-    target = None
-    for cell in cells:
-        if len(cell) > 1:
-            target = cell
+    ``colors[i]`` is the position of vertex i's cell; ``cells`` lists the
+    cells with more than one member in colour order, each ascending.  A
+    round keys every tied vertex by its colour's out-edge and its sorted
+    in-edge colours, all read from the previous round, and splits its cell
+    in key order.  Returns the new colours and tied cells.
+    """
+    while cells:
+        tied = []
+        moves = []
+        for cell in cells:
+            keyed = []
+            for i in cell:
+                e = out[i]
+                keyed.append((
+                    (colors[e[0]], e[1]) if e is not None else None,
+                    tuple(sorted([(s, colors[src]) for src, s in ins[i]])),
+                    i,
+                ))
+            keyed.sort()
+            first, last = keyed[0], keyed[-1]
+            if first[0] == last[0] and first[1] == last[1]:
+                tied.append(cell)
+                continue
+            start = colors[cell[0]]
+            run = [first[2]]
+            for off in range(1, len(keyed)):
+                cur, prev = keyed[off], keyed[off - 1]
+                if cur[0] != prev[0] or cur[1] != prev[1]:
+                    moves.append((run, start))
+                    if len(run) > 1:
+                        tied.append(run)
+                    start += len(run)
+                    run = []
+                run.append(cur[2])
+            moves.append((run, start))
+            if len(run) > 1:
+                tied.append(run)
+        if not moves:
             break
-    if target is None:
-        pos = [0] * len(colors)
-        for p, i in enumerate(sorted(range(len(colors)), key=colors.__getitem__)):
-            pos[i] = p
-        leaves.append(pos)
+        for run, start in moves:
+            for i in run:
+                colors[i] = start
+        cells = tied
+    return colors, cells
+
+
+def _search(out, ins, twin, colors, cells, leaves):
+    """Individualize each vertex of the first tied cell in turn; collect
+    the discrete colourings (vertex -> position) in depth-first order.
+
+    Of the twins in that cell, input-free fields sharing an out-edge, only
+    the first is tried: the others' subtrees are its images under swaps
+    that fix every white, so they add no smaller leaf and no new parity.
+    """
+    if not cells:
+        leaves.append(colors)
         return
+    target = cells[0]
+    top = colors[target[0]]
+    tried = set()
     for v in target:
-        branch = [(c, 1) if i != v else (c, 0) for i, c in enumerate(colors)]
-        _search(g, _refine(g, branch, ins), ins, leaves)
+        if twin[v]:
+            if out[v] in tried:
+                continue
+            tried.add(out[v])
+        branch = colors[:]
+        rest = []
+        for u in target:
+            if u != v:
+                branch[u] = top + 1
+                rest.append(u)
+        tied = [rest] + cells[1:] if len(rest) > 1 else cells[1:]
+        _search(out, ins, twin, *_refine(out, ins, branch, tied), leaves)
 
 
 def _serialize(g, pos):
@@ -95,15 +134,50 @@ def _serialize(g, pos):
 
 
 def _parity(seq):
-    """Parity of the permutation sorting ``seq`` (0 or 1)."""
-    seq = list(seq)
+    """Parity of the permutation sorting the distinct values ``seq``."""
     swaps = 0
-    for i in range(len(seq)):
-        while seq[i] != i:
-            j = seq[i]
-            seq[i], seq[j] = seq[j], seq[i]
-            swaps += 1
+    for a in range(len(seq)):
+        x = seq[a]
+        for b in range(a + 1, len(seq)):
+            if x > seq[b]:
+                swaps += 1
     return swaps & 1
+
+
+def _leaf(g, init, inv):
+    """Positions of the first minimal leaf of a graph with tied initial
+    colours ``init`` (``inv`` lists the vertices by colour), or None when
+    two minimal leaves disagree on the parity of the white order."""
+    n = len(init)
+    colors = [0] * n
+    cells = []
+    start = 0
+    for p in range(1, n + 1):
+        if p == n or init[inv[p]] != init[inv[start]]:
+            if p - start > 1:
+                cells.append(inv[start:p])
+            for i in inv[start:p]:
+                colors[i] = start
+            start = p
+    out = g.out
+    ins = [[] for _ in range(n)]
+    for src, e in enumerate(out):
+        if e is not None:
+            ins[e[0]].append((src, e[1]))
+    twin = [v.kind == VECTOR and not ins[i] for i, v in enumerate(g.vertices)]
+    leaves = []
+    _search(out, ins, twin, *_refine(out, ins, colors, cells), leaves)
+    if len(leaves) == 1:
+        return leaves[0]
+    best = None
+    for leaf in leaves:
+        ser = _serialize(g, leaf)
+        if best is None or ser < best:
+            best, pos = ser, leaf
+            parities = set()
+        if ser == best:
+            parities.add(_parity([leaf[w] for w in g.white_order]))
+    return pos if len(parities) == 1 else None
 
 
 def canonicalize(g):
@@ -113,45 +187,27 @@ def canonicalize(g):
     canonical positions and ``white_order`` ascending; ``sign`` relates the
     *presented* orientation to the canonical one.
     """
-    n = len(g.vertices)
+    verts = g.vertices
+    n = len(verts)
     if n == 0:
         return g, 1
-    ins = g.in_edges()
-    colors = _refine(g, _initial_colors(g), ins)
-    leaves = []
-    _search(g, colors, ins, leaves)
-    best = None
-    best_pos = None
-    parities = set()
-    for pos in leaves:
-        ser = _serialize(g, pos)
-        if best is None or ser < best:
-            best = ser
-            best_pos = [pos]
-            parities = set()
-        elif ser == best:
-            best_pos.append(pos)
-        else:
-            continue
-    for pos in best_pos:
-        ranks = _rank([pos[w] for w in g.white_order])
-        parities.add(_parity(ranks))
-    if len(parities) == 2:
-        return ZERO, 1
-    sign = -1 if parities.pop() else 1
-    pos = best_pos[0]
-    inv = [0] * n
-    for i, p in enumerate(pos):
-        inv[p] = i
-    verts = tuple(g.vertices[inv[p]] for p in range(n))
-    outs = tuple(
-        (pos[g.out[inv[p]][0]], g.out[inv[p]][1])
-        if g.out[inv[p]] is not None
-        else None
-        for p in range(n)
-    )
-    order = tuple(sorted(pos[w] for w in g.white_order))
-    return Graph(verts, outs, order), sign
+    init = [(v.kind, v.order, v.label or "") for v in verts]
+    inv = sorted(range(n), key=init.__getitem__)
+    if len(set(init)) == n:
+        # discrete start: the positions are the ranks of the initial colours
+        pos = sorted(range(n), key=inv.__getitem__)
+    else:
+        pos = _leaf(g, init, inv)
+        if pos is None:
+            return ZERO, 1
+        inv = sorted(range(n), key=pos.__getitem__)
+    whites = [pos[w] for w in g.white_order]
+    out = [g.out[i] for i in inv]
+    return Graph(
+        [verts[i] for i in inv],
+        [(pos[e[0]], e[1]) if e is not None else None for e in out],
+        sorted(whites),
+    ), -1 if _parity(whites) else 1
 
 
 def key_bytes(cg):

@@ -13,7 +13,13 @@ import sys
 from fractions import Fraction
 
 from . import genfun, io, jets
-from .complexes import FAMILIES, d_squared_zero, differential, enumerate_basis
+from .complexes import (
+    FAMILIES,
+    d_squared_zero,
+    differential,
+    enumerate_basis,
+    wiring_count,
+)
 from .homology import delta_matrix, h0_dimension, kernel_basis
 from .operad import compose, lie_expand, trace_sum
 
@@ -32,6 +38,33 @@ MAX_DIM = 10
 #: rational products: --upto 40 prints in about 1.4 s, 60 in 5 s and 100
 #: in 27 s.
 MAX_UPTO = 40
+
+
+#: Largest number of wirings one basis slice may build and canonicalize
+#: (``complexes.wiring_count``, counted before any is built).  The largest
+#: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 22 165
+#: graphs), takes 29 s for ``basis`` on a 2-core host, 24 s of it
+#: enumeration; its degree 1 (368 886) takes 12 s.  d = 6 has 77 689 746
+#: wirings at degree 0, about 50 minutes at that rate.
+MAX_WIRINGS = 1_000_000
+
+
+def _slice_family(args, degrees):
+    """The family of ``args``, once the slices of the given degrees are
+    known to build at most ``MAX_WIRINGS`` wirings each."""
+    family = _family(args.family)
+    for m in degrees:
+        try:
+            count = wiring_count(family, args.d, m, limit=MAX_WIRINGS)
+        except RecursionError:
+            # the arity multisets nest one level per field or white, so a
+            # slice too deep to count is far too large to enumerate
+            count = None
+        if count is None or count > MAX_WIRINGS:
+            raise ValueError(
+                "%s d=%d degree %d has more than %d wirings to enumerate"
+                % (family.name, args.d, m, MAX_WIRINGS))
+    return family
 
 
 def _read_json(path):
@@ -58,7 +91,8 @@ def _family(name):
 
 
 def cmd_basis(args):
-    bs = enumerate_basis(_family(args.family), args.d, args.degree)
+    fam = _slice_family(args, (args.degree,))
+    bs = enumerate_basis(fam, args.d, args.degree)
     _write(io.slice_to_obj(bs), args.out)
     return 0
 
@@ -74,7 +108,8 @@ def cmd_diff(args):
 
 
 def cmd_d2check(args):
-    rep = d_squared_zero(_family(args.family), args.d)
+    fam = _slice_family(args, (0, 1))
+    rep = d_squared_zero(fam, args.d)
     obj = {
         "schema": io.SCHEMA,
         "family": rep.family,
@@ -90,14 +125,16 @@ def cmd_d2check(args):
 
 
 def cmd_h0(args):
-    n = h0_dimension(_family(args.family), args.d)
+    fam = _slice_family(args, (0, 1))
+    n = h0_dimension(fam, args.d)
     _write({"schema": io.SCHEMA, "family": args.family, "d": args.d, "h0": n},
            args.out)
     return 0
 
 
 def cmd_kerbasis(args):
-    basis = kernel_basis(_family(args.family), args.d)
+    fam = _slice_family(args, (0, 1))
+    basis = kernel_basis(fam, args.d)
     obj = {
         "schema": io.SCHEMA,
         "family": args.family,
@@ -110,7 +147,8 @@ def cmd_kerbasis(args):
 
 
 def cmd_matrix(args):
-    mat = delta_matrix(_family(args.family), args.d, args.degree)
+    fam = _slice_family(args, (args.degree, args.degree + 1))
+    mat = delta_matrix(fam, args.d, args.degree)
     obj = {
         "schema": io.SCHEMA,
         "family": args.family,
@@ -235,12 +273,13 @@ def cmd_genfun(args):
     if args.upto > MAX_UPTO:
         raise ValueError("--upto must be <= %d (the series cost grows like "
                          "N^4)" % MAX_UPTO)
-    rows = genfun.table(args.upto)
+    series = genfun.g_series(args.upto)
+    rows = genfun.table(series)
     rec = genfun.g_recursion(args.upto)
     if [r[1] for r in rows] != rec:
         sys.stderr.write("recursion/functional-equation mismatch\n")
         return 1
-    genfun.dual_consistency(args.upto)
+    genfun.dual_consistency(series)
     _write({"schema": io.SCHEMA,
             "rows": [{"d": d, "g": g, "lie": lie} for d, g, lie in rows]},
            args.out)

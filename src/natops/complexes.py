@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from math import factorial
 
 from .canonical import key_bytes
 from .formal import FormalSum
@@ -140,25 +141,52 @@ def enumerate_basis(family, d, m):
     """
     if isinstance(family, str):
         family = FAMILIES[family]
+    found = {}
+    if not family.anchored and d == 0 and m == 0:
+        found[EMPTY] = True
+    for vs, ws, us in _arities(family, d, m):
+        for g in _wirings(family, d, vs, ws, us):
+            found.setdefault(g, True)
+    graphs = sorted(found, key=key_bytes)
+    return BasisSlice(family, d, m, tuple(graphs))
+
+
+def wiring_count(family, d, m, limit=None):
+    """Number of wirings ``enumerate_basis(family, d, m)`` would build and
+    canonicalize: per arity multiset, the multinomial n!/prod(size!) of
+    dealing the n sources out to the slot groups.  Nothing is built; the
+    count stops at the first partial sum above ``limit``."""
+    if isinstance(family, str):
+        family = FAMILIES[family]
+    total = 0
+    for vs, ws, us in _arities(family, d, m):
+        _, sources, groups = _slots(family, d, vs, ws, us)
+        count = factorial(len(sources))
+        for _, _, size in groups:
+            count //= factorial(size)
+        total += count
+        if limit is not None and total > limit:
+            break
+    return total
+
+
+def _arities(family, d, m):
+    """The (field orders, connection orders, white arities) of a slice;
+    each fills exactly as many input slots as it has wire sources."""
     if d < 0 or m < 0:
         raise ValueError("d and m must be nonnegative")
     nblack = d + (1 if family.trace else 0)
     budget = nblack - (1 if family.anchored else 0)
-    found = {}
-    if not family.anchored and d == 0 and m == 0:
-        found[EMPTY] = True
-    if budget >= 0:
-        kmax = budget if family.nabla else 0
-        for k in range(kmax + 1):
-            for us in _multisets_white(budget - k, m):
-                left = budget - k - sum(u - 1 for u in us)
-                for total_w in range(left + 1):
-                    for ws in _multisets(total_w, k, 0):
-                        for vs in _compositions(left - total_w, d):
-                            for g in _wirings(family, d, vs, ws, us):
-                                found.setdefault(g, True)
-    graphs = sorted(found, key=key_bytes)
-    return BasisSlice(family, d, m, tuple(graphs))
+    if budget < 0:
+        return
+    kmax = budget if family.nabla else 0
+    for k in range(kmax + 1):
+        for us in _multisets_white(budget - k, m):
+            left = budget - k - sum(u - 1 for u in us)
+            for total_w in range(left + 1):
+                for ws in _multisets(total_w, k, 0):
+                    for vs in _compositions(left - total_w, d):
+                        yield vs, ws, us
 
 
 def _multisets_white(budget, m):
@@ -170,7 +198,8 @@ def _multisets_white(budget, m):
             yield us
 
 
-def _wirings(family, d, vs, ws, us):
+def _slots(family, d, vs, ws, us):
+    """Vertices, wire sources and input slot groups (owner, code, size)."""
     verts = [vector("X%d" % (i + 1), vs[i]) for i in range(d)]
     if family.trace:
         verts.append(vector("X0", 0))
@@ -178,7 +207,6 @@ def _wirings(family, d, vs, ws, us):
     verts += [white(u) for u in us]
     if family.anchored:
         verts.append(anchor)
-    n = len(verts)
     sources = tuple(i for i, v in enumerate(verts) if v.kind != ANCHOR)
     groups = []
     for i, v in enumerate(verts):
@@ -191,11 +219,17 @@ def _wirings(family, d, vs, ws, us):
             groups.append((i, SYM, 1))
         elif v.order:
             groups.append((i, SYM, v.order))
+    return verts, sources, groups
+
+
+def _wirings(family, d, vs, ws, us):
+    verts, sources, groups = _slots(family, d, vs, ws, us)
     total_slots = sum(g[2] for g in groups)
     if total_slots != len(sources):
         return
     from .canonical import ZERO, canonicalize
 
+    n = len(verts)
     for assign in _assignments(groups, sources):
         out = [None] * n
         for src, tgt in assign.items():
@@ -347,7 +381,7 @@ def d_squared_zero(family, d, degrees=(0, 1)):
     checked = 0
     for m in degrees:
         for g in enumerate_basis(family, d, m).graphs:
-            r = differential(differential(FormalSum.of(g)))
+            r = differential(differential(FormalSum({g: 1})))
             checked += 1
             if r:
                 failures.append((g, r))

@@ -65,9 +65,13 @@ def g_series(N):
 
 def g_functional(N):
     """g_1..g_N from the functional equation; exact, integer-checked."""
-    f = g_series(N)
+    return _dimensions(g_series(N))
+
+
+def _dimensions(f):
+    """d! times the t^d coefficient of the EGF ``f`` for d = 1..its order."""
     out = []
-    for d in range(1, N + 1):
+    for d in range(1, f.order + 1):
         v = f[d] * factorial(d)
         if v.denominator != 1:
             raise ArithmeticError("non-integer dimension at d=%d" % d)
@@ -81,9 +85,10 @@ def q_series(N):
     return t.exp() - Series([1], N) + t * t
 
 
-def dual_consistency(N):
-    """Check q(-g(t)) + t = 0 through order N; returns True or raises."""
-    g = g_series(N)
+def dual_consistency(g):
+    """Check q(-g(t)) + t = 0 through the order of the solved series ``g``
+    (:func:`g_series`); returns True or raises."""
+    N = g.order
     t = Series.t(N)
     r = q_series(N).compose(-g) + t
     if not r.is_zero():
@@ -109,7 +114,7 @@ def lie_dimensions(N):
     return out
 
 
-def table(N):
-    """Rows (d, g_d, (d-1)!) for the CLI."""
-    gs = g_functional(N)
-    return [(d, gs[d - 1], factorial(d - 1)) for d in range(1, N + 1)]
+def table(g):
+    """Rows (d, g_d, (d-1)!) for the CLI, from the solved series ``g``."""
+    return [(d, gd, factorial(d - 1))
+            for d, gd in enumerate(_dimensions(g), 1)]

@@ -649,13 +649,17 @@ def realize_graph(g, data, gens=None):
     n^(1 + in-degree) array lookups; a cycle vertex becomes an n x n matrix
     over its out-edge and its in-edge from the cycle, at n^(2 + in-degree
     off the cycle), and the cycle closes as the trace of the product of its
-    matrices.  Scalar components multiply.
+    matrices.  Scalar components multiply.  A leaf, an order-0 field, is
+    not contracted: its nonzero entries are read off its array.
     """
     n = data.n
     arrays = _vertex_arrays(g, data, gens)
     ins = g.in_edges()
 
     def entries(src):
+        if not ins[src]:
+            # a leaf is an order-0 field: its entries are its array's
+            return sorted((k[0], x) for k, x in arrays[src].data.items() if x)
         return [(i, x) for i, x in enumerate(vector(src)) if x]
 
     def vector(v):

@@ -14,7 +14,7 @@ from natops.complexes import (
     enumerate_basis,
 )
 from natops.formal import FormalSum, combine
-from natops.genfun import dual_consistency, g_functional, g_recursion
+from natops.genfun import dual_consistency, g_functional, g_recursion, g_series
 from natops.graphs import CONNECTION
 from natops.homology import (
     coordinates,
@@ -112,7 +112,7 @@ def test_criterion_07_generating_functions():
     rec = g_recursion(12)
     fun = g_functional(12)
     ok = rec == fun
-    ok = ok and dual_consistency(12)
+    ok = ok and dual_consistency(g_series(12))
     dims = [h0_dimension("bullet-nabla-1", d) for d in (1, 2, 3, 4)]
     ok = ok and rec[:4] == dims
     _report(7, ok, "recursion = functional to N=12; dual identity; g1..g4 = %s"

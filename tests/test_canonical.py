@@ -1,0 +1,113 @@
+"""The fast canonical form against the reference search, bit for bit."""
+
+import random
+import time
+
+import pytest
+
+from natops import formal
+from natops.canonical import ZERO, canonicalize
+from natops.complexes import delta_graph, enumerate_basis
+from natops.graphs import (
+    SYM,
+    VECTOR,
+    Graph,
+    anchor,
+    connection,
+    relabel,
+    validate,
+    vector,
+    white,
+)
+
+from .helpers import reference_canonicalize, shuffle_presentation
+
+# every slice some other test of the suite enumerates, to degree 2
+SLICES = [("bullet", 4), ("bullet-connected", 4), ("bullet-wheel", 4),
+          ("bullet-nabla", 3), ("bullet-nabla-1", 3),
+          ("bullet-nabla-wheel", 3), ("bullet-nabla-trace", 2)]
+
+
+def _presentations(monkeypatch, family, dmax):
+    """Basis graphs of degrees 0..2 and the raw presentation of every term
+    delta_graph builds from those of degrees 0 and 1."""
+    graphs = []
+    for d in range(dmax + 1):
+        for m in (0, 1, 2):
+            graphs.extend(enumerate_basis(family, d, m).graphs)
+    raw = []
+
+    def record(g):
+        raw.append(g)
+        return canonicalize(g)
+
+    monkeypatch.setattr(formal, "canonicalize", record)
+    for g in graphs:
+        if g.degree < 2:
+            delta_graph(g)
+    monkeypatch.undo()
+    return graphs + raw
+
+
+def _all_x(g):
+    return relabel(g, {v.label: "X" for v in g.vertices if v.kind == VECTOR})
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_canonicalize_matches_reference(monkeypatch, family, dmax):
+    rng = random.Random(family)
+    gs = _presentations(monkeypatch, family, dmax)
+    gs += [shuffle_presentation(g, rng)[0] for g in gs]
+    gs += [_all_x(g) for g in gs]
+    for g in gs:
+        want = reference_canonicalize(g)
+        got = canonicalize(g)
+        if want[0] is ZERO:
+            assert got == (ZERO, 1)
+        else:
+            assert got == want
+
+
+def _fan(k):
+    """k copies of X1 feeding one white(k), anchored: k! discrete leaves
+    without twin pruning."""
+    return Graph([vector("X1")] * k + [white(k), anchor],
+                 [(k, SYM)] * k + [(k + 1, SYM), None])
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_twin_fan_matches_reference(k):
+    assert canonicalize(_fan(k)) == reference_canonicalize(_fan(k))
+
+
+def test_twin_fan_of_twelve_is_fast():
+    start = time.perf_counter()
+    cg, sign = canonicalize(_fan(12))
+    assert time.perf_counter() - start < 1
+    assert sign == 1 and len(cg.vertices) == 14
+
+
+def _white_subtrees():
+    # two white(2) fed by twin X1 pairs into a third white
+    x, w = vector("X1"), white(2)
+    return Graph([x, x, x, x, w, w, w, anchor],
+                 [(4, SYM), (4, SYM), (5, SYM), (5, SYM),
+                  (6, SYM), (6, SYM), (7, SYM), None])
+
+
+def _connection_subtrees():
+    # two tied connections sharing an out-edge, each over a white: they
+    # are the first tied cell, and they are not twins
+    x, w, c = vector("X"), white(2), connection(0)
+    return Graph([x, x, x, x, x, x, w, w, c, c, w, anchor],
+                 [(6, SYM), (6, SYM), (7, SYM), (7, SYM), (8, 1), (9, 1),
+                  (8, 0), (9, 0), (10, SYM), (10, SYM), (11, SYM), None])
+
+
+@pytest.mark.parametrize("build", [_white_subtrees, _connection_subtrees])
+def test_subtrees_swapping_whites_give_zero(build):
+    # swapping the two subtrees is an odd permutation of the whites
+    g = build()
+    assert validate(g) == []
+    assert reference_canonicalize(g) == (ZERO, 1)
+    assert canonicalize(g) == (ZERO, 1)

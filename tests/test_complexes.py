@@ -6,12 +6,16 @@ import pytest
 
 from natops.complexes import (
     FAMILIES,
+    _arities,
+    _assignments,
+    _slots,
     d_squared_zero,
     delta_graph,
     differential,
     enumerate_basis,
     member,
     nabla_bigrade_split,
+    wiring_count,
 )
 from natops.formal import FormalSum, combine
 from natops.graphs import (
@@ -159,3 +163,20 @@ def test_empty_graph_is_scalar_unit_slice():
     bs = enumerate_basis("bullet-wheel", 0, 0)
     assert bs.graphs == (EMPTY,)
     assert not differential(FormalSum.of(EMPTY))
+
+
+@pytest.mark.parametrize("family,d", [("bullet", 3), ("bullet-wheel", 3),
+                                      ("bullet-nabla-1", 3),
+                                      ("bullet-nabla-trace", 2)])
+def test_wiring_count_counts_the_wirings_built(family, d):
+    fam = FAMILIES[family]
+    for m in (0, 1, 2):
+        built = 0
+        for vs, ws, us in _arities(fam, d, m):
+            _, sources, groups = _slots(fam, d, vs, ws, us)
+            assert sum(size for _, _, size in groups) == len(sources)
+            built += sum(1 for _ in _assignments(groups, sources))
+        assert wiring_count(fam, d, m) == built
+        if built:
+            half = built // 2
+            assert half < wiring_count(fam, d, m, limit=half) <= built

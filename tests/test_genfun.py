@@ -38,9 +38,9 @@ def test_functional_equation_residual_zero():
 
 
 def test_dual_consistency():
-    assert dual_consistency(12)
-    assert dual_consistency(1)
-    assert dual_consistency(8)
+    assert dual_consistency(g_series(12))
+    assert dual_consistency(g_series(1))
+    assert dual_consistency(g_series(8))
 
 
 def test_q_series_values():
@@ -58,7 +58,7 @@ def test_lie_dimensions_are_factorials():
 
 
 def test_table_rows():
-    rows = table(3)
+    rows = table(g_series(3))
     assert rows == [(1, 1, 1), (2, 3, 1), (3, 26, 2)]
 
 

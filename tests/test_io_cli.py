@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from natops import io
 from natops.canonical import canonicalize, key_bytes
-from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, run
-from natops.complexes import enumerate_basis
+from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, MAX_WIRINGS, run
+from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
 from natops.rules import replace_connection
 
@@ -241,3 +242,26 @@ def test_cli_dim_cap(tmp_path, capsys, command):
     code, out = _run([command, "--in", str(p), "--dim", str(MAX_DIM + 1)] + extra)
     assert code == 2 and out == ""
     assert "--dim must be <= %d" % MAX_DIM in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["basis", "h0", "kerbasis", "matrix",
+                                     "d2check"])
+@pytest.mark.parametrize("d", [7, 100000])
+def test_cli_wiring_budget(capsys, command, d):
+    start = time.perf_counter()
+    code, out = _run([command, "--family", "bullet-nabla-1", "--d", str(d)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "more than %d wirings" % MAX_WIRINGS in capsys.readouterr().err
+
+
+def test_wiring_budget_admits_the_tabulated_slices():
+    # bullet-nabla-1 d = 5 is the frontier row; the rest are the largest
+    # slices the suite and the benchmark enumerate
+    for family, d in [("bullet-nabla-1", 5), ("bullet", 5),
+                      ("bullet-connected", 5), ("bullet-wheel", 4),
+                      ("bullet-nabla", 3), ("bullet-nabla-wheel", 3),
+                      ("bullet-nabla-trace", 2)]:
+        for m in (0, 1):
+            assert 0 < wiring_count(family, d, m) <= MAX_WIRINGS
+    assert wiring_count("bullet-nabla-1", 6, 0) > MAX_WIRINGS
