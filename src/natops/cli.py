@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from contextlib import contextmanager
 
 from . import genfun, io, jets
 from .complexes import (
@@ -75,13 +75,19 @@ def _read_json(path):
         raise io.SchemaError(str(e))
 
 
-def _write(obj, out):
-    text = io.dumps(obj) + "\n"
+@contextmanager
+def _output(out):
+    """The text handle ``--out`` names: stdout for None or ``-``."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(obj, out):
+    with _output(out) as fh:
+        io.dump(obj, fh)
 
 
 def _family(name):
@@ -182,18 +188,21 @@ def cmd_trace(args):
 
 def _jetdata_from_obj(obj, need):
     labels, order, conn_order = need
-    n = int(obj["n"])
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
+        raise io.SchemaError("jet data \"n\" must be an integer in 1..%d"
+                             % MAX_DIM)
 
     def tensor(nested, nfixed, nsym):
         t = jets.Tensor(n, nfixed, nsym)
 
         def walk(node, idx):
             if len(idx) == nfixed + nsym:
-                v = Fraction(node) if not isinstance(node, str) else Fraction(node)
+                v = io.exact(node)
                 if v:
                     t.set(idx[:nfixed], idx[nfixed:], v)
                 return
-            if len(node) != n:
+            if not isinstance(node, list) or len(node) != n:
                 raise io.SchemaError("jet array has wrong extent")
             for i, sub in enumerate(node):
                 walk(sub, idx + (i,))
@@ -201,17 +210,18 @@ def _jetdata_from_obj(obj, need):
         walk(nested, ())
         return t
 
+    given = obj.get("fields", {})
     fields = {}
     for lab in labels:
-        arrs = obj.get("fields", {}).get(lab)
-        if arrs is None or len(arrs) < order + 1:
+        arrs = given.get(lab) if isinstance(given, dict) else None
+        if not isinstance(arrs, list) or len(arrs) < order + 1:
             raise io.SchemaError("jet data missing field %s to order %d"
                                  % (lab, order))
         fields[lab] = [tensor(arrs[v], 1, v) for v in range(order + 1)]
     conn = None
     if conn_order is not None:
         arrs = obj.get("connection")
-        if arrs is None or len(arrs) < conn_order + 1:
+        if not isinstance(arrs, list) or len(arrs) < conn_order + 1:
             raise io.SchemaError("jet data missing connection jets")
         conn = [tensor(arrs[w], 3, w) for w in range(conn_order + 1)]
     return jets.JetData(n, order, fields, conn, conn_order)
@@ -288,15 +298,9 @@ def cmd_genfun(args):
 
 def cmd_export_dot(args):
     x = io.obj_to_sum(_read_json(args.infile))
-    chunks = []
-    for k, (g, c) in enumerate(x.sorted_terms()):
-        chunks.append("// coeff %s\n%s" % (c, io.to_dot(g, "G%d" % k)))
-    text = "".join(chunks)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    with _output(args.out) as fh:
+        for k, (g, c) in enumerate(x.sorted_terms()):
+            fh.write("// coeff %s\n%s" % (c, io.to_dot(g, "G%d" % k)))
     return 0
 
 

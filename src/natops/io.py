@@ -10,13 +10,17 @@ The graph schema::
 
 Rule templates reuse the schema with boundary ports as extra vertices
 carrying a ``boundary`` index.  Formal sums are coefficient/graph pairs
-with rational coefficients rendered as strings.  JSON is the only machine
-format; DOT is write-only, for eyes.
+with rational coefficients rendered as strings; on input a coefficient is
+an integer or a ``"p/q"`` string (:func:`exact`).  JSON is the only machine
+format, written with one layout (:func:`dump`); DOT is write-only, for
+eyes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from fractions import Fraction
 
 from .canonical import key_bytes
@@ -40,29 +44,27 @@ class SchemaError(ValueError):
     pass
 
 
+def _vertex_obj(i, v):
+    o = {"id": i, "kind": v.kind}
+    if v.kind == VECTOR:
+        o["label"] = v.label
+        o["derivOrder"] = v.order
+    elif v.kind == CONNECTION:
+        o["derivOrder"] = v.order
+    elif v.kind == WHITE:
+        o["arity"] = v.order
+    return o
+
+
+def _slot_obj(code):
+    return {"group": "sym" if code == SYM else "base",
+            "index": 0 if code == SYM else code}
+
+
 def graph_to_obj(g):
-    verts = []
-    for i, v in enumerate(g.vertices):
-        o = {"id": i, "kind": v.kind}
-        if v.kind == VECTOR:
-            o["label"] = v.label
-            o["derivOrder"] = v.order
-        elif v.kind == CONNECTION:
-            o["derivOrder"] = v.order
-        elif v.kind == WHITE:
-            o["arity"] = v.order
-        verts.append(o)
-    edges = []
-    for src, e in enumerate(g.out):
-        if e is None:
-            continue
-        dst, slot = e
-        edges.append({
-            "from": src,
-            "to": dst,
-            "slot": {"group": "sym" if slot == SYM else "base",
-                     "index": 0 if slot == SYM else slot},
-        })
+    verts = [_vertex_obj(i, v) for i, v in enumerate(g.vertices)]
+    edges = [{"from": src, "to": e[0], "slot": _slot_obj(e[1])}
+             for src, e in enumerate(g.out) if e is not None]
     return {"vertices": verts, "edges": edges, "whiteOrder": list(g.white_order)}
 
 
@@ -113,6 +115,25 @@ def obj_to_graph(obj):
     return g
 
 
+_EXACT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def exact(node):
+    """The rational a JSON number stands for: an int, or a ``"p"`` or
+    ``"p/q"`` string.  Floats are binary fractions (0.1 would read as
+    3602879701896397/36028797018963968) and bools are not numbers, so
+    both raise SchemaError, as does anything else."""
+    if isinstance(node, int) and not isinstance(node, bool):
+        return Fraction(node)
+    if isinstance(node, str) and _EXACT.fullmatch(node):
+        try:
+            return Fraction(node)
+        except ZeroDivisionError:
+            pass
+    raise SchemaError("expected an integer or a \"p/q\" string, got %s"
+                      % json.dumps(node)[:40])
+
+
 def _frac_to_str(c):
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (
@@ -137,7 +158,7 @@ def obj_to_sum(obj):
         out.add_graph(obj_to_graph(obj), 1)
         return out
     for t in terms:
-        out.add_graph(obj_to_graph(t["graph"]), Fraction(t["coeff"]))
+        out.add_graph(obj_to_graph(t["graph"]), exact(t["coeff"]))
     return out
 
 
@@ -146,37 +167,21 @@ def template_to_obj(tpl):
     terms = []
     for term in tpl.terms:
         nint = len(term.internals)
+        out = nint + len(term.ports)
         verts = []
         for j, v in enumerate(term.internals):
-            o = {"id": j, "kind": v.kind}
-            if v.kind == VECTOR:
-                o["label"] = v.label
-                o["derivOrder"] = v.order
-            elif v.kind == CONNECTION:
-                o["derivOrder"] = v.order
-            else:
-                o["arity"] = v.order
+            o = _vertex_obj(j, v)
             if term.ranks[j] is not None:
                 o["rank"] = term.ranks[j]
             verts.append(o)
         for p in range(len(term.ports)):
             verts.append({"id": nint + p, "kind": "boundary", "boundary": p})
-        verts.append({"id": nint + len(term.ports), "kind": "boundary",
-                      "boundary": -1})
-        edges = []
-
-        def slotobj(code):
-            return {"group": "sym" if code == SYM else "base",
-                    "index": 0 if code == SYM else code}
-
-        for j, tgt in enumerate(term.iout):
-            if tgt == OUT:
-                edges.append({"from": j, "to": nint + len(term.ports),
-                              "slot": {"group": "sym", "index": 0}})
-            else:
-                edges.append({"from": j, "to": tgt[0], "slot": slotobj(tgt[1])})
-        for p, (j, code) in enumerate(term.ports):
-            edges.append({"from": nint + p, "to": j, "slot": slotobj(code)})
+        verts.append({"id": out, "kind": "boundary", "boundary": -1})
+        edges = [{"from": j, "to": out, "slot": _slot_obj(SYM)} if tgt == OUT
+                 else {"from": j, "to": tgt[0], "slot": _slot_obj(tgt[1])}
+                 for j, tgt in enumerate(term.iout)]
+        edges += [{"from": nint + p, "to": j, "slot": _slot_obj(code)}
+                  for p, (j, code) in enumerate(term.ports)]
         terms.append({"coeff": term.coeff,
                       "graph": {"vertices": verts, "edges": edges}})
     return {"schema": SCHEMA, "kind": tpl.kind, "order": tpl.order,
@@ -194,8 +199,15 @@ def slice_to_obj(bs):
     }
 
 
-def dumps(obj):
-    return json.dumps(obj, indent=1, sort_keys=True)
+def dump(obj, fh):
+    """Write ``obj`` and a newline to a text handle in the one JSON layout
+    of every output, streamed: the encoding goes out 4096 encoder chunks
+    per write and is never held whole in memory (one write per chunk costs
+    5x the encoding on a pipe)."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj)
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        fh.write(piece)
+    fh.write("\n")
 
 
 def to_dot(g, name="G"):

@@ -9,9 +9,10 @@ when linearizing along a flow.
 
 Both steps run in polynomial time.  A graph contracts bottom-up along its
 trees and wheels (:func:`realize_graph`), never summing over all n^edges
-index assignments.  A coordinate change is applied through one
-:class:`Substitution` per map, which multiplies each monomial up once and
-serves every field label and component the change moves.
+index assignments.  A coordinate change phi is applied through one inverse
+map psi = phi^-1 per change and one :class:`Substitution` per truncation
+order, which multiplies each monomial of psi up once and serves every
+field label and component the change moves.
 
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.rules.derive_connection_rule` rederives from
@@ -20,9 +21,16 @@ Conventions (fixed by the integer-coefficient replacement rules, which
 * vector-field jets are plain partial-derivative arrays X^a_(s1..sv);
 * connection jets are classical Christoffel arrays transforming as
   G' = Dphi . G(Dphi^-1, Dphi^-1) - D2phi(Dphi^-1, Dphi^-1), pulled back
-  through phi^-1 (active transformation of jets at the origin);
+  through phi^-1 (active transformation of jets at the origin; Kolar,
+  Michor and Slovak, *Natural Operations in Differential Geometry*, 1993,
+  ch. IV);
 * a white vertex of arity s realizes the generator array H of the flow
   phi_eps = id + (eps/s!) H(x, ..., x).
+
+Fields and connection follow one pull-back (:func:`jet_transform`): push
+the upper index through Dphi, subtract D2phi for the connection, compose
+with psi, and contract each lower index with Dpsi.  Dphi^-1 at x = psi(y)
+is exactly Dpsi(y), so no polynomial matrix is ever inverted.
 """
 
 from __future__ import annotations
@@ -89,15 +97,17 @@ class Dual:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
+    @property
+    def real(self):
+        """The real part: a dual number is a unit exactly when it is not 0."""
+        return self.a
+
     def __repr__(self):
         return "Dual(%s, %s)" % (self.a, self.b)
 
 
 def _dual(x):
     return x if isinstance(x, Dual) else Dual(x)
-
-
-EPS = Dual(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +208,10 @@ def map_linear_part(F, n):
     return A
 
 
-def _unit(x):
-    if isinstance(x, Dual):
-        return bool(x.a)
-    return bool(x)
-
-
 def map_inverse(F, n, trunc):
     """Compositional inverse of a map with invertible linear part."""
     A = map_linear_part(F, n)
-    Ainv = mat_inv(A, unit=_unit)
+    Ainv = mat_inv(A)
     lin = [p_zero() for _ in range(n)]
     for a in range(n):
         for j in range(n):
@@ -339,7 +343,7 @@ class CoordinateChange:
         for c in self.comps:
             if c.get(zero):
                 raise ValueError("coordinate change must fix the origin")
-        mat_inv(map_linear_part(self.comps, n), unit=_unit)  # singular -> raise
+        mat_inv(map_linear_part(self.comps, n))  # singular -> raise
 
     @classmethod
     def identity(cls, n, trunc):
@@ -390,166 +394,103 @@ def _fact_of_exps(e):
     return f
 
 
-def _field_polys(arrays, n, trunc):
-    polys = [p_zero() for _ in range(n)]
-    for v, arr in enumerate(arrays):
-        if v > trunc:
-            break
-        for key, val in arr.data.items():
-            a, sym = key[0], key[1:]
-            e = _exps_of(sym, n)
-            coeff = Fraction(val) / _fact_of_exps(e) if not isinstance(val, Dual) \
-                else val / _fact_of_exps(e)
-            p_add_into(polys[a], {e: coeff})
-    return polys
-
-
-def _polys_field(polys, n, order):
-    arrays = [Tensor(n, 1, v) for v in range(order + 1)]
-    for a in range(n):
-        for e, c in polys[a].items():
-            v = sum(e)
-            if v > order:
-                continue
-            sym = tuple(sorted(sum(([i] * k for i, k in enumerate(e)), [])))
-            arrays[v].set((a,), sym, c * _fact_of_exps(e))
-    return arrays
-
-
-def _conn_polys(arrays, n, trunc):
+def _to_polys(arrays, n, trunc):
+    """Taylor polynomials of jet arrays up to order ``trunc``, keyed by
+    their fixed indices: the entry at sorted derivative indices s is the
+    coefficient of x^e times e!, e the exponents of s."""
     polys = {}
-    for w, arr in enumerate(arrays):
-        if w > trunc:
-            break
+    for arr in arrays[:trunc + 1]:
+        nfixed = arr.nfixed
         for key, val in arr.data.items():
-            a, b, c, sym = key[0], key[1], key[2], key[3:]
-            e = _exps_of(sym, n)
-            coeff = val / _fact_of_exps(e)
-            p_add_into(polys.setdefault((a, b, c), p_zero()), {e: coeff})
+            e = _exps_of(key[nfixed:], n)
+            f = _fact_of_exps(e)
+            coeff = val / f if isinstance(val, Dual) else Fraction(val, f)
+            if coeff:
+                polys.setdefault(key[:nfixed], {})[e] = coeff
     return polys
 
 
-def _polys_conn(polys, n, order):
-    arrays = [Tensor(n, 3, w) for w in range(order + 1)]
-    for (a, b, c), p in polys.items():
-        for e, coeff in p.items():
-            w = sum(e)
-            if w > order:
-                continue
-            sym = tuple(sorted(sum(([i] * k for i, k in enumerate(e)), [])))
-            arrays[w].set((a, b, c), sym, coeff * _fact_of_exps(e))
+def _to_arrays(polys, n, nfixed, order):
+    """The jet arrays of orders 0..order of fixed-index-keyed polynomials."""
+    arrays = [Tensor(n, nfixed, v) for v in range(order + 1)]
+    for fixed, p in polys.items():
+        for e, c in p.items():
+            v = sum(e)
+            if v <= order:
+                sym = tuple(i for i, k in enumerate(e) for _ in range(k))
+                arrays[v].set(fixed, sym, c * _fact_of_exps(e))
     return arrays
 
 
-def _poly_mat_inverse(M, n, trunc):
-    """Inverse of a polynomial matrix whose constant part is invertible."""
-    zero = (0,) * n
-    C = [[M[i][j].get(zero, 0) for j in range(n)] for i in range(n)]
-    Cinv = mat_inv(C, unit=_unit)
-    N = [[{e: v for e, v in M[i][j].items() if e != zero} for j in range(n)]
-         for i in range(n)]
-    # Z = (sum_k (-Cinv N)^k) Cinv
-    CN = [[p_zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if Cinv[i][k] and N[k][j]:
-                    p_add_into(CN[i][j], N[k][j], -Cinv[i][k])
-    term = [[p_const(n, 1) if i == j else p_zero() for j in range(n)]
-            for i in range(n)]
-    acc = [[dict(term[i][j]) for j in range(n)] for i in range(n)]
-    for _ in range(trunc):
-        nxt = [[p_zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if term[i][k] and CN[k][j]:
-                        p_add_into(nxt[i][j], p_mul(term[i][k], CN[k][j], trunc))
-        term = nxt
-        if not any(any(t for t in row) for row in term):
-            break
-        for i in range(n):
-            for j in range(n):
-                p_add_into(acc[i][j], term[i][j])
-    out = [[p_zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if Cinv[k][j] and acc[i][k]:
-                    p_add_into(out[i][j], acc[i][k], Cinv[k][j])
+def _truncate(p, trunc):
+    return {e: v for e, v in p.items() if sum(e) <= trunc}
+
+
+def _contract_index(polys, pos, M, n, trunc):
+    """Contract fixed index ``pos`` of every polynomial with the polynomial
+    matrix M: out[.., b, ..] = sum_j M[j][b] polys[.., j, ..] when pos > 0,
+    out[b, ..] = sum_j M[b][j] polys[j, ..] when pos = 0."""
+    out = {}
+    for key, p in polys.items():
+        j = key[pos]
+        for b in range(n):
+            m = M[j][b] if pos else M[b][j]
+            if m:
+                acc = out.setdefault(key[:pos] + (b,) + key[pos + 1:], {})
+                p_add_into(acc, p_mul(m, p, trunc))
     return out
+
+
+def jet_order(order, conn_order=None):
+    """Orders a coordinate change must carry to move jets exactly: the law
+    differentiates phi once for a field of order ``order`` and twice for a
+    connection of order ``conn_order``; at least 2, so that a random change
+    is never only linear."""
+    return max(order + 1, 2 if conn_order is None else conn_order + 2)
 
 
 def jet_transform(data, phi):
     """Transform jets through a coordinate change, exactly.
 
-    Vector fields push forward: X'(y) = Dphi(x) X(x) at x = phi^{-1}(y);
-    the connection follows the classical Christoffel law (see module
-    docstring).  phi must carry enough orders: order+1 for the fields,
-    conn_order+2 for the connection.
+    One law moves every array, with psi = phi^-1 computed once.  The upper
+    index is pushed through J = Dphi, the connection also loses D2phi, the
+    result is composed with psi, and each lower index (none for a field,
+    two for the connection) is contracted with Dpsi: at x = psi(y),
+    Dphi^-1(x) is exactly Dpsi(y).  Dpsi is exact to order W only when psi
+    is carried to W + 1, so psi is computed to max(K, W + 1), K and W the
+    field and connection orders.  phi must carry ``jet_order(K, W)`` orders.
     """
-    n = data.n
-    need = data.order + 1
-    if data.conn is not None:
-        need = max(need, data.conn_order + 2)
-    if phi.trunc < need:
-        raise ValueError("coordinate change truncated below jet order + 1")
+    n, K = data.n, data.order
+    W = data.conn_order if data.conn is not None else None
+    if phi.trunc < jet_order(K, W):
+        raise ValueError("coordinate change truncated below jet_order")
     F = phi.comps
-    K = data.order
-    subK = Substitution(map_inverse(F, n, K) if K else map_inverse(F, n, 1),
-                        n, K)
+    psi = map_inverse(F, n, max(K, 1 if W is None else W + 1))
     J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
-    fields = {}
-    for lab, arrays in data.fields.items():
-        P = _field_polys(arrays, n, K)
-        out = []
-        for a in range(n):
-            acc = p_zero()
-            for j in range(n):
-                Jaj = {e: v for e, v in J[a][j].items() if sum(e) <= K}
-                if Jaj and P[j]:
-                    p_add_into(acc, p_mul(Jaj, P[j], K))
-            out.append(subK(acc))
-        fields[lab] = _polys_field(out, n, K)
+    at = {}  # trunc -> (J truncated, composition with psi), shared by labels
+
+    def pull_back(arrays, nfixed, trunc, shift=None):
+        if trunc not in at:
+            at[trunc] = ([[_truncate(p, trunc) for p in row] for row in J],
+                         Substitution(psi, n, trunc))
+        Jt, sub = at[trunc]
+        polys = _contract_index(_to_polys(arrays, n, trunc), 0, Jt, n, trunc)
+        for key, p in (shift or {}).items():
+            p_add_into(polys.setdefault(key, {}), p, -1)
+        polys = {key: sub(p) for key, p in polys.items() if p}
+        if nfixed > 1:
+            Dpsi = [[_truncate(p_diff(psi[j], b), trunc) for b in range(n)]
+                    for j in range(n)]
+            for pos in range(1, nfixed):
+                polys = _contract_index(polys, pos, Dpsi, n, trunc)
+        return _to_arrays(polys, n, nfixed, trunc)
+
+    fields = {lab: pull_back(arrays, 1, K) for lab, arrays in data.fields.items()}
     conn = None
-    if data.conn is not None:
-        W = data.conn_order
-        subW = Substitution(map_inverse(F, n, W) if W else map_inverse(F, n, 1),
-                            n, W)
-        G = _conn_polys(data.conn, n, W)
-        Jw = [[{e: v for e, v in J[a][j].items() if sum(e) <= W}
-               for j in range(n)] for a in range(n)]
-        Jinv = _poly_mat_inverse(Jw, n, W)
-        hess = [[[{e: v for e, v in p_diff(J[a][j], k).items() if sum(e) <= W}
-                  for k in range(n)] for j in range(n)] for a in range(n)]
-        # B[a][j][k] = sum_i J[a][i] G[i][j][k]  -  hess[a][j][k]
-        out = {}
-        for a in range(n):
-            B = [[p_zero() for _ in range(n)] for _ in range(n)]
-            for j in range(n):
-                for k in range(n):
-                    acc = B[j][k]
-                    for i in range(n):
-                        g = G.get((i, j, k))
-                        if g and Jw[a][i]:
-                            p_add_into(acc, p_mul(Jw[a][i], g, W))
-                    p_add_into(acc, hess[a][j][k], -1)
-            # contract both lower slots with Jinv
-            for b in range(n):
-                Bb = [p_zero() for _ in range(n)]
-                for k in range(n):
-                    acc = Bb[k]
-                    for j in range(n):
-                        if B[j][k] and Jinv[j][b]:
-                            p_add_into(acc, p_mul(Jinv[j][b], B[j][k], W))
-                for c in range(n):
-                    acc = p_zero()
-                    for k in range(n):
-                        if Bb[k] and Jinv[k][c]:
-                            p_add_into(acc, p_mul(Jinv[k][c], Bb[k], W))
-                    if acc:
-                        out[(a, b, c)] = subW(acc)
-        conn = _polys_conn(out, n, W)
+    if W is not None:
+        hess = {(a, j, k): _truncate(p_diff(J[a][j], k), W)
+                for a in range(n) for j in range(n) for k in range(n)}
+        conn = pull_back(data.conn, 3, W, hess)
     return JetData(n, K, fields, conn, data.conn_order)
 
 
@@ -791,7 +732,7 @@ def naturality_check(x, n, trials=20, seed=0):
         x = FormalSum.of(x)
     labels, order, conn_order = data_requirements(x)
     anchored = any(g.has_anchor() for g, _ in x)
-    trunc = max(order + 1, (conn_order + 2) if conn_order is not None else 0, 2)
+    trunc = jet_order(order, conn_order)
     for t in range(trials):
         rng = random.Random(repr(("natcheck", seed, t)))
         data = random_jet_data(rng, n, labels, order,
@@ -859,9 +800,8 @@ def infinitesimal_action(gens, data):
     if isinstance(gens, Tensor):
         gens = [gens]
     n = data.n
-    trunc = max([data.order + 1,
-                 (data.conn_order + 2) if data.conn is not None else 0, 2]
-                + [g.nsym for g in gens])
+    W = data.conn_order if data.conn is not None else None
+    trunc = max([jet_order(data.order, W)] + [g.nsym for g in gens])
     phi = generator_flow(gens, n, trunc)
     moved = jet_transform(_lift_dual(data), phi)
     return _eps_part(moved)

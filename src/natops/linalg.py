@@ -8,7 +8,9 @@ linear system of the connection-rule derivation: rows are dicts
 column, and each row's pivot is its least nonzero column, so the pivot rows
 are the reduced row echelon form whatever the row order.  Batches are fed
 shortest row first to limit fill-in.  :func:`mat_inv` inverts small dense
-matrices over any field-like scalars (the jet oracle's dual numbers).
+matrices over any field-like scalars with a ``real`` part, the jet
+oracle's dual numbers included: a pivot is usable when its real part is
+nonzero, with no per-type predicate.
 """
 
 from __future__ import annotations
@@ -88,11 +90,13 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def mat_inv(rows, unit=lambda v: bool(v)):
+def mat_inv(rows):
     """Inverse of a square matrix over any field-like scalars.
 
-    ``unit`` decides invertibility of a pivot (dual numbers need a custom
-    predicate); raises ZeroDivisionError when the matrix is singular.
+    A pivot is usable when its ``real`` part is nonzero: ``int`` and
+    ``Fraction`` are their own real part, and a dual number a + b*eps is a
+    unit exactly when a is not 0.  Raises ZeroDivisionError when the matrix
+    is singular.
     """
     n = len(rows)
     m = [
@@ -103,7 +107,7 @@ def mat_inv(rows, unit=lambda v: bool(v)):
     for c in range(n):
         piv = None
         for i in range(c, n):
-            if unit(m[i][c]):
+            if m[i][c].real:
                 piv = i
                 break
         if piv is None:

@@ -1,6 +1,7 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, a dense reference elimination, the derived
-connection rules and the realization state sum."""
+connection rules, the realization state sum and the reference jet
+transformation law."""
 
 import itertools
 from fractions import Fraction
@@ -18,6 +19,21 @@ from natops.graphs import (
     connection,
     vector,
 )
+from natops.jets import (
+    Dual,
+    JetData,
+    Substitution,
+    Tensor,
+    _exps_of,
+    _fact_of_exps,
+    map_inverse,
+    p_add_into,
+    p_const,
+    p_diff,
+    p_mul,
+    p_zero,
+)
+from natops.linalg import mat_inv
 from natops.rules import derive_connection_rule
 
 
@@ -308,3 +324,144 @@ def state_sum(g, data, gens=None):
     if anchor_edge is None:
         return total(0)
     return [total(a) for a in range(data.n)]
+
+
+# The reference jet transformation law: fields and connection moved by
+# separate code, with one compositional inverse per truncation order and
+# the polynomial matrix inverse of Dphi for the connection.
+# natops.jets.jet_transform is checked against it.
+
+
+def _field_polys(arrays, n, trunc):
+    polys = [p_zero() for _ in range(n)]
+    for v, arr in enumerate(arrays):
+        if v > trunc:
+            break
+        for key, val in arr.data.items():
+            e = _exps_of(key[1:], n)
+            coeff = Fraction(val) / _fact_of_exps(e) if not isinstance(val, Dual) \
+                else val / _fact_of_exps(e)
+            p_add_into(polys[key[0]], {e: coeff})
+    return polys
+
+
+def _conn_polys(arrays, n, trunc):
+    polys = {}
+    for w, arr in enumerate(arrays):
+        if w > trunc:
+            break
+        for key, val in arr.data.items():
+            e = _exps_of(key[3:], n)
+            p_add_into(polys.setdefault(key[:3], p_zero()),
+                       {e: val / _fact_of_exps(e)})
+    return polys
+
+
+def _polys_arrays(polys, n, nfixed, order):
+    arrays = [Tensor(n, nfixed, v) for v in range(order + 1)]
+    for fixed, p in polys.items():
+        for e, c in p.items():
+            v = sum(e)
+            if v > order:
+                continue
+            sym = tuple(sorted(sum(([i] * k for i, k in enumerate(e)), [])))
+            arrays[v].set(fixed, sym, c * _fact_of_exps(e))
+    return arrays
+
+
+def _poly_mat_inverse(M, n, trunc):
+    """Inverse of a polynomial matrix whose constant part is invertible."""
+    zero = (0,) * n
+    C = [[M[i][j].get(zero, 0) for j in range(n)] for i in range(n)]
+    Cinv = mat_inv(C)
+    N = [[{e: v for e, v in M[i][j].items() if e != zero} for j in range(n)]
+         for i in range(n)]
+    # Z = (sum_k (-Cinv N)^k) Cinv
+    CN = [[p_zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if Cinv[i][k] and N[k][j]:
+                    p_add_into(CN[i][j], N[k][j], -Cinv[i][k])
+    term = [[p_const(n, 1) if i == j else p_zero() for j in range(n)]
+            for i in range(n)]
+    acc = [[dict(term[i][j]) for j in range(n)] for i in range(n)]
+    for _ in range(trunc):
+        nxt = [[p_zero() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if term[i][k] and CN[k][j]:
+                        p_add_into(nxt[i][j], p_mul(term[i][k], CN[k][j], trunc))
+        term = nxt
+        if not any(any(t for t in row) for row in term):
+            break
+        for i in range(n):
+            for j in range(n):
+                p_add_into(acc[i][j], term[i][j])
+    out = [[p_zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if Cinv[k][j] and acc[i][k]:
+                    p_add_into(out[i][j], acc[i][k], Cinv[k][j])
+    return out
+
+
+def reference_jet_transform(data, phi):
+    """X'(y) = Dphi(x) X(x) and G'(y) = Dphi G(Dphi^-1, Dphi^-1) -
+    D2phi(Dphi^-1, Dphi^-1), both at x = phi^-1(y), with Dphi^-1 inverted
+    as a polynomial matrix in x before the composition."""
+    n, K = data.n, data.order
+    F = phi.comps
+    subK = Substitution(map_inverse(F, n, max(K, 1)), n, K)
+    J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
+    fields = {}
+    for lab, arrays in data.fields.items():
+        P = _field_polys(arrays, n, K)
+        out = {}
+        for a in range(n):
+            acc = p_zero()
+            for j in range(n):
+                Jaj = {e: v for e, v in J[a][j].items() if sum(e) <= K}
+                if Jaj and P[j]:
+                    p_add_into(acc, p_mul(Jaj, P[j], K))
+            out[(a,)] = subK(acc)
+        fields[lab] = _polys_arrays(out, n, 1, K)
+    conn = None
+    if data.conn is not None:
+        W = data.conn_order
+        subW = Substitution(map_inverse(F, n, max(W, 1)), n, W)
+        G = _conn_polys(data.conn, n, W)
+        Jw = [[{e: v for e, v in J[a][j].items() if sum(e) <= W}
+               for j in range(n)] for a in range(n)]
+        Jinv = _poly_mat_inverse(Jw, n, W)
+        hess = [[[{e: v for e, v in p_diff(J[a][j], k).items() if sum(e) <= W}
+                  for k in range(n)] for j in range(n)] for a in range(n)]
+        out = {}
+        for a in range(n):
+            # B[j][k] = sum_i J[a][i] G[i][j][k] - hess[a][j][k]
+            B = [[p_zero() for _ in range(n)] for _ in range(n)]
+            for j in range(n):
+                for k in range(n):
+                    for i in range(n):
+                        g = G.get((i, j, k))
+                        if g and Jw[a][i]:
+                            p_add_into(B[j][k], p_mul(Jw[a][i], g, W))
+                    p_add_into(B[j][k], hess[a][j][k], -1)
+            # contract both lower slots with Jinv
+            for b in range(n):
+                Bb = [p_zero() for _ in range(n)]
+                for k in range(n):
+                    for j in range(n):
+                        if B[j][k] and Jinv[j][b]:
+                            p_add_into(Bb[k], p_mul(Jinv[j][b], B[j][k], W))
+                for c in range(n):
+                    acc = p_zero()
+                    for k in range(n):
+                        if Bb[k] and Jinv[k][c]:
+                            p_add_into(acc, p_mul(Jinv[k][c], Bb[k], W))
+                    if acc:
+                        out[(a, b, c)] = subW(acc)
+        conn = _polys_arrays(out, n, 3, W)
+    return JetData(n, K, fields, conn, data.conn_order)

@@ -1,9 +1,11 @@
 """JSON schema round trips, DOT output, CLI behaviour and exit codes."""
 
+import io as _io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from natops.canonical import canonicalize, key_bytes
 from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, MAX_WIRINGS, run
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
+from natops.operad import lie_expand
 from natops.rules import replace_connection
 
 from .helpers import chain_xy, chain_yx, nabla_xy
@@ -21,12 +24,12 @@ def test_graph_round_trip():
     for g in enumerate_basis("bullet-nabla-1", 2, 1).graphs:
         back = io.obj_to_graph(graph_obj := io.graph_to_obj(g))
         assert canonicalize(back)[0] == g
-        assert json.loads(io.dumps(graph_obj)) == graph_obj
+        assert json.loads(json.dumps(graph_obj)) == graph_obj
 
 
 def test_sum_round_trip():
     b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
-    again = io.obj_to_sum(json.loads(io.dumps(io.sum_to_obj(b))))
+    again = io.obj_to_sum(json.loads(json.dumps(io.sum_to_obj(b))))
     assert again == b
 
 
@@ -62,7 +65,6 @@ def test_dot_output_mentions_kinds():
 
 
 def _run(args, stdin_obj=None):
-    import io as _io
     from contextlib import redirect_stdout
 
     buf = _io.StringIO()
@@ -92,7 +94,7 @@ def test_cli_genfun():
 
 def test_cli_natcheck_counterexample(tmp_path):
     p = tmp_path / "o2.json"
-    p.write_text(io.dumps(io.graph_to_obj(chain_xy())))
+    p.write_text(json.dumps(io.graph_to_obj(chain_xy())))
     code, out = _run(
         ["natcheck", "--in", str(p), "--dim", "2", "--trials", "20", "--seed", "7"]
     )
@@ -103,7 +105,7 @@ def test_cli_natcheck_counterexample(tmp_path):
 def test_cli_natcheck_pass(tmp_path):
     b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
     p = tmp_path / "b.json"
-    p.write_text(io.dumps(io.sum_to_obj(b)))
+    p.write_text(json.dumps(io.sum_to_obj(b)))
     code, out = _run(
         ["natcheck", "--in", str(p), "--dim", "3", "--trials", "10", "--seed", "3"]
     )
@@ -124,7 +126,7 @@ def test_cli_basis_round_trip(tmp_path):
 
 def test_cli_diff_and_d2check(tmp_path):
     p = tmp_path / "chain.json"
-    p.write_text(io.dumps(io.graph_to_obj(chain_xy())))
+    p.write_text(json.dumps(io.graph_to_obj(chain_xy())))
     code, out = _run(["diff", "--in", str(p)])
     assert code == 0
     assert len(json.loads(out)["terms"]) == 1
@@ -137,7 +139,7 @@ def test_cli_compose_lie_trace(tmp_path):
     p = tmp_path / "p.json"
     from natops.operad import p_graph
 
-    p.write_text(io.dumps(io.sum_to_obj(FormalSum.of(p_graph()))))
+    p.write_text(json.dumps(io.sum_to_obj(FormalSum.of(p_graph()))))
     code, out = _run(["compose", "--in", str(p), "--slot", "2", "--with", str(p)])
     assert code == 0
     assert len(json.loads(out)["terms"]) == 1
@@ -151,7 +153,7 @@ def test_cli_compose_lie_trace(tmp_path):
         (vector("X0", 0), vector("X1", 1), anchor),
         ((1, SYM), (2, SYM), None),
     )
-    tr.write_text(io.dumps(io.graph_to_obj(g)))
+    tr.write_text(json.dumps(io.graph_to_obj(g)))
     code, out = _run(["trace", "--in", str(tr)])
     assert code == 0
     assert len(json.loads(out)["terms"]) == 1
@@ -169,7 +171,7 @@ def test_cli_matrix_triplets():
 def test_cli_eval_deterministic(tmp_path):
     p = tmp_path / "b.json"
     b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
-    p.write_text(io.dumps(io.sum_to_obj(b)))
+    p.write_text(json.dumps(io.sum_to_obj(b)))
     args = ["eval", "--in", str(p), "--dim", "3", "--seed", "11"]
     code1, out1 = _run(args)
     code2, out2 = _run(args)
@@ -204,7 +206,7 @@ def test_cli_subprocess_entry():
 def test_cli_jet_commands_reject_bad_ranges(tmp_path, capsys, args, reason):
     # the non-natural O2 chain: a silent "pass" here would hide the check
     p = tmp_path / "o2.json"
-    p.write_text(io.dumps(io.graph_to_obj(chain_xy())))
+    p.write_text(json.dumps(io.graph_to_obj(chain_xy())))
     code, out = _run(args[:1] + ["--in", str(p)] + args[1:])
     assert code == 2 and out == ""
     assert reason in capsys.readouterr().err
@@ -231,17 +233,93 @@ def test_cli_rule_order_cap(capsys, kind):
     assert "--order must be <= %d" % MAX_RULE_ORDER in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["natcheck", "eval"])
+def _bracket_data(n, entry="1/2"):
+    """``eval --data`` jets of X1 and X2 to order 1 at dimension n."""
+    return {"n": n, "fields": {lab: [[entry] * n, [[entry] * n] * n]
+                               for lab in ("X1", "X2")}}
+
+
+@pytest.mark.parametrize("command", ["natcheck", "eval", "eval-data"])
 def test_cli_dim_cap(tmp_path, capsys, command):
     b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
     p = tmp_path / "b.json"
-    p.write_text(io.dumps(io.sum_to_obj(b)))
+    p.write_text(json.dumps(io.sum_to_obj(b)))
+    if command == "eval-data":
+        # the data file's own dimension is capped like --dim
+        for n, code_want in [(MAX_DIM, 0), (MAX_DIM + 1, 2), (12, 2), (0, 2),
+                             (True, 2), ("3", 2)]:
+            obj = _bracket_data(n if type(n) is int else 3)
+            obj["n"] = n
+            data = tmp_path / "data.json"
+            data.write_text(json.dumps(obj))
+            code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+            assert code == code_want, n
+            if code:
+                assert out == ""
+                assert "must be an integer in 1..%d" % MAX_DIM \
+                    in capsys.readouterr().err
+        return
     extra = ["--trials", "1"] if command == "natcheck" else []
     code, out = _run([command, "--in", str(p), "--dim", str(MAX_DIM)] + extra)
     assert code == 0 and json.loads(out)
     code, out = _run([command, "--in", str(p), "--dim", str(MAX_DIM + 1)] + extra)
     assert code == 2 and out == ""
     assert "--dim must be <= %d" % MAX_DIM in capsys.readouterr().err
+
+
+def test_cli_eval_data_reads_exact_numbers(tmp_path, capsys):
+    b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(io.sum_to_obj(b)))
+    data = tmp_path / "data.json"
+    for entry in ["1/2", 3, "-7", "+2/3"]:
+        data.write_text(json.dumps(_bracket_data(2, entry)))
+        code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+        assert code == 0 and json.loads(out)["vector"] == ["0", "0"]
+    obj = _bracket_data(2, 1)
+    obj["fields"]["X1"][1][0] = [2, "1/3"]
+    data.write_text(json.dumps(obj))
+    code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+    # [X1, X2]^0 = X1^j dX2^0/dx^j - X2^j dX1^0/dx^j = 2 - (2 + 1/3)
+    assert code == 0 and json.loads(out)["vector"] == ["-1/3", "0"]
+    for entry in [0.1, 0.5, True, False, None, "0.5", "1/0", "1e3", " 1",
+                  [1]]:
+        data.write_text(json.dumps(_bracket_data(2, entry)))
+        code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+        assert code == 2 and out == "", entry
+        assert "expected an integer or a" in capsys.readouterr().err
+
+
+def test_sum_coefficients_are_exact(tmp_path, capsys):
+    obj = io.sum_to_obj(FormalSum.of(chain_xy()))
+    for coeff, want in [(2, 2), ("-3/4", Fraction(-3, 4)), ("5", 5)]:
+        obj["terms"][0]["coeff"] = coeff
+        assert io.obj_to_sum(obj) == FormalSum.of(chain_xy(), want)
+    p = tmp_path / "x.json"
+    for coeff in [0.1, 1.0, True, "0.1", "1/0", None]:
+        obj["terms"][0]["coeff"] = coeff
+        with pytest.raises(io.SchemaError):
+            io.obj_to_sum(obj)
+        p.write_text(json.dumps(obj))
+        code, out = _run(["diff", "--in", str(p)])
+        assert code == 2 and out == ""
+        assert "expected an integer or a" in capsys.readouterr().err
+
+
+def test_outputs_stream_the_one_layout(tmp_path):
+    obj = io.sum_to_obj(lie_expand("(b (b X1 X2) X3)"))
+    buf = _io.StringIO()
+    io.dump(obj, buf)
+    assert buf.getvalue() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(obj))
+    for command in (["lie-expand", "--expr", "(b (b X1 X2) X3)"],
+                    ["diff", "--in", str(p)], ["export-dot", "--in", str(p)]):
+        code, out = _run(command)
+        dst = tmp_path / "out.txt"
+        assert (code, _run(command + ["--out", str(dst)])) == (0, (0, ""))
+        assert dst.read_text() == out
+    assert out.startswith("// coeff ") and "digraph G0" in out
 
 
 @pytest.mark.parametrize("command", ["basis", "h0", "kerbasis", "matrix",

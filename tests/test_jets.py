@@ -16,7 +16,9 @@ from natops.jets import (
     Tensor,
     apply_linear,
     infinitesimal_action,
+    jet_order,
     jet_transform,
+    lift_with_variation,
     map_inverse,
     naturality_check,
     p_add_into,
@@ -29,7 +31,15 @@ from natops.jets import (
 )
 from natops.linalg import mat_inv, rank
 
-from .helpers import chain_xy, chain_yx, nabla_xy, state_sum, trace_pair, unit
+from .helpers import (
+    chain_xy,
+    chain_yx,
+    nabla_xy,
+    reference_jet_transform,
+    state_sum,
+    trace_pair,
+    unit,
+)
 
 
 def test_realize_unit_returns_field_value():
@@ -214,6 +224,33 @@ def test_map_inverse_composes_to_identity(n, dual):
         ident = [p_var(n, a) for a in range(n)]
         assert [Substitution(psi, n, trunc)(f) for f in F] == ident
         assert [Substitution(F, n, trunc)(p) for p in psi] == ident
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jet_transform_matches_reference_law(n, dual):
+    """The one pull-back law equals the reference law, which inverts Dphi
+    as a polynomial matrix and inverts phi once per truncation order, on
+    random fields and connections of orders up to 3."""
+    rng = random.Random(repr(("jet-law", n, dual)))
+    # connection order 3 at n = 4 alone would take about 10 s
+    for order, conn_order in [(0, None), (3, None), (0, 0), (1, 2), (2, 1),
+                              (3, 3 if n < 4 else 2)]:
+        data = random_jet_data(rng, n, ["X1", "X2"], order,
+                               with_conn=conn_order is not None,
+                               conn_order=conn_order)
+        phi = CoordinateChange.random(rng, n, jet_order(order, conn_order)
+                                      + rng.randint(0, 1))
+        if dual:
+            data = lift_with_variation(data, random_jet_data(
+                rng, n, ["X1", "X2"], order, with_conn=conn_order is not None,
+                conn_order=conn_order))
+            phi = CoordinateChange(n, phi.trunc, [
+                {e: Dual(v, _random_coeff(rng, False)) for e, v in f.items()}
+                for f in phi.comps])
+        got, want = jet_transform(data, phi), reference_jet_transform(data, phi)
+        assert got.fields == want.fields
+        assert got.conn == want.conn
 
 
 def test_identity_transform_fixes_jets():
