@@ -193,12 +193,21 @@ def _jetdata_from_obj(obj, need):
         raise io.SchemaError("jet data \"n\" must be an integer in 1..%d"
                              % MAX_DIM)
 
-    def tensor(nested, nfixed, nsym):
+    def tensor(nested, nfixed, nsym, name):
         t = jets.Tensor(n, nfixed, nsym)
+        first = {}  # sorted entry -> (the first index read for it, value)
 
         def walk(node, idx):
             if len(idx) == nfixed + nsym:
                 v = io.exact(node)
+                key = idx[:nfixed] + tuple(sorted(idx[nfixed:]))
+                idx0, v0 = first.setdefault(key, (idx, v))
+                if v != v0:
+                    raise io.SchemaError(
+                        "%s is not symmetric in its derivative indices: "
+                        "entry %s is %s but entry %s is %s"
+                        % (name, list(idx), io._frac_to_str(v), list(idx0),
+                           io._frac_to_str(v0)))
                 if v:
                     t.set(idx[:nfixed], idx[nfixed:], v)
                 return
@@ -217,13 +226,15 @@ def _jetdata_from_obj(obj, need):
         if not isinstance(arrs, list) or len(arrs) < order + 1:
             raise io.SchemaError("jet data missing field %s to order %d"
                                  % (lab, order))
-        fields[lab] = [tensor(arrs[v], 1, v) for v in range(order + 1)]
+        fields[lab] = [tensor(arrs[v], 1, v, "field %s order %d" % (lab, v))
+                       for v in range(order + 1)]
     conn = None
     if conn_order is not None:
         arrs = obj.get("connection")
         if not isinstance(arrs, list) or len(arrs) < conn_order + 1:
             raise io.SchemaError("jet data missing connection jets")
-        conn = [tensor(arrs[w], 3, w) for w in range(conn_order + 1)]
+        conn = [tensor(arrs[w], 3, w, "connection order %d" % w)
+                for w in range(conn_order + 1)]
     return jets.JetData(n, order, fields, conn, conn_order)
 
 

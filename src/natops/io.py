@@ -68,10 +68,19 @@ def graph_to_obj(g):
     return {"vertices": verts, "edges": edges, "whiteOrder": list(g.white_order)}
 
 
+def _int(node, what):
+    """A JSON integer, exactly: a float (1.9 would read as 1) or a bool is
+    a SchemaError, as is anything else."""
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    raise SchemaError("%s must be an integer, got %s"
+                      % (what, json.dumps(node)[:40]))
+
+
 def obj_to_graph(obj):
     try:
         vs = obj["vertices"]
-        ids = [v["id"] for v in vs]
+        ids = [_int(v["id"], "vertex id") for v in vs]
     except (KeyError, TypeError) as e:
         raise SchemaError("malformed graph object: %s" % e)
     if sorted(ids) != list(range(len(ids))):
@@ -80,11 +89,13 @@ def obj_to_graph(obj):
     for v in vs:
         kind = v.get("kind")
         if kind == VECTOR:
-            verts[v["id"]] = Vertex(VECTOR, v.get("label"), int(v.get("derivOrder", 0)))
+            verts[v["id"]] = Vertex(VECTOR, v.get("label"),
+                                    _int(v.get("derivOrder", 0), "derivOrder"))
         elif kind == CONNECTION:
-            verts[v["id"]] = Vertex(CONNECTION, None, int(v.get("derivOrder", 0)))
+            verts[v["id"]] = Vertex(CONNECTION, None,
+                                    _int(v.get("derivOrder", 0), "derivOrder"))
         elif kind == WHITE:
-            verts[v["id"]] = Vertex(WHITE, None, int(v.get("arity", 0)))
+            verts[v["id"]] = Vertex(WHITE, None, _int(v.get("arity", 0), "arity"))
         elif kind == ANCHOR:
             verts[v["id"]] = Vertex(ANCHOR, None, 0)
         else:
@@ -96,16 +107,18 @@ def obj_to_graph(obj):
         if group == "sym":
             code = SYM
         elif group == "base":
-            code = int(slot.get("index", 0))
+            code = _int(slot.get("index", 0), "slot index")
             if code not in (0, 1):
                 raise SchemaError("base slot index must be 0 or 1")
         else:
             raise SchemaError("slot group must be 'base' or 'sym'")
-        src = int(e["from"])
+        src = _int(e["from"], "edge \"from\"")
+        if not 0 <= src < len(vs):
+            raise SchemaError("edge from missing vertex %d" % src)
         if out[src] is not None:
             raise SchemaError("vertex %d has several outgoing edges" % src)
-        out[src] = (int(e["to"]), code)
-    order = tuple(int(w) for w in obj.get("whiteOrder", ()))
+        out[src] = (_int(e["to"], "edge \"to\""), code)
+    order = tuple(_int(w, "whiteOrder entry") for w in obj.get("whiteOrder", ()))
     if not order:
         order = None
     g = Graph(tuple(verts), tuple(out), order)

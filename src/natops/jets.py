@@ -14,6 +14,15 @@ map psi = phi^-1 per change and one :class:`Substitution` per truncation
 order, which multiplies each monomial of psi up once and serves every
 field label and component the change moves.
 
+The truncated polynomials under the law hold integer numerators over one
+integer denominator per family of polynomials, and key their monomials by
+packed exponents, e -> |e| B^n + sum_i e_i B^i (:class:`Packing`), so a
+monomial product is one int addition and a truncation test one
+comparison.  B = 2^bits exceeds the largest degree entering a call, so no
+exponent digit of a kept monomial can carry into the next.  Fractions
+(and dual numbers) appear only where jet arrays and coordinate changes
+are read and written, which keep their tuple keys and exact values.
+
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.rules.derive_connection_rule` rederives from
 :func:`infinitesimal_action` through :func:`realize`):
@@ -39,20 +48,21 @@ import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, wheel_vertices
 from .linalg import mat_inv
 
 
 class Dual:
-    """Rational dual numbers a + b*eps with eps^2 = 0."""
+    """Rational dual numbers a + b*eps with eps^2 = 0; the parts are ints
+    or Fractions (ints inside the polynomial layer)."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        self.a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        self.b = b if isinstance(b, (int, Fraction)) else Fraction(b)
 
     def __add__(self, o):
         if type(o) is Dual:
@@ -81,11 +91,15 @@ class Dual:
         o = _dual(o)
         if not o.a:
             raise ZeroDivisionError("dual number with zero real part")
-        inv = 1 / o.a
+        inv = Fraction(1) / o.a
         return Dual(self.a * inv, (self.b - self.a * o.b * inv) * inv)
 
     def __rtruediv__(self, o):
         return _dual(o) / self
+
+    def __floordiv__(self, k):
+        """Exact division of both parts by the int k."""
+        return Dual(self.a // k, self.b // k)
 
     def __neg__(self):
         return Dual(-self.a, -self.b)
@@ -111,25 +125,123 @@ def _dual(x):
 
 
 # ---------------------------------------------------------------------------
-# Truncated multivariate polynomials: dict {exponent tuple: coefficient}
+# Truncated multivariate polynomials: integer numerators, packed exponents
 # ---------------------------------------------------------------------------
 
 
-def p_zero():
-    return {}
+class Packing:
+    """Packed exponents of the monomials in n variables.
 
-def p_const(n, c):
-    return {(0,) * n: c} if c else {}
+    The exponent e packs to the int |e| B^n + sum_i e_i B^i, B = 2^bits, so
+    multiplying two monomials adds their packed ints, and a monomial has
+    total degree at most t exactly when it packs below ``limit(t)``.  B
+    exceeds every degree entering the computation, truncation orders
+    included, and no carry can pass a kept monomial off as another: a
+    product of degree at most t < B has every e_i <= t, so no digit
+    carries; in one of higher degree the top digit, |e| plus any carry
+    from below, exceeds t, and the product is dropped.
+    """
 
-def p_var(n, j):
-    e = [0] * n
-    e[j] = 1
-    return {tuple(e): Fraction(1)}
+    __slots__ = ("n", "bits", "mask", "one", "var")
+
+    def __init__(self, n, max_degree):
+        self.n = n
+        self.bits = max(max_degree, 1).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.one = 1 << (n * self.bits)  # the unit of the degree digit
+        self.var = [(1 << (i * self.bits)) + self.one for i in range(n)]
+
+    @classmethod
+    def of_maps(cls, n, trunc, *maps):
+        """A packing for the orders up to ``trunc`` and for every monomial
+        of the tuple-keyed polynomial maps ``maps``."""
+        return cls(n, max([trunc] + [sum(e) for comps in maps
+                                     for p in comps for e in p]))
+
+    def limit(self, trunc):
+        return (trunc + 1) * self.one
+
+    def pack(self, e):
+        return sum(k * x for k, x in zip(e, self.var))
+
+    def exponents(self, e):
+        bits, mask = self.bits, self.mask
+        return tuple((e >> (i * bits)) & mask for i in range(self.n))
+
+    def first_variable(self, e):
+        bits, mask = self.bits, self.mask
+        return next(i for i in range(self.n) if (e >> (i * bits)) & mask)
+
+
+# A polynomial is a dict {packed exponent: numerator}; the numerators are
+# ints (dual numbers of ints for a flow) over a denominator kept beside
+# them, one for a whole family of polynomials.  The arithmetic is the same
+# for both; only the converters _den, _num and _value (used by _clear,
+# _to_polys and _to_arrays) and the gcd in _reduce tell them apart.
+
+
+def _den(v):
+    """The least common denominator of an exact scalar's parts."""
+    if isinstance(v, Dual):
+        return lcm(v.a.denominator, v.b.denominator)
+    return v.denominator
+
+
+def _num(v, m):
+    """``v * m`` as an int, or a dual number of ints; m is a multiple of
+    ``_den(v)``."""
+    if isinstance(v, Dual):
+        return Dual(_num(v.a, m), _num(v.b, m))
+    return v.numerator * (m // v.denominator)
+
+
+def _value(c, den):
+    """The exact scalar ``c / den`` of a numerator c."""
+    if isinstance(c, Dual):
+        return Dual(Fraction(c.a, den), Fraction(c.b, den))
+    return Fraction(c, den)
+
+
+def _clear(polys):
+    """Dicts {key: exact value} as numerators over one denominator:
+    returns ({name: {key: numerator}}, den) for ``polys`` {name: dict}."""
+    den = 1
+    for p in polys.values():
+        for v in p.values():
+            den = lcm(den, _den(v))
+    return {name: {k: _num(v, den) for k, v in p.items() if v}
+            for name, p in polys.items()}, den
+
+
+def _pack(comps, pk):
+    """Tuple-keyed polynomial maps as ({component: polynomial}, den)."""
+    return _clear({a: {pk.pack(e): v for e, v in p.items()}
+                   for a, p in enumerate(comps)})
+
+
+def _unpack(p, den, pk):
+    """A polynomial over ``den`` as a tuple-keyed dict of exact values."""
+    return {pk.exponents(e): _value(v, den) for e, v in p.items() if v}
+
+
+def _reduce(polys, den):
+    """The polynomials {name: polynomial} over ``den`` with the gcd of all
+    their numerators and ``den`` divided out, so the integers stay small."""
+    g = den
+    for p in polys.values():
+        for v in p.values():
+            g = gcd(g, v) if type(v) is int else gcd(g, v.a, v.b)
+            if g == 1:
+                return polys, den
+    return ({name: {e: v // g for e, v in p.items()}
+             for name, p in polys.items()}, den // g)
 
 
 def p_add_into(acc, p, c=1):
+    """``acc += c * p`` in place, dropping the terms that cancel."""
+    get = acc.get
     for e, v in p.items():
-        w = acc.get(e, 0) + v * c
+        w = get(e, 0) + v * c
         if w:
             acc[e] = w
         else:
@@ -137,107 +249,122 @@ def p_add_into(acc, p, c=1):
     return acc
 
 
-def p_mul(a, b, trunc):
-    out = {}
-    bitems = sorted(((sum(eb), eb, vb) for eb, vb in b.items()),
-                    key=lambda t: t[0])
+def _mul_into(out, a, bitems, limit):
+    """``out += a * b`` below ``limit``, b given as its items sorted by
+    packed exponent, hence by degree."""
+    get = out.get
     for ea, va in a.items():
-        room = trunc - sum(ea)
-        for db, eb, vb in bitems:
-            if db > room:
+        room = limit - ea
+        for eb, vb in bitems:
+            if eb >= room:
                 break
-            e = tuple(x + y for x, y in zip(ea, eb))
-            w = out.get(e, 0) + va * vb
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
+            e = ea + eb
+            out[e] = get(e, 0) + va * vb
     return out
 
 
-def p_diff(a, j):
+def p_mul(a, b, limit):
+    """``a * b`` without the monomials packed at or above ``limit``.
+    Terms that cancel stay, as zeros."""
+    return _mul_into({}, a, sorted(b.items()), limit)
+
+
+def p_diff(a, j, pk):
+    """The derivative of ``a`` in variable j."""
+    shift, mask, step = j * pk.bits, pk.mask, pk.var[j]
     out = {}
     for e, v in a.items():
-        if e[j]:
-            e2 = list(e)
-            e2[j] -= 1
-            out[tuple(e2)] = v * e[j]
+        k = (e >> shift) & mask
+        if k:
+            out[e - step] = v * k
     return out
+
+
+def _truncate(p, limit):
+    return {e: v for e, v in p.items() if e < limit}
 
 
 class Substitution:
-    """Composition with one fixed map ``comps`` (its components fix the
-    origin), truncated above total degree ``trunc``.
+    """Composition with one fixed map, truncated above total degree
+    ``trunc``; the map's components ``comps`` {j: polynomial} fix the
+    origin and are numerators over ``den``.
 
     Build one per map and call it on every polynomial to compose: each
-    monomial comps^e is multiplied up once, as comps^(e - e_j) * comps_j
-    for the first variable j of e, and cached, so a composition is a sum
-    of cached monomials.  Monomials of degree above ``trunc`` vanish.
+    monomial comps^e, numerators over den^|e|, is multiplied up once, as
+    comps^(e - x_j) * comps_j for the first variable j of e, and cached
+    scaled by den^(trunc - |e|).  A composition is then a sum of cached
+    integer monomials over den^trunc, the ``scale`` it multiplies the
+    composed polynomial's denominator by.  Monomials of degree above
+    ``trunc`` vanish.
     """
 
-    def __init__(self, comps, n, trunc):
+    def __init__(self, comps, den, pk, trunc):
         self.comps = comps
+        self.den = den
+        self.pk = pk
         self.trunc = trunc
-        self.monos = {(0,) * n: p_const(n, 1)}
+        self.limit = pk.limit(trunc)
+        self.scale = den ** trunc
+        self.monos = {0: {0: 1}}
+        self.scaled = {}
 
     def mono(self, e):
         m = self.monos.get(e)
         if m is None:
-            j = next(j for j, k in enumerate(e) if k)
-            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
-            m = self.monos[e] = p_mul(self.mono(lower), self.comps[j], self.trunc)
+            j = self.pk.first_variable(e)
+            m = self.monos[e] = p_mul(self.mono(e - self.pk.var[j]),
+                                      self.comps[j], self.limit)
         return m
 
     def __call__(self, a):
         out = {}
         for e, v in a.items():
-            if sum(e) <= self.trunc:
-                p_add_into(out, self.mono(e), v)
+            if e < self.limit:
+                m = self.scaled.get(e)
+                if m is None:
+                    f = self.den ** (self.trunc - e // self.pk.one)
+                    m = self.scaled[e] = {k: x * f
+                                          for k, x in self.mono(e).items()}
+                p_add_into(out, m, v)
         return out
 
 
 def map_linear_part(F, n):
-    A = []
-    for a in range(n):
-        row = []
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            row.append(F[a].get(tuple(e), 0))
-        A.append(row)
-    return A
+    """The linear part of a tuple-keyed polynomial map, as a matrix."""
+    return [[F[a].get(_exps_of((j,), n), 0) for j in range(n)]
+            for a in range(n)]
 
 
-def map_inverse(F, n, trunc):
-    """Compositional inverse of a map with invertible linear part."""
-    A = map_linear_part(F, n)
-    Ainv = mat_inv(A)
-    lin = [p_zero() for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            if Ainv[a][j]:
-                p_add_into(lin[a], p_var(n, j), Ainv[a][j])
-    high = []
-    for a in range(n):
-        h = dict(F[a])
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            h.pop(tuple(e), None)
-        high.append(h)
-    psi = [dict(l) for l in lin]
+def map_inverse(F, den, pk, trunc):
+    """Compositional inverse to degree ``trunc`` of the map F {a:
+    polynomial}, numerators over ``den``, with invertible linear part.
+    Returns (psi, its denominator).
+
+    psi is the fixed point of psi = A^-1 (x - H o psi), A the linear part
+    of F and H the rest; each round fixes one more degree.
+    """
+    n, var = pk.n, pk.var
+    # F's linear part is A/den, so its inverse is den * A^-1
+    Ainv, dA = _clear({a: {j: den * x for j, x in enumerate(row)}
+                       for a, row in enumerate(mat_inv(
+                           [[F[a].get(var[j], 0) for j in range(n)]
+                            for a in range(n)]))})
+    lin = {a: {var[j]: x for j, x in row.items()} for a, row in Ainv.items()}
+    linear = set(var)
+    high = [{e: v for e, v in F[a].items() if e not in linear}
+            for a in range(n)]
+    psi, dpsi = lin, dA
     for _ in range(trunc - 1):
-        sub = Substitution(psi, n, trunc)
-        corr = [sub(h) for h in high]
-        nxt = []
+        sub = Substitution(psi, dpsi, pk, trunc)
+        corr = [sub(h) for h in high]  # over den * sub.scale
+        s = den * sub.scale
+        nxt = {}
         for a in range(n):
-            acc = dict(lin[a])
-            for j in range(n):
-                if Ainv[a][j] and corr[j]:
-                    p_add_into(acc, corr[j], -Ainv[a][j])
-            nxt.append(acc)
-        psi = nxt
-    return psi
+            acc = nxt[a] = {e: v * s for e, v in lin[a].items()}
+            for j, x in Ainv[a].items():
+                p_add_into(acc, corr[j], -x)
+        psi, dpsi = _reduce(nxt, dA * s)
+    return psi, dpsi
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +474,8 @@ class CoordinateChange:
 
     @classmethod
     def identity(cls, n, trunc):
-        return cls(n, trunc, [p_var(n, j) for j in range(n)])
+        return cls(n, trunc, [{_exps_of((j,), n): Fraction(1)}
+                              for j in range(n)])
 
     @classmethod
     def random(cls, rng, n, trunc):
@@ -370,8 +498,12 @@ class CoordinateChange:
     def compose(self, other):
         """self after other (self o other), truncated at min order."""
         trunc = min(self.trunc, other.trunc)
-        sub = Substitution(other.comps, self.n, trunc)
-        return CoordinateChange(self.n, trunc, [sub(f) for f in self.comps])
+        pk = Packing.of_maps(self.n, trunc, self.comps, other.comps)
+        inner, den = _pack(other.comps, pk)
+        outer, dout = _pack(self.comps, pk)
+        sub = Substitution(inner, den, pk, trunc)
+        return CoordinateChange(self.n, trunc, [
+            _unpack(sub(f), dout * sub.scale, pk) for f in outer.values()])
 
     def linear_part(self):
         return map_linear_part(self.comps, self.n)
@@ -394,50 +526,65 @@ def _fact_of_exps(e):
     return f
 
 
-def _to_polys(arrays, n, trunc):
+def _to_polys(arrays, pk, trunc):
     """Taylor polynomials of jet arrays up to order ``trunc``, keyed by
-    their fixed indices: the entry at sorted derivative indices s is the
-    coefficient of x^e times e!, e the exponents of s."""
-    polys = {}
+    their fixed indices, as numerators over one denominator: the entry at
+    sorted derivative indices s is the coefficient of x^e times e!, e the
+    exponents of s.  Returns (polynomials, den)."""
+    terms = []
+    den = 1
+    seen = {}  # derivative indices -> (packed exponent, e!)
     for arr in arrays[:trunc + 1]:
         nfixed = arr.nfixed
         for key, val in arr.data.items():
-            e = _exps_of(key[nfixed:], n)
-            f = _fact_of_exps(e)
-            coeff = val / f if isinstance(val, Dual) else Fraction(val, f)
-            if coeff:
-                polys.setdefault(key[:nfixed], {})[e] = coeff
-    return polys
+            if val:
+                sym = key[nfixed:]
+                ef = seen.get(sym)
+                if ef is None:
+                    ef = seen[sym] = (sum(pk.var[i] for i in sym),
+                                      _fact_of_exps(_exps_of(sym, pk.n)))
+                terms.append((key[:nfixed], ef, val))
+                den = lcm(den, _den(val) * ef[1])
+    polys = {}
+    for fixed, (e, f), val in terms:
+        polys.setdefault(fixed, {})[e] = _num(val, den // f)
+    return polys, den
 
 
-def _to_arrays(polys, n, nfixed, order):
-    """The jet arrays of orders 0..order of fixed-index-keyed polynomials."""
-    arrays = [Tensor(n, nfixed, v) for v in range(order + 1)]
+def _to_arrays(polys, den, pk, nfixed, order):
+    """The jet arrays of orders 0..order of fixed-index-keyed polynomials
+    over ``den``: the entry of x^e is its coefficient times e!."""
+    arrays = [Tensor(pk.n, nfixed, v) for v in range(order + 1)]
+    limit = pk.limit(order)
+    seen = {}  # packed exponent -> (array data, derivative indices, e!)
     for fixed, p in polys.items():
         for e, c in p.items():
-            v = sum(e)
-            if v <= order:
-                sym = tuple(i for i, k in enumerate(e) for _ in range(k))
-                arrays[v].set(fixed, sym, c * _fact_of_exps(e))
+            if c and e < limit:
+                got = seen.get(e)
+                if got is None:
+                    exps = pk.exponents(e)
+                    sym = tuple(i for i, k in enumerate(exps) for _ in range(k))
+                    got = seen[e] = (arrays[len(sym)].data, sym,
+                                     _fact_of_exps(exps))
+                table, sym, f = got
+                table[fixed + sym] = _value(c * f, den)
     return arrays
 
 
-def _truncate(p, trunc):
-    return {e: v for e, v in p.items() if sum(e) <= trunc}
-
-
-def _contract_index(polys, pos, M, n, trunc):
+def _contract_index(polys, pos, M, n, limit):
     """Contract fixed index ``pos`` of every polynomial with the polynomial
     matrix M: out[.., b, ..] = sum_j M[j][b] polys[.., j, ..] when pos > 0,
-    out[b, ..] = sum_j M[b][j] polys[j, ..] when pos = 0."""
+    out[b, ..] = sum_j M[b][j] polys[j, ..] when pos = 0.  The result is
+    over the product of the two denominators."""
     out = {}
     for key, p in polys.items():
         j = key[pos]
+        pitems = sorted(p.items())
         for b in range(n):
             m = M[j][b] if pos else M[b][j]
             if m:
-                acc = out.setdefault(key[:pos] + (b,) + key[pos + 1:], {})
-                p_add_into(acc, p_mul(m, p, trunc))
+                _mul_into(out.setdefault(key[:pos] + (b,) + key[pos + 1:], {}),
+                          m, pitems, limit)
     return out
 
 
@@ -459,36 +606,54 @@ def jet_transform(data, phi):
     Dphi^-1(x) is exactly Dpsi(y).  Dpsi is exact to order W only when psi
     is carried to W + 1, so psi is computed to max(K, W + 1), K and W the
     field and connection orders.  phi must carry ``jet_order(K, W)`` orders.
+
+    The arithmetic is on integers.  Each family of polynomials (phi, psi,
+    the arrays of one field or of the connection) is integer numerators
+    over one denominator, cleared where the arrays are read and restored
+    as Fractions where they are written; every stage multiplies the
+    denominators and divides the gcd back out.  Exponents are packed into
+    one int (:class:`Packing`), so a monomial product is one addition; the
+    packing base exceeds the largest degree entering the call, phi's own
+    monomials of degree up to ``phi.trunc`` included, so no exponent digit
+    of a kept monomial can carry.
     """
     n, K = data.n, data.order
     W = data.conn_order if data.conn is not None else None
     if phi.trunc < jet_order(K, W):
         raise ValueError("coordinate change truncated below jet_order")
-    F = phi.comps
-    psi = map_inverse(F, n, max(K, 1 if W is None else W + 1))
-    J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
+    T = max(K, 1 if W is None else W + 1)
+    pk = Packing.of_maps(n, phi.trunc, phi.comps)  # phi.trunc >= every order
+    F, dF = _pack(phi.comps, pk)
+    psi, dpsi = map_inverse(F, dF, pk, T)
+    J = [[p_diff(F[a], j, pk) for j in range(n)] for a in range(n)]
     at = {}  # trunc -> (J truncated, composition with psi), shared by labels
 
     def pull_back(arrays, nfixed, trunc, shift=None):
+        limit = pk.limit(trunc)
         if trunc not in at:
-            at[trunc] = ([[_truncate(p, trunc) for p in row] for row in J],
-                         Substitution(psi, n, trunc))
+            at[trunc] = ([[_truncate(p, limit) for p in row] for row in J],
+                         Substitution(psi, dpsi, pk, trunc))
         Jt, sub = at[trunc]
-        polys = _contract_index(_to_polys(arrays, n, trunc), 0, Jt, n, trunc)
-        for key, p in (shift or {}).items():
-            p_add_into(polys.setdefault(key, {}), p, -1)
-        polys = {key: sub(p) for key, p in polys.items() if p}
+        polys, den = _to_polys(arrays, pk, trunc)
+        polys = _contract_index(polys, 0, Jt, n, limit)
+        for key, p in (shift or {}).items():  # shift is over dF
+            p_add_into(polys.setdefault(key, {}), p, -den)
+        polys, den = _reduce(polys, den * dF)
+        polys, den = _reduce({key: sub(p) for key, p in polys.items()},
+                             den * sub.scale)
         if nfixed > 1:
-            Dpsi = [[_truncate(p_diff(psi[j], b), trunc) for b in range(n)]
+            Dpsi = [[_truncate(p_diff(psi[j], b, pk), limit) for b in range(n)]
                     for j in range(n)]
             for pos in range(1, nfixed):
-                polys = _contract_index(polys, pos, Dpsi, n, trunc)
-        return _to_arrays(polys, n, nfixed, trunc)
+                polys, den = _reduce(_contract_index(polys, pos, Dpsi, n, limit),
+                                     den * dpsi)
+        return _to_arrays(polys, den, pk, nfixed, trunc)
 
     fields = {lab: pull_back(arrays, 1, K) for lab, arrays in data.fields.items()}
     conn = None
     if W is not None:
-        hess = {(a, j, k): _truncate(p_diff(J[a][j], k), W)
+        limit = pk.limit(W)
+        hess = {(a, j, k): _truncate(p_diff(J[a][j], k, pk), limit)
                 for a in range(n) for j in range(n) for k in range(n)}
         conn = pull_back(data.conn, 3, W, hess)
     return JetData(n, K, fields, conn, data.conn_order)
@@ -757,14 +922,12 @@ def generator_flow(gens, n, trunc):
     arrays H_s."""
     comps = []
     for a in range(n):
-        p = p_var(n, a)
-        p = {e: Dual(v) for e, v in p.items()}
+        p = {_exps_of((a,), n): Dual(1)}
         for gen in gens:
             for key, val in gen.data.items():
-                if key[0] != a:
-                    continue
-                e = _exps_of(key[1:], n)
-                p_add_into(p, {e: Dual(0, Fraction(val) / _fact_of_exps(e))})
+                if key[0] == a and val:
+                    e = _exps_of(key[1:], n)
+                    p[e] = p.get(e, 0) + Dual(0, Fraction(val) / _fact_of_exps(e))
         comps.append(p)
     return CoordinateChange(n, trunc, comps)
 

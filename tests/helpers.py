@@ -1,7 +1,7 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, a dense reference elimination, the derived
-connection rules, the realization state sum and the reference jet
-transformation law."""
+connection rules, the realization state sum, the reference polynomial
+layer and the reference jet transformation law."""
 
 import itertools
 from fractions import Fraction
@@ -22,16 +22,10 @@ from natops.graphs import (
 from natops.jets import (
     Dual,
     JetData,
-    Substitution,
     Tensor,
     _exps_of,
     _fact_of_exps,
-    map_inverse,
-    p_add_into,
-    p_const,
-    p_diff,
-    p_mul,
-    p_zero,
+    map_linear_part,
 )
 from natops.linalg import mat_inv
 from natops.rules import derive_connection_rule
@@ -324,6 +318,118 @@ def state_sum(g, data, gens=None):
     if anchor_edge is None:
         return total(0)
     return [total(a) for a in range(data.n)]
+
+
+# The reference polynomial layer: dicts {exponent tuple: exact value},
+# every coefficient its own Fraction (or dual number).  natops.jets works
+# on integer numerators over one denominator and packed exponents, and is
+# checked against these.
+
+
+def p_zero():
+    return {}
+
+
+def p_const(n, c):
+    return {(0,) * n: c} if c else {}
+
+
+def p_var(n, j):
+    e = [0] * n
+    e[j] = 1
+    return {tuple(e): Fraction(1)}
+
+
+def p_add_into(acc, p, c=1):
+    for e, v in p.items():
+        w = acc.get(e, 0) + v * c
+        if w:
+            acc[e] = w
+        else:
+            acc.pop(e, None)
+    return acc
+
+
+def p_mul(a, b, trunc):
+    out = {}
+    bitems = sorted(((sum(eb), eb, vb) for eb, vb in b.items()),
+                    key=lambda t: t[0])
+    for ea, va in a.items():
+        room = trunc - sum(ea)
+        for db, eb, vb in bitems:
+            if db > room:
+                break
+            e = tuple(x + y for x, y in zip(ea, eb))
+            w = out.get(e, 0) + va * vb
+            if w:
+                out[e] = w
+            else:
+                out.pop(e, None)
+    return out
+
+
+def p_diff(a, j):
+    out = {}
+    for e, v in a.items():
+        if e[j]:
+            e2 = list(e)
+            e2[j] -= 1
+            out[tuple(e2)] = v * e[j]
+    return out
+
+
+class Substitution:
+    """Composition with the map ``comps``, truncated above total degree
+    ``trunc``; each monomial comps^e is multiplied up once and cached."""
+
+    def __init__(self, comps, n, trunc):
+        self.comps = comps
+        self.trunc = trunc
+        self.monos = {(0,) * n: p_const(n, 1)}
+
+    def mono(self, e):
+        m = self.monos.get(e)
+        if m is None:
+            j = next(j for j, k in enumerate(e) if k)
+            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            m = self.monos[e] = p_mul(self.mono(lower), self.comps[j], self.trunc)
+        return m
+
+    def __call__(self, a):
+        out = {}
+        for e, v in a.items():
+            if sum(e) <= self.trunc:
+                p_add_into(out, self.mono(e), v)
+        return out
+
+
+def map_inverse(F, n, trunc):
+    """Compositional inverse of a map with invertible linear part."""
+    Ainv = mat_inv(map_linear_part(F, n))
+    lin = [p_zero() for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            if Ainv[a][j]:
+                p_add_into(lin[a], p_var(n, j), Ainv[a][j])
+    high = []
+    for a in range(n):
+        h = dict(F[a])
+        for j in range(n):
+            h.pop(_exps_of((j,), n), None)
+        high.append(h)
+    psi = [dict(p) for p in lin]
+    for _ in range(trunc - 1):
+        sub = Substitution(psi, n, trunc)
+        corr = [sub(h) for h in high]
+        nxt = []
+        for a in range(n):
+            acc = dict(lin[a])
+            for j in range(n):
+                if Ainv[a][j] and corr[j]:
+                    p_add_into(acc, corr[j], -Ainv[a][j])
+            nxt.append(acc)
+        psi = nxt
+    return psi
 
 
 # The reference jet transformation law: fields and connection moved by

@@ -14,6 +14,7 @@ from natops.canonical import canonicalize, key_bytes
 from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, MAX_WIRINGS, run
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
+from natops.graphs import SYM, Graph, anchor, vector
 from natops.operad import lie_expand
 from natops.rules import replace_connection
 
@@ -21,7 +22,7 @@ from .helpers import chain_xy, chain_yx, nabla_xy
 
 
 def test_graph_round_trip():
-    for g in enumerate_basis("bullet-nabla-1", 2, 1).graphs:
+    for g in enumerate_basis("bullet-nabla-1", 3, 1).graphs:
         back = io.obj_to_graph(graph_obj := io.graph_to_obj(g))
         assert canonicalize(back)[0] == g
         assert json.loads(json.dumps(graph_obj)) == graph_obj
@@ -49,6 +50,43 @@ def test_schema_errors():
                 "edges": [],
             }
         )
+
+
+@pytest.mark.parametrize("field,value", [
+    ("derivOrder", 1.9), ("derivOrder", 1.0), ("derivOrder", True),
+    ("derivOrder", "1"), ("arity", 2.5), ("index", 1.0), ("from", 0.0),
+    ("to", 2.0), ("whiteOrder", 3.0), ("id", 0.0)])
+def test_schema_integers_are_exact(tmp_path, capsys, field, value):
+    """Integer fields accept JSON ints only: ``int(1.9)`` would read a
+    vertex of order 1.9 as order 1."""
+    g = next(g for g in enumerate_basis("bullet-nabla-1", 3, 1).graphs
+             if any(e is not None and e[1] == 0 for e in g.out))
+    obj = io.graph_to_obj(g)
+    io.obj_to_graph(obj)  # the unchanged object reads
+    if field == "index":
+        edge = next(e for e in obj["edges"] if e["slot"]["group"] == "base")
+        edge["slot"]["index"] = value
+    elif field in ("from", "to"):
+        obj["edges"][0][field] = value
+    elif field == "whiteOrder":
+        obj["whiteOrder"] = [value]
+    else:
+        vertex = next(v for v in obj["vertices"] if field in v)
+        vertex[field] = value
+    with pytest.raises(io.SchemaError, match="must be an integer"):
+        io.obj_to_graph(obj)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    code, out = _run(["diff", "--in", str(p)])
+    assert code == 2 and out == ""
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_schema_edge_from_missing_vertex():
+    obj = io.graph_to_obj(chain_xy())
+    obj["edges"][0]["from"] = -1
+    with pytest.raises(io.SchemaError, match="missing vertex"):
+        io.obj_to_graph(obj)
 
 
 def test_template_export_marks_boundary():
@@ -288,6 +326,33 @@ def test_cli_eval_data_reads_exact_numbers(tmp_path, capsys):
         code, out = _run(["eval", "--in", str(p), "--data", str(data)])
         assert code == 2 and out == "", entry
         assert "expected an integer or a" in capsys.readouterr().err
+
+
+def test_cli_eval_data_must_be_symmetric(tmp_path, capsys):
+    """X1^0_(jk) X2^j X3^k at X2 = e_0, X3 = e_1 reads the entry (0; 0, 1)
+    of X1's second derivatives: asymmetric data has no one answer."""
+    g = Graph((vector("X1", 2), vector("X2"), vector("X3"), anchor),
+              ((3, SYM), (0, SYM), (0, SYM), None))
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(io.sum_to_obj(FormalSum.of(g))))
+    data = tmp_path / "data.json"
+
+    def write(d01, d10):
+        zero1, zero2 = [[0, 0], [0, 0]], [[[0, 0], [0, 0]]] * 2
+        data.write_text(json.dumps({"n": 2, "fields": {
+            "X1": [[0, 0], zero1, [[[0, d01], [d10, 0]], zero2[0]]],
+            "X2": [[1, 0], zero1, zero2], "X3": [[0, 1], zero1, zero2]}}))
+        return _run(["eval", "--in", str(p), "--data", str(data)])
+
+    for d01, d10 in [(5, 7), (7, 5)]:
+        code, out = write(d01, d10)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "field X1 order 2 is not symmetric" in err
+        assert "entry [0, 1, 0] is %d but entry [0, 0, 1] is %d" % (
+            d10, d01) in err
+    code, out = write(5, 5)
+    assert code == 0 and json.loads(out)["vector"] == ["5", "0"]
 
 
 def test_sum_coefficients_are_exact(tmp_path, capsys):

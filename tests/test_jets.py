@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from natops import jets
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, vector, wheel_vertices
@@ -12,18 +13,13 @@ from natops.jets import (
     CoordinateChange,
     Dual,
     JetData,
-    Substitution,
     Tensor,
     apply_linear,
     infinitesimal_action,
     jet_order,
     jet_transform,
     lift_with_variation,
-    map_inverse,
     naturality_check,
-    p_add_into,
-    p_mul,
-    p_var,
     random_jet_data,
     random_tensor,
     realize,
@@ -35,6 +31,9 @@ from .helpers import (
     chain_xy,
     chain_yx,
     nabla_xy,
+    p_add_into,
+    p_mul,
+    p_var,
     reference_jet_transform,
     state_sum,
     trace_pair,
@@ -201,14 +200,20 @@ def _naive_compose(a, comps, n, trunc):
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_substitution_matches_naive_composition(n, dual):
+    """The packed integer Substitution composes as the tuple-keyed
+    reference does when it multiplies every monomial up from scratch."""
     rng = random.Random(repr(("substitution", n, dual)))
     for trunc in (1, 2, 3, 4):
         comps = [_random_poly(rng, n, 1, trunc, dual) for _ in range(n)]
-        sub = Substitution(comps, n, trunc)
         for _ in range(4):
             # degrees above trunc too: they must vanish
             a = _random_poly(rng, n, 0, trunc + 1, dual)
-            assert sub(a) == _naive_compose(a, comps, n, trunc)
+            pk = jets.Packing.of_maps(n, trunc, comps, [a])
+            inner, den = jets._pack(comps, pk)
+            sub = jets.Substitution(inner, den, pk, trunc)
+            outer, dout = jets._pack([a], pk)
+            got = jets._unpack(sub(outer[0]), dout * sub.scale, pk)
+            assert got == _naive_compose(a, comps, n, trunc)
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -216,31 +221,40 @@ def test_substitution_matches_naive_composition(n, dual):
 def test_map_inverse_composes_to_identity(n, dual):
     rng = random.Random(repr(("map-inverse", n, dual)))
     for trunc in (1, 2, 3, 4):
-        F = CoordinateChange.random(rng, n, trunc).comps
+        comps = CoordinateChange.random(rng, n, trunc).comps
         if dual:
-            F = [{e: Dual(v, _random_coeff(rng, False)) for e, v in f.items()}
-                 for f in F]
-        psi = map_inverse(F, n, trunc)
+            comps = [{e: Dual(v, _random_coeff(rng, False))
+                      for e, v in f.items()} for f in comps]
+        pk = jets.Packing.of_maps(n, trunc, comps)
+        F, dF = jets._pack(comps, pk)
+        psi, dpsi = jets.map_inverse(F, dF, pk, trunc)
         ident = [p_var(n, a) for a in range(n)]
-        assert [Substitution(psi, n, trunc)(f) for f in F] == ident
-        assert [Substitution(F, n, trunc)(p) for p in psi] == ident
+        for inner, din, outer, dout in ((psi, dpsi, F, dF), (F, dF, psi, dpsi)):
+            sub = jets.Substitution(inner, din, pk, trunc)
+            assert [jets._unpack(sub(outer[a]), dout * sub.scale, pk)
+                    for a in range(n)] == ident
 
 
 @pytest.mark.parametrize("dual", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_jet_transform_matches_reference_law(n, dual):
-    """The one pull-back law equals the reference law, which inverts Dphi
-    as a polynomial matrix and inverts phi once per truncation order, on
-    random fields and connections of orders up to 3."""
+    """The one pull-back law on integer numerators and packed exponents
+    equals the reference law, which keeps a Fraction per tuple-keyed
+    coefficient, inverts Dphi as a polynomial matrix and inverts phi once
+    per truncation order.  The fields and connections are random, of
+    orders up to 3, beside an all-zero field; phi carries up to three
+    orders more than the law needs, so its top monomials pack with the
+    largest exponents the packing base must hold."""
     rng = random.Random(repr(("jet-law", n, dual)))
-    # connection order 3 at n = 4 alone would take about 10 s
+    # the reference law takes about 10 s at connection order 3 and n = 4,
+    # and 5 s more at n = 5 for connection order 2 over order 1
     for order, conn_order in [(0, None), (3, None), (0, 0), (1, 2), (2, 1),
-                              (3, 3 if n < 4 else 2)]:
+                              (3, {4: 2, 5: 1}.get(n, 3))]:
         data = random_jet_data(rng, n, ["X1", "X2"], order,
                                with_conn=conn_order is not None,
                                conn_order=conn_order)
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order)
-                                      + rng.randint(0, 1))
+                                      + rng.randint(0, 3))
         if dual:
             data = lift_with_variation(data, random_jet_data(
                 rng, n, ["X1", "X2"], order, with_conn=conn_order is not None,
@@ -248,6 +262,7 @@ def test_jet_transform_matches_reference_law(n, dual):
             phi = CoordinateChange(n, phi.trunc, [
                 {e: Dual(v, _random_coeff(rng, False)) for e, v in f.items()}
                 for f in phi.comps])
+        data.fields["X0"] = [Tensor(n, 1, v) for v in range(order + 1)]
         got, want = jet_transform(data, phi), reference_jet_transform(data, phi)
         assert got.fields == want.fields
         assert got.conn == want.conn
