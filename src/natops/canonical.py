@@ -21,6 +21,12 @@ pruning change how much work is done, never the result: the
 representatives, their vertex order and the signs are those of the
 unpruned search over globally re-ranked colours.
 
+The input is a presentation: any graph, read through its three fields
+``vertices``, ``out`` and ``white_order`` only.  The differential and the
+basis enumeration hand over their terms and wirings as made by
+:meth:`~natops.graphs.Graph.from_tuples`, normalized by nobody, and the
+canonical graph is made the same way from the tuples built here.
+
 The returned sign is the parity of the permutation carrying the presented
 white order to the canonical white order.  If two minimal labelings
 disagree on that parity, the graph admits an automorphism inducing an odd
@@ -202,11 +208,12 @@ def canonicalize(g):
             return ZERO, 1
         inv = sorted(range(n), key=pos.__getitem__)
     whites = [pos[w] for w in g.white_order]
-    out = [g.out[i] for i in inv]
-    return Graph(
-        [verts[i] for i in inv],
-        [(pos[e[0]], e[1]) if e is not None else None for e in out],
-        sorted(whites),
+    out = g.out
+    return Graph.from_tuples(
+        tuple([verts[i] for i in inv]),
+        tuple([(pos[e[0]], e[1]) if e is not None else None
+               for e in [out[i] for i in inv]]),
+        tuple(sorted(whites)),
     ), -1 if _parity(whites) else 1
 
 

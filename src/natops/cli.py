@@ -3,6 +3,9 @@
 All machine output is schema-versioned JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verification command found a violation
 (d2check residue, naturality counterexample), 2 malformed input.
+
+Each command imports the layers it uses when it runs: ``natcheck`` never
+loads the graph complexes, and ``d2check`` never loads the jet oracle.
 """
 
 from __future__ import annotations
@@ -12,16 +15,8 @@ import json
 import sys
 from contextlib import contextmanager
 
-from . import genfun, io, jets
-from .complexes import (
-    FAMILIES,
-    d_squared_zero,
-    differential,
-    enumerate_basis,
-    wiring_count,
-)
-from .homology import delta_matrix, h0_dimension, kernel_basis
-from .operad import compose, lie_expand, trace_sum
+from . import io
+from .graphs import FAMILIES
 
 #: Largest ``rule --order``.  Templates grow like 2^order; the largest one
 #: allowed, the order-9 connection rule (2036 terms, 5 MB of JSON), is
@@ -52,6 +47,8 @@ MAX_WIRINGS = 1_000_000
 def _slice_family(args, degrees):
     """The family of ``args``, once the slices of the given degrees are
     known to build at most ``MAX_WIRINGS`` wirings each."""
+    from .complexes import wiring_count
+
     family = _family(args.family)
     for m in degrees:
         try:
@@ -97,6 +94,8 @@ def _family(name):
 
 
 def cmd_basis(args):
+    from .complexes import enumerate_basis
+
     fam = _slice_family(args, (args.degree,))
     bs = enumerate_basis(fam, args.d, args.degree)
     _write(io.slice_to_obj(bs), args.out)
@@ -104,6 +103,8 @@ def cmd_basis(args):
 
 
 def cmd_diff(args):
+    from .complexes import differential
+
     x = io.obj_to_sum(_read_json(args.infile))
     fam = args.family if args.family is None else _family(args.family)
     if fam is not None and args.d is None:
@@ -114,6 +115,8 @@ def cmd_diff(args):
 
 
 def cmd_d2check(args):
+    from .complexes import d_squared_zero
+
     fam = _slice_family(args, (0, 1))
     rep = d_squared_zero(fam, args.d)
     obj = {
@@ -131,6 +134,8 @@ def cmd_d2check(args):
 
 
 def cmd_h0(args):
+    from .homology import h0_dimension
+
     fam = _slice_family(args, (0, 1))
     n = h0_dimension(fam, args.d)
     _write({"schema": io.SCHEMA, "family": args.family, "d": args.d, "h0": n},
@@ -139,6 +144,8 @@ def cmd_h0(args):
 
 
 def cmd_kerbasis(args):
+    from .homology import kernel_basis
+
     fam = _slice_family(args, (0, 1))
     basis = kernel_basis(fam, args.d)
     obj = {
@@ -153,6 +160,8 @@ def cmd_kerbasis(args):
 
 
 def cmd_matrix(args):
+    from .homology import delta_matrix
+
     fam = _slice_family(args, (args.degree, args.degree + 1))
     mat = delta_matrix(fam, args.d, args.degree)
     obj = {
@@ -169,6 +178,8 @@ def cmd_matrix(args):
 
 
 def cmd_compose(args):
+    from .operad import compose
+
     a = io.obj_to_sum(_read_json(args.infile))
     b = io.obj_to_sum(_read_json(args.withfile))
     _write(io.sum_to_obj(compose(a, args.slot, b)), args.out)
@@ -176,17 +187,23 @@ def cmd_compose(args):
 
 
 def cmd_lie_expand(args):
+    from .operad import lie_expand
+
     _write(io.sum_to_obj(lie_expand(args.expr)), args.out)
     return 0
 
 
 def cmd_trace(args):
+    from .operad import trace_sum
+
     x = io.obj_to_sum(_read_json(args.infile))
     _write(io.sum_to_obj(trace_sum(x)), args.out)
     return 0
 
 
 def _jetdata_from_obj(obj, need):
+    from . import jets
+
     labels, order, conn_order = need
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is not int or not 1 <= n <= MAX_DIM:
@@ -245,6 +262,8 @@ def _check_dim(dim):
 
 
 def cmd_eval(args):
+    from . import jets
+
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
     _check_dim(args.dim)
@@ -270,6 +289,8 @@ def cmd_eval(args):
 
 
 def cmd_natcheck(args):
+    from . import jets
+
     _check_dim(args.dim)
     x = io.obj_to_sum(_read_json(args.infile))
     bad = jets.naturality_check(x, args.dim, trials=args.trials, seed=args.seed)
@@ -289,6 +310,8 @@ def cmd_natcheck(args):
 
 
 def cmd_genfun(args):
+    from . import genfun
+
     if args.upto < 1:
         raise ValueError("--upto must be >= 1")
     if args.upto > MAX_UPTO:

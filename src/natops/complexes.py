@@ -17,15 +17,24 @@ import itertools
 from collections import namedtuple
 from math import factorial
 
-from .canonical import key_bytes
+from .canonical import ZERO, canonicalize, key_bytes
 from .formal import FormalSum
-from .graphs import (
+from .graphs import (  # noqa: F401  (the families are re-exported here)
     ANCHOR,
+    BULLET,
+    BULLET_CONNECTED,
+    BULLET_NABLA,
+    BULLET_NABLA1,
+    BULLET_NABLA_TRACE,
+    BULLET_NABLA_WHEEL,
+    BULLET_WHEEL,
     CONNECTION,
     EMPTY,
+    FAMILIES,
     SYM,
     VECTOR,
     WHITE,
+    Family,
     Graph,
     anchor,
     connection,
@@ -35,29 +44,6 @@ from .graphs import (
     white,
 )
 from .rules import OUT, rule_for
-
-Family = namedtuple("Family", ["name", "anchored", "nabla", "connected", "trace"])
-
-BULLET = Family("bullet", True, False, False, False)
-BULLET_CONNECTED = Family("bullet-connected", True, False, True, False)
-BULLET_WHEEL = Family("bullet-wheel", False, False, True, False)
-BULLET_NABLA1 = Family("bullet-nabla-1", True, True, True, False)
-BULLET_NABLA = Family("bullet-nabla", True, True, False, False)
-BULLET_NABLA_WHEEL = Family("bullet-nabla-wheel", False, True, True, False)
-BULLET_NABLA_TRACE = Family("bullet-nabla-trace", True, True, True, True)
-
-FAMILIES = {
-    f.name: f
-    for f in (
-        BULLET,
-        BULLET_CONNECTED,
-        BULLET_WHEEL,
-        BULLET_NABLA1,
-        BULLET_NABLA,
-        BULLET_NABLA_WHEEL,
-        BULLET_NABLA_TRACE,
-    )
-}
 
 BasisSlice = namedtuple("BasisSlice", ["family", "d", "m", "graphs"])
 
@@ -114,22 +100,29 @@ def _multisets(total, parts, minimum):
             yield (first,) + tuple(first + c for c in rest)
 
 
-def _assignments(groups, sources):
+def _assignments(groups, sources, n):
     """Fill slot groups with distinct sources, one source per slot.
 
     ``groups`` is a list of (owner, slotcode, size); symmetric groups take
-    unordered source subsets.  Yields out-edge dicts source -> (owner, code).
+    unordered source subsets.  Yields the out-arrays (length ``n``, None
+    where no source sits) of the wirings, as tuples.
     """
+    yield from _fill(groups, sources, [None] * n)
+
+
+def _fill(groups, sources, out):
+    # every leaf has dealt out all sources, so ``out`` is overwritten
+    # along each path and never needs resetting
     if not groups:
-        yield {}
+        yield tuple(out)
         return
     (owner, code, size), rest = groups[0], groups[1:]
+    tgt = (owner, code)
     for chosen in itertools.combinations(sources, size):
+        for s in chosen:
+            out[s] = tgt
         remaining = tuple(s for s in sources if s not in chosen)
-        for tail in _assignments(rest, remaining):
-            head = {s: (owner, code) for s in chosen}
-            head.update(tail)
-            yield head
+        yield from _fill(rest, remaining, out)
 
 
 def enumerate_basis(family, d, m):
@@ -227,20 +220,34 @@ def _wirings(family, d, vs, ws, us):
     total_slots = sum(g[2] for g in groups)
     if total_slots != len(sources):
         return
-    from .canonical import ZERO, canonicalize
-
-    n = len(verts)
-    for assign in _assignments(groups, sources):
-        out = [None] * n
-        for src, tgt in assign.items():
-            out[src] = tgt
-        g = Graph(tuple(verts), tuple(out))
-        if family.connected and not is_connected(g):
+    verts = tuple(verts)
+    whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
+    for out in _assignments(groups, sources, len(verts)):
+        if family.connected and not _connected(out):
             continue
-        cg, _ = canonicalize(g)
+        cg, _ = canonicalize(Graph.from_tuples(verts, out, whites))
         if cg is ZERO:
             continue
         yield cg
+
+
+def _connected(out):
+    """Is the graph of the out-array ``out`` weakly connected?  Union-find
+    over its edges; connected when they merge the vertices into one set."""
+    parent = list(range(len(out)))
+    merged = 0
+    for a, e in enumerate(out):
+        if e is None:
+            continue
+        b = e[0]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merged += 1
+    return merged >= len(out) - 1
 
 
 def _port_map(g, v):
@@ -257,55 +264,6 @@ def _port_map(g, v):
     return {e: p for p, e in enumerate(ordered)}
 
 
-def _instantiate(g, v, term):
-    """Substitute a rule term for vertex ``v``; returns (vertices, out, white_ids).
-
-    ``white_ids`` lists the new ids of the term's internal whites by rank.
-    The caller supplies the orientation order.
-    """
-    n = len(g.vertices)
-    port_of = _port_map(g, v)
-
-    def newidx(i):
-        return i if i < v else i - 1
-
-    def internal_idx(j):
-        return n - 1 + j
-
-    def resolve_out():
-        dst, slot = g.out[v]
-        if dst == v:
-            p = port_of[(v, slot)]
-            j, s2 = term.ports[p]
-            return (internal_idx(j), s2)
-        return (newidx(dst), slot)
-
-    verts = tuple(g.vertices[i] for i in range(n) if i != v) + term.internals
-    out = []
-    for i in range(n):
-        if i == v:
-            continue
-        e = g.out[i]
-        if e is None:
-            out.append(None)
-        elif e[0] == v:
-            j, s2 = term.ports[port_of[(i, e[1])]]
-            out.append((internal_idx(j), s2))
-        else:
-            out.append((newidx(e[0]), e[1]))
-    for j, tgt in enumerate(term.iout):
-        if tgt == OUT:
-            out.append(resolve_out())
-        else:
-            out.append((internal_idx(tgt[0]), tgt[1]))
-    ranked = sorted(
-        (term.ranks[j], internal_idx(j))
-        for j in range(len(term.internals))
-        if term.ranks[j] is not None
-    )
-    return verts, tuple(out), [w for _, w in ranked]
-
-
 _DELTA_CACHE = {}
 
 
@@ -318,10 +276,21 @@ def delta_graph_cached(g):
 
 
 def delta_graph(g):
-    """Differential of a single graph presentation, as a formal sum."""
+    """Differential of a single graph presentation, as a formal sum.
+
+    Each term substitutes a rule term for one vertex ``v``: the term's
+    internal vertices take ids from n - 1 on, the edges into ``v`` go to
+    the internal slots of their boundary ports, and ``v``'s own out-edge
+    leaves from the internal vertex the term marks ``OUT``.  The port order
+    and every edge away from ``v`` are worked out once per vertex, and each
+    term goes to :func:`canonicalize` built by ``Graph.from_tuples``.
+    """
     out = FormalSum()
+    verts, gout = g.vertices, g.out
+    n = len(verts)
+    base = n - 1  # id of a term's first internal vertex
     order = list(g.white_order)
-    for v, vv in enumerate(g.vertices):
+    for v, vv in enumerate(verts):
         if vv.kind == ANCHOR:
             continue
         tpl = rule_for(vv)
@@ -336,18 +305,46 @@ def delta_graph(g):
             eps = 1
             kept = order
             at = 0
+        head = [w if w < v else w - 1 for w in kept[:at]]
+        tail = [w if w < v else w - 1 for w in kept[at:]]
+        port_of = _port_map(g, v)
+        kept_verts = verts[:v] + verts[v + 1:]
+        fixed = []  # out-edges of the kept vertices, None where one enters v
+        into = []  # (index in fixed, boundary port) of the edges entering v
+        for i, e in enumerate(gout):
+            if i == v:
+                continue
+            if e is None:
+                fixed.append(None)
+            elif e[0] == v:
+                into.append((len(fixed), port_of[(i, e[1])]))
+                fixed.append(None)
+            else:
+                fixed.append((e[0] if e[0] < v else e[0] - 1, e[1]))
+        dst, slot = gout[v]
+        loop = port_of[(v, slot)] if dst == v else None
+        leave = (dst if dst < v else dst - 1, slot)
         for term in tpl.terms:
-            verts, outmap, new_whites = _instantiate(g, v, term)
-
-            def nid(x, v=v):
-                return x if x < v else x - 1
-
-            spliced = (
-                [nid(w) for w in kept[:at]]
-                + new_whites
-                + [nid(w) for w in kept[at:]]
-            )
-            out.add_graph(Graph(verts, outmap, spliced), eps * term.coeff)
+            ports = term.ports
+            edges = fixed[:]
+            for k, p in into:
+                j, s = ports[p]
+                edges[k] = (base + j, s)
+            for tgt in term.iout:
+                if tgt != OUT:
+                    edges.append((base + tgt[0], tgt[1]))
+                elif loop is None:
+                    edges.append(leave)
+                else:
+                    j, s = ports[loop]
+                    edges.append((base + j, s))
+            ranked = sorted((r, base + j) for j, r in enumerate(term.ranks)
+                            if r is not None)
+            cg, sign = canonicalize(Graph.from_tuples(
+                kept_verts + term.internals, tuple(edges),
+                tuple(head + [w for _, w in ranked] + tail)))
+            if cg is not ZERO:
+                out.add_canonical(cg, eps * sign * term.coeff)
     return out
 
 

@@ -1,10 +1,22 @@
-"""Formal rational linear combinations of canonical graphs."""
+"""Formal rational linear combinations of canonical graphs.
+
+A coefficient is an exact rational: an ``int``, or a ``Fraction`` where a
+division made one.  Ints are never wrapped (the differential's
+coefficients are all ints), and ``1 == Fraction(1)`` with equal hashes, so
+sums compare equal whichever form a coefficient has.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .canonical import ZERO, canonicalize, key_bytes
+
+
+def _exact(c):
+    """``c`` as an exact rational: an int or a Fraction as it is, anything
+    else (a ``"p/q"`` string, a bool) through ``Fraction``."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
 class FormalSum:
@@ -17,7 +29,7 @@ class FormalSum:
         if terms:
             for graph, coeff in dict(terms).items():
                 if coeff:
-                    self.terms[graph] = Fraction(coeff)
+                    self.terms[graph] = _exact(coeff)
 
     @classmethod
     def of(cls, graph, coeff=1):
@@ -31,7 +43,7 @@ class FormalSum:
         cg, sign = canonicalize(graph)
         if cg is ZERO:
             return
-        self.add_canonical(cg, Fraction(coeff) * sign)
+        self.add_canonical(cg, _exact(coeff) * sign)
 
     def add_canonical(self, cg, coeff):
         if not coeff:
@@ -71,7 +83,7 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, a):
-        a = Fraction(a)
+        a = _exact(a)
         out = FormalSum()
         if a:
             out.terms = {g: c * a for g, c in self.terms.items()}
@@ -98,7 +110,7 @@ class FormalSum:
 
 def combine(a, b, alpha=1, beta=1):
     """Exact alpha*a + beta*b; zero coefficients are dropped."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _exact(alpha), _exact(beta)
     out = FormalSum()
     if alpha:
         out.terms = {g: c * alpha for g, c in a.terms.items()}

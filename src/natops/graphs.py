@@ -39,6 +39,31 @@ SYM = 2
 
 Vertex = namedtuple("Vertex", ["kind", "label", "order"])
 
+#: A family of graph complexes: anchored (vector-valued), with connection
+#: vertices (nabla), connected graphs only, and the extra field X0 (trace).
+Family = namedtuple("Family", ["name", "anchored", "nabla", "connected", "trace"])
+
+BULLET = Family("bullet", True, False, False, False)
+BULLET_CONNECTED = Family("bullet-connected", True, False, True, False)
+BULLET_WHEEL = Family("bullet-wheel", False, False, True, False)
+BULLET_NABLA1 = Family("bullet-nabla-1", True, True, True, False)
+BULLET_NABLA = Family("bullet-nabla", True, True, False, False)
+BULLET_NABLA_WHEEL = Family("bullet-nabla-wheel", False, True, True, False)
+BULLET_NABLA_TRACE = Family("bullet-nabla-trace", True, True, True, True)
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        BULLET,
+        BULLET_CONNECTED,
+        BULLET_WHEEL,
+        BULLET_NABLA1,
+        BULLET_NABLA,
+        BULLET_NABLA_WHEEL,
+        BULLET_NABLA_TRACE,
+    )
+}
+
 
 def vector(label, order=0):
     return Vertex(VECTOR, label, order)
@@ -76,6 +101,17 @@ class Graph:
             )
         self.white_order = tuple(white_order)
         self._hash = hash((self.vertices, self.out, self.white_order))
+
+    @classmethod
+    def from_tuples(cls, vertices, out, white_order):
+        """The graph of fields already in normal form, taken as they are: a
+        tuple of Vertex, a tuple of ``(target, slot)`` tuples or None, and a
+        tuple of white ids.  The differential, the basis enumeration and
+        :func:`natops.canonical.canonicalize` build their graphs this way."""
+        g = cls.__new__(cls)
+        g.vertices, g.out, g.white_order = vertices, out, white_order
+        g._hash = hash((vertices, out, white_order))
+        return g
 
     def __hash__(self):
         return self._hash

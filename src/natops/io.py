@@ -35,8 +35,6 @@ from .graphs import (
     Vertex,
     validate,
 )
-from .rules import OUT
-
 SCHEMA = "natops-v1"
 
 
@@ -177,6 +175,8 @@ def obj_to_sum(obj):
 
 def template_to_obj(tpl):
     """A rule template in the graph schema, boundary ports marked."""
+    from .rules import OUT
+
     terms = []
     for term in tpl.terms:
         nint = len(term.internals)

@@ -20,17 +20,16 @@ derives connection rules independently: it realizes every candidate
 degree-1 graph on the fields of :func:`connection_probe` with the jet
 oracle's :func:`natops.jets.realize` and matches the candidates against the
 linearized coordinate-change action on connection jets.  The tests compare
-it with the differential of the probe, and no runtime path calls it.
+it with the differential of the probe, and no runtime path calls it, so
+the jet oracle and the linear algebra it needs load only when it runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import namedtuple
 from functools import lru_cache
 
-from . import jets
 from .canonical import canonicalize
 from .formal import FormalSum
 from .graphs import (
@@ -46,8 +45,6 @@ from .graphs import (
     vector,
     white,
 )
-from .linalg import Echelon
-
 #: out-target marker: the internal vertex's output leaves the local graph.
 OUT = ("out",)
 
@@ -203,6 +200,8 @@ def connection_probe(w):
 
 def _unit_fields(n, ports, conn, w):
     """Jet data whose field Xk is the unit vector at index ``ports[k-1]``."""
+    from . import jets
+
     fields = {"X%d" % (k + 1): [jets.Tensor(n, 1, 0, {(i,): 1})]
               for k, i in enumerate(ports)}
     return jets.JetData(n, 0, fields, conn, w)
@@ -224,7 +223,11 @@ def derive_connection_rule(w, n):
     Returns the rule as a formal sum, which the closed form must reproduce
     as ``differential(connection_probe(w))``.
     """
+    import random
+
+    from . import jets
     from .complexes import BULLET_NABLA1, _wirings  # complexes imports rules
+    from .linalg import Echelon
 
     if n < 2 * w + 4:
         raise ValueError("probe dimension below stable bound 2w+4")

@@ -1,13 +1,15 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
-reference canonical form, a dense reference elimination, the derived
-connection rules, the realization state sum, the reference polynomial
-layer and the reference jet transformation law."""
+reference canonical form, the reference differential, a dense reference
+elimination, the derived connection rules, the realization state sum, the
+reference polynomial layer and the reference jet transformation law."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from natops.canonical import ZERO
+from natops.complexes import _port_map
+from natops.formal import FormalSum
 from natops.graphs import (
     ANCHOR,
     CONNECTION,
@@ -28,7 +30,7 @@ from natops.jets import (
     map_linear_part,
 )
 from natops.linalg import mat_inv
-from natops.rules import derive_connection_rule
+from natops.rules import OUT, derive_connection_rule, rule_for
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +228,94 @@ def reference_canonicalize(g):
     )
     order = tuple(sorted(pos[w] for w in g.white_order))
     return Graph(verts, outs, order), sign
+
+
+# --- the reference differential ----------------------------------------
+# One Graph per term, canonicalized by FormalSum.add_graph.
+# natops.complexes.delta_graph is checked against it.
+
+
+def _instantiate(g, v, term):
+    """Substitute a rule term for vertex ``v``; returns (vertices, out, white_ids).
+
+    ``white_ids`` lists the new ids of the term's internal whites by rank.
+    The caller supplies the orientation order.
+    """
+    n = len(g.vertices)
+    port_of = _port_map(g, v)
+
+    def newidx(i):
+        return i if i < v else i - 1
+
+    def internal_idx(j):
+        return n - 1 + j
+
+    def resolve_out():
+        dst, slot = g.out[v]
+        if dst == v:
+            p = port_of[(v, slot)]
+            j, s2 = term.ports[p]
+            return (internal_idx(j), s2)
+        return (newidx(dst), slot)
+
+    verts = tuple(g.vertices[i] for i in range(n) if i != v) + term.internals
+    out = []
+    for i in range(n):
+        if i == v:
+            continue
+        e = g.out[i]
+        if e is None:
+            out.append(None)
+        elif e[0] == v:
+            j, s2 = term.ports[port_of[(i, e[1])]]
+            out.append((internal_idx(j), s2))
+        else:
+            out.append((newidx(e[0]), e[1]))
+    for j, tgt in enumerate(term.iout):
+        if tgt == OUT:
+            out.append(resolve_out())
+        else:
+            out.append((internal_idx(tgt[0]), tgt[1]))
+    ranked = sorted(
+        (term.ranks[j], internal_idx(j))
+        for j in range(len(term.internals))
+        if term.ranks[j] is not None
+    )
+    return verts, tuple(out), [w for _, w in ranked]
+
+
+def reference_delta_graph(g):
+    """Differential of a single graph presentation, as a formal sum."""
+    out = FormalSum()
+    order = list(g.white_order)
+    for v, vv in enumerate(g.vertices):
+        if vv.kind == ANCHOR:
+            continue
+        tpl = rule_for(vv)
+        if not tpl.terms:
+            continue
+        if vv.kind == WHITE:
+            i = order.index(v)
+            eps = -1 if i & 1 else 1
+            kept = order[:i] + order[i + 1:]
+            at = i
+        else:
+            eps = 1
+            kept = order
+            at = 0
+        for term in tpl.terms:
+            verts, outmap, new_whites = _instantiate(g, v, term)
+
+            def nid(x, v=v):
+                return x if x < v else x - 1
+
+            spliced = (
+                [nid(w) for w in kept[:at]]
+                + new_whites
+                + [nid(w) for w in kept[at:]]
+            )
+            out.add_graph(Graph(verts, outmap, spliced), eps * term.coeff)
+    return out
 
 
 def dense_rref(rows, ncols):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from natops import formal
+from natops import complexes
 from natops.canonical import ZERO, canonicalize
 from natops.complexes import delta_graph, enumerate_basis
 from natops.graphs import (
@@ -27,25 +27,40 @@ SLICES = [("bullet", 4), ("bullet-connected", 4), ("bullet-wheel", 4),
           ("bullet-nabla", 3), ("bullet-nabla-1", 3),
           ("bullet-nabla-wheel", 3), ("bullet-nabla-trace", 2)]
 
+# raw presentations delta_graph hands to canonicalize from the basis
+# graphs of degrees 0 and 1 of each slice: 10 515 in all, and with the
+# basis graphs, shuffled and relabelled, 58 148 compared presentations
+RAW_TERMS = {"bullet": 2878, "bullet-connected": 648, "bullet-wheel": 3744,
+             "bullet-nabla": 550, "bullet-nabla-1": 136,
+             "bullet-nabla-wheel": 2451, "bullet-nabla-trace": 108}
+COMPARED = {"bullet": 16836, "bullet-connected": 3684, "bullet-wheel": 19656,
+            "bullet-nabla": 3448, "bullet-nabla-1": 848,
+            "bullet-nabla-wheel": 13000, "bullet-nabla-trace": 676}
+assert sum(RAW_TERMS.values()) == 10515 and sum(COMPARED.values()) == 58148
+
+
+def basis_graphs(family, dmax):
+    """The basis graphs of ``family`` for d <= dmax, degrees 0..2."""
+    return [g for d in range(dmax + 1) for m in (0, 1, 2)
+            for g in enumerate_basis(family, d, m).graphs]
+
 
 def _presentations(monkeypatch, family, dmax):
     """Basis graphs of degrees 0..2 and the raw presentation of every term
-    delta_graph builds from those of degrees 0 and 1."""
-    graphs = []
-    for d in range(dmax + 1):
-        for m in (0, 1, 2):
-            graphs.extend(enumerate_basis(family, d, m).graphs)
+    delta_graph hands to canonicalize from those of degrees 0 and 1."""
+    graphs = basis_graphs(family, dmax)
     raw = []
 
     def record(g):
         raw.append(g)
         return canonicalize(g)
 
-    monkeypatch.setattr(formal, "canonicalize", record)
+    monkeypatch.setattr(complexes, "canonicalize", record)
     for g in graphs:
         if g.degree < 2:
             delta_graph(g)
     monkeypatch.undo()
+    assert len(raw) == RAW_TERMS[family]
     return graphs + raw
 
 
@@ -59,6 +74,7 @@ def test_canonicalize_matches_reference(monkeypatch, family, dmax):
     gs = _presentations(monkeypatch, family, dmax)
     gs += [shuffle_presentation(g, rng)[0] for g in gs]
     gs += [_all_x(g) for g in gs]
+    assert len(gs) == COMPARED[family]
     for g in gs:
         want = reference_canonicalize(g)
         got = canonicalize(g)

@@ -8,6 +8,7 @@ from natops.complexes import (
     FAMILIES,
     _arities,
     _assignments,
+    _connected,
     _slots,
     d_squared_zero,
     delta_graph,
@@ -21,11 +22,13 @@ from natops.formal import FormalSum, combine
 from natops.graphs import (
     CONNECTION,
     EMPTY,
+    Graph,
     disjoint_union,
     is_connected,
 )
 
-from .helpers import chain_xy, chain_yx, unit
+from .helpers import chain_xy, chain_yx, reference_delta_graph, unit
+from .test_canonical import SLICES, basis_graphs
 
 
 @pytest.mark.parametrize(
@@ -173,10 +176,36 @@ def test_wiring_count_counts_the_wirings_built(family, d):
     for m in (0, 1, 2):
         built = 0
         for vs, ws, us in _arities(fam, d, m):
-            _, sources, groups = _slots(fam, d, vs, ws, us)
+            verts, sources, groups = _slots(fam, d, vs, ws, us)
             assert sum(size for _, _, size in groups) == len(sources)
-            built += sum(1 for _ in _assignments(groups, sources))
+            built += sum(1 for _ in _assignments(groups, sources, len(verts)))
         assert wiring_count(fam, d, m) == built
         if built:
             half = built // 2
             assert half < wiring_count(fam, d, m, limit=half) <= built
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_delta_matches_reference(family, dmax):
+    # one Graph per term through FormalSum.add_graph, against the
+    # presentations delta_graph hands to canonicalize
+    for g in basis_graphs(family, dmax):
+        got = delta_graph(g)
+        assert got == reference_delta_graph(g)
+        assert all(type(c) is int for _, c in got)
+
+
+@pytest.mark.parametrize("family,d", [("bullet-connected", 4),
+                                      ("bullet-wheel", 4),
+                                      ("bullet-nabla-1", 3)])
+def test_raw_connectivity_matches_is_connected(family, d):
+    fam = FAMILIES[family]
+    seen = {True: 0, False: 0}
+    for m in range(d + 1):
+        for vs, ws, us in _arities(fam, d, m):
+            verts, sources, groups = _slots(fam, d, vs, ws, us)
+            for out in _assignments(groups, sources, len(verts)):
+                want = is_connected(Graph(verts, out))
+                assert _connected(out) == want
+                seen[want] += 1
+    assert seen[True] and seen[False]

@@ -2,6 +2,7 @@
 
 import io as _io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import natops
 from natops import io
 from natops.canonical import canonicalize, key_bytes
 from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, MAX_WIRINGS, run
@@ -232,6 +234,60 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h0"] == 0
+
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+# runs natops.cli.run on its arguments, then prints the natops.* modules
+# the process has loaded
+_LOADED = """import sys
+from natops.cli import run
+code = run(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("natops."))))
+sys.exit(code)
+"""
+
+
+def _loaded_layers(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {m[len("natops."):] for m in proc.stdout.split()}
+
+
+def test_import_natops_loads_no_layer():
+    code = ("import sys, natops\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('natops.')))")
+    assert _loaded_layers(code) == set()
+
+
+def test_commands_load_only_their_layers(tmp_path):
+    b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(io.sum_to_obj(b)))
+    out = str(tmp_path / "out.json")
+    natcheck = _loaded_layers(_LOADED, "natcheck", "--in", str(p), "--dim",
+                              "2", "--trials", "1", "--out", out)
+    assert "jets" in natcheck
+    assert not natcheck & {"complexes", "homology", "operad", "genfun",
+                           "rules"}
+    for command in ("d2check", "h0"):
+        loaded = _loaded_layers(_LOADED, command, "--family", "bullet",
+                                "--d", "2", "--out", out)
+        assert "complexes" in loaded
+        assert not loaded & {"jets", "operad", "genfun"}
+
+
+def test_every_exported_name_resolves():
+    assert len(natops.__all__) == 54  # the names the package has always exported
+    for name in natops.__all__:
+        assert getattr(natops, name) is not None
+    assert set(natops.__all__) <= set(dir(natops))
+    with pytest.raises(AttributeError):
+        natops.no_such_name
 
 
 @pytest.mark.parametrize("args,reason", [
