@@ -27,6 +27,15 @@ basis enumeration hand over their terms and wirings as made by
 :meth:`~natops.graphs.Graph.from_tuples`, normalized by nobody, and the
 canonical graph is made the same way from the tuples built here.
 
+Canonical graphs are hash-consed: :func:`canonicalize` returns one shared
+:class:`~natops.graphs.Graph` per canonical graph for the life of the
+process, and every edge of a canonical out-map is the one shared
+``(position, slot)`` pair for its position and slot.  The bases, the
+differential's cache, formal sums and matrix assembly therefore hold
+references, not copies, and their dict lookups succeed on identity.  A
+returned graph is shared by every caller that ever met it and must never
+be mutated.
+
 The returned sign is the parity of the permutation carrying the presented
 white order to the canonical white order.  If two minimal labelings
 disagree on that parity, the graph admits an automorphism inducing an odd
@@ -36,7 +45,7 @@ distinguished ``ZERO`` class is returned.
 
 from __future__ import annotations
 
-from .graphs import VECTOR, Graph
+from .graphs import EMPTY, SYM, VECTOR, Graph
 
 
 class _ZeroClass:
@@ -48,6 +57,21 @@ class _ZeroClass:
 
 #: Canonical class of graphs that vanish by orientation symmetry.
 ZERO = _ZeroClass()
+
+#: The canonical graphs made so far, keyed by their three fields: one
+#: shared object per canonical graph, kept as long as the process (as the
+#: differential's cache is).  The empty graph is ``EMPTY``.
+_SHARED = {}
+
+#: ``_PAIRS[p][s]`` is the shared edge ``(p, s)`` into position p, slot s.
+_PAIRS = []
+
+
+def _pairs(n):
+    """The shared edge pairs, grown to cover positions 0..n-1."""
+    for p in range(len(_PAIRS), n):
+        _PAIRS.append(tuple((p, s) for s in range(SYM + 1)))
+    return _PAIRS
 
 
 def _refine(out, ins, colors, cells):
@@ -191,12 +215,14 @@ def canonicalize(g):
 
     The canonical graph is the same graph re-presented with vertices in
     canonical positions and ``white_order`` ascending; ``sign`` relates the
-    *presented* orientation to the canonical one.
+    *presented* orientation to the canonical one.  It is the process's one
+    shared object for that graph (the empty graph is ``EMPTY``): equal
+    results are identical, and none may ever be mutated.
     """
     verts = g.vertices
     n = len(verts)
     if n == 0:
-        return g, 1
+        return EMPTY, 1
     init = [(v.kind, v.order, v.label or "") for v in verts]
     inv = sorted(range(n), key=init.__getitem__)
     if len(set(init)) == n:
@@ -209,12 +235,15 @@ def canonicalize(g):
         inv = sorted(range(n), key=pos.__getitem__)
     whites = [pos[w] for w in g.white_order]
     out = g.out
-    return Graph.from_tuples(
-        tuple([verts[i] for i in inv]),
-        tuple([(pos[e[0]], e[1]) if e is not None else None
-               for e in [out[i] for i in inv]]),
-        tuple(sorted(whites)),
-    ), -1 if _parity(whites) else 1
+    pairs = _pairs(n)
+    key = (tuple([verts[i] for i in inv]),
+           tuple([pairs[pos[e[0]]][e[1]] if e is not None else None
+                  for e in [out[i] for i in inv]]),
+           tuple(sorted(whites)))
+    cg = _SHARED.get(key)
+    if cg is None:
+        cg = _SHARED[key] = Graph.from_tuples(*key)
+    return cg, -1 if _parity(whites) else 1
 
 
 def key_bytes(cg):

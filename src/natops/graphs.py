@@ -88,7 +88,12 @@ def sym_size(v):
 
 
 class Graph:
-    """Immutable directed multigraph with port-structured edges."""
+    """Immutable directed multigraph with port-structured edges.
+
+    Immutable by contract, not by enforcement: canonical graphs are shared
+    process-wide (:mod:`natops.canonical`), so no field of any graph may
+    ever be re-assigned after it is built.
+    """
 
     __slots__ = ("vertices", "out", "white_order", "_hash")
 
@@ -117,7 +122,7 @@ class Graph:
         return self._hash
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Graph)
             and self.vertices == other.vertices
             and self.out == other.out

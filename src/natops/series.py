@@ -107,17 +107,17 @@ class Series:
 def solve_fixed_coefficients(residual_fn, order):
     """Solve residual(f) = 0 coefficient by coefficient.
 
-    ``residual_fn`` maps a Series to a Series whose t^k coefficient changes
-    by -eps when f's t^k coefficient changes by +eps and lower coefficients
-    are already correct.  Returns the unique solution with f(0) = 0.
+    ``residual_fn`` maps a Series to a Series of the same order whose t^k
+    coefficient changes by -eps when f's t^k coefficient changes by +eps
+    and lower coefficients are already correct; its t^k coefficient depends
+    on f's coefficients up to t^k only.  Step k therefore evaluates the
+    residual on f cut to order k, and the solution is checked once at the
+    full order.  Returns the unique solution with f(0) = 0.
     """
-    f = Series.zero(order)
+    coeffs = [Fraction(0)] * (order + 1)
     for k in range(1, order + 1):
-        r = residual_fn(f)
-        coeffs = list(f.coeffs)
-        coeffs[k] += r[k]
-        f = Series(coeffs)
-    r = residual_fn(f)
-    if not r.is_zero():
+        coeffs[k] += residual_fn(Series(coeffs[: k + 1]))[k]
+    f = Series(coeffs)
+    if not residual_fn(f).is_zero():
         raise ArithmeticError("functional equation residual is nonzero")
     return f

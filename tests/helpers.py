@@ -1,7 +1,8 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, the reference differential, a dense reference
 elimination, the derived connection rules, the realization state sum, the
-reference polynomial layer and the reference jet transformation law."""
+reference polynomial layer, the reference jet transformation law and the
+reference series solver."""
 
 import itertools
 from fractions import Fraction
@@ -31,6 +32,7 @@ from natops.jets import (
 )
 from natops.linalg import mat_inv
 from natops.rules import OUT, derive_connection_rule, rule_for
+from natops.series import Series
 
 
 @lru_cache(maxsize=None)
@@ -661,3 +663,18 @@ def reference_jet_transform(data, phi):
                         out[(a, b, c)] = subW(acc)
         conn = _polys_arrays(out, n, 3, W)
     return JetData(n, K, fields, conn, data.conn_order)
+
+
+def reference_solve_fixed_coefficients(residual_fn, order):
+    """The series solver evaluating the full-order residual at every step;
+    natops.series.solve_fixed_coefficients is checked against it."""
+    f = Series.zero(order)
+    for k in range(1, order + 1):
+        r = residual_fn(f)
+        coeffs = list(f.coeffs)
+        coeffs[k] += r[k]
+        f = Series(coeffs)
+    r = residual_fn(f)
+    if not r.is_zero():
+        raise ArithmeticError("functional equation residual is nonzero")
+    return f

@@ -1,13 +1,14 @@
-"""The fast canonical form against the reference search, bit for bit."""
+"""The fast canonical form against the reference search, bit for bit, and
+the sharing of canonical graphs and their edge pairs."""
 
 import random
 import time
 
 import pytest
 
-from natops import complexes
+from natops import canonical, complexes
 from natops.canonical import ZERO, canonicalize
-from natops.complexes import delta_graph, enumerate_basis
+from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
 from natops.graphs import (
     SYM,
     VECTOR,
@@ -61,7 +62,12 @@ def _presentations(monkeypatch, family, dmax):
             delta_graph(g)
     monkeypatch.undo()
     assert len(raw) == RAW_TERMS[family]
-    return graphs + raw
+    return graphs, raw
+
+
+def _shared_edges(g):
+    """Is every edge of ``g`` the shared pair for its position and slot?"""
+    return all(e is None or e is canonical._PAIRS[e[0]][e[1]] for e in g.out)
 
 
 def _all_x(g):
@@ -71,10 +77,14 @@ def _all_x(g):
 @pytest.mark.parametrize("family,dmax", SLICES)
 def test_canonicalize_matches_reference(monkeypatch, family, dmax):
     rng = random.Random(family)
-    gs = _presentations(monkeypatch, family, dmax)
+    basis, raw = _presentations(monkeypatch, family, dmax)
+    gs = basis + raw
     gs += [shuffle_presentation(g, rng)[0] for g in gs]
     gs += [_all_x(g) for g in gs]
     assert len(gs) == COMPARED[family]
+    # every presentation of a graph gives its one shared object, and a
+    # basis graph is its own
+    shared = {g: g for g in basis}
     for g in gs:
         want = reference_canonicalize(g)
         got = canonicalize(g)
@@ -82,6 +92,8 @@ def test_canonicalize_matches_reference(monkeypatch, family, dmax):
             assert got == (ZERO, 1)
         else:
             assert got == want
+            assert shared.setdefault(got[0], got[0]) is got[0]
+    assert all(_shared_edges(cg) for cg in shared)
 
 
 def _fan(k):
@@ -127,3 +139,16 @@ def test_subtrees_swapping_whites_give_zero(build):
     assert validate(g) == []
     assert reference_canonicalize(g) == (ZERO, 1)
     assert canonicalize(g) == (ZERO, 1)
+
+
+def test_delta_cache_holds_one_object_per_graph():
+    # a memory guard on object counts, not on RSS: every key and term of
+    # the differential's cache is the one shared object of its graph
+    assert d_squared_zero("bullet-connected", 4).failures == []
+    graphs = []
+    for g, dg in complexes._DELTA_CACHE.items():
+        graphs.append(g)
+        graphs.extend(cg for cg, _ in dg)
+    assert len(graphs) > len(complexes._DELTA_CACHE) > 0
+    assert len({id(g) for g in graphs}) == len(set(graphs))
+    assert all(_shared_edges(g) for g in graphs)

@@ -2,6 +2,9 @@
 
 from math import factorial
 
+import pytest
+
+from natops import genfun
 from natops.genfun import (
     dual_consistency,
     g_functional,
@@ -12,6 +15,8 @@ from natops.genfun import (
     table,
 )
 from natops.series import Series
+
+from .helpers import reference_solve_fixed_coefficients
 
 
 def test_initial_values():
@@ -68,3 +73,13 @@ def test_series_compose_and_exp():
     assert (t.exp() * (-t).exp() - Series([1], N)).is_zero()
     inner = t * 2
     assert t.exp().compose(inner) == (inner).exp()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 40])
+def test_truncated_solver_matches_reference(monkeypatch, N):
+    # the t^k coefficient of either solution does not depend on N, so
+    # order 40 compares every coefficient of the orders 1..40
+    got = g_series(N), lie_dimensions(N)
+    monkeypatch.setattr(genfun, "solve_fixed_coefficients",
+                        reference_solve_fixed_coefficients)
+    assert got == (g_series(N), lie_dimensions(N))
