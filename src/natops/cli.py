@@ -24,9 +24,10 @@ from .graphs import FAMILIES
 MAX_RULE_ORDER = 9
 
 #: Largest ``natcheck --dim`` and ``eval --dim``: the stable dimension
-#: 2d - 1 of the largest tabulated slice (bullet-nabla-1, d = 5) is 9.  One
-#: natcheck trial of a bullet d = 4 kernel element takes 16 s at n = 9 and
-#: 37 s at n = 10, and about doubles with each further dimension.
+#: 2d - 1 of the largest tabulated slice (bullet-nabla-1, d = 5) is 9.  A
+#: one-trial natcheck of a bullet d = 4 kernel element takes 1.1-1.5 s at
+#: n = 9 and 2.0-2.6 s at n = 10 on a 2-core host, and grows by about half
+#: with each further dimension; higher jet orders grow much faster.
 MAX_DIM = 10
 
 #: Largest ``genfun --upto``.  The series routes grow like N^4 in exact
@@ -38,9 +39,9 @@ MAX_UPTO = 40
 #: Largest number of wirings one basis slice may build and canonicalize
 #: (``complexes.wiring_count``, counted before any is built).  The largest
 #: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 22 165
-#: graphs), takes 29 s for ``basis`` on a 2-core host, 24 s of it
-#: enumeration; its degree 1 (368 886) takes 12 s.  d = 6 has 77 689 746
-#: wirings at degree 0, about 50 minutes at that rate.
+#: graphs), takes 13-15 s for ``basis`` on a 2-core host, most of it
+#: enumeration; its degree 1 (368 886) takes 10 s.  d = 6 has 77 689 746
+#: wirings at degree 0, about 25 minutes at that rate.
 MAX_WIRINGS = 1_000_000
 
 

@@ -19,9 +19,15 @@ integer denominator per family of polynomials, and key their monomials by
 packed exponents, e -> |e| B^n + sum_i e_i B^i (:class:`Packing`), so a
 monomial product is one int addition and a truncation test one
 comparison.  B = 2^bits exceeds the largest degree entering a call, so no
-exponent digit of a kept monomial can carry into the next.  Fractions
-(and dual numbers) appear only where jet arrays and coordinate changes
-are read and written, which keep their tuple keys and exact values.
+exponent digit of a kept monomial can carry into the next.
+
+Realization is on integers too.  Each jet array is read once as integer
+numerators over one denominator (:meth:`Tensor.cleared`), a graph
+contracts its arrays by int multiply-adds, and each entry of its value is
+divided by the product of their denominators once, at the end.  So
+Fractions (and dual numbers) appear only where jet arrays, coordinate
+changes and realized values are read and written; arrays and coordinate
+changes keep their tuple keys and exact values.
 
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.rules.derive_connection_rule` rederives from
@@ -375,16 +381,20 @@ def map_inverse(F, den, pk, trunc):
 class Tensor:
     """Array with some leading fixed indices and a trailing symmetric block.
 
-    Entries are stored under sorted symmetric indices only.
+    Entries are stored under sorted symmetric indices only.  Realization
+    reads the entries once, as integer numerators (:meth:`cleared`), and
+    keeps that reading until :meth:`set` changes an entry: once an array
+    has been realized, write to it through :meth:`set` only.
     """
 
-    __slots__ = ("n", "nfixed", "nsym", "data")
+    __slots__ = ("n", "nfixed", "nsym", "data", "_cleared")
 
     def __init__(self, n, nfixed, nsym, data=None):
         self.n = n
         self.nfixed = nfixed
         self.nsym = nsym
         self.data = data if data is not None else {}
+        self._cleared = None
 
     def get(self, fixed, sym=()):
         key = tuple(fixed) + tuple(sorted(sym))
@@ -392,10 +402,23 @@ class Tensor:
 
     def set(self, fixed, sym, value):
         key = tuple(fixed) + tuple(sorted(sym))
+        self._cleared = None
         if value:
             self.data[key] = value
         else:
             self.data.pop(key, None)
+
+    def cleared(self):
+        """The nonzero entries as integer numerators over one denominator,
+        grouped by their indices after the first: ({rest: [(first,
+        numerator), ...]}, den).  Worked out on the first call."""
+        if self._cleared is None:
+            nums, den = _clear({0: self.data})
+            rows = {}
+            for key, c in nums[0].items():
+                rows.setdefault(key[1:], []).append((key[0], c))
+            self._cleared = rows, den
+        return self._cleared
 
     def keys(self):
         return self.data.keys()
@@ -698,24 +721,23 @@ def _cycles(g):
     return cycles
 
 
-def _contract(arr, n, inputs):
-    """Contract one vertex array against its inputs.
+def _contract(rows, n, inputs):
+    """Contract one cleared vertex array against its inputs, in integers.
 
     ``inputs`` lists (slot, entries) per in-edge, entries being the nonzero
-    (index, value) pairs of the vector the edge carries, or None for the
-    open in-edge of a cycle vertex.  Returns the length-n vector over the
-    out index, or with an open in-edge the matrix out[i][j] over the out
-    index i and the open index j.  Each in-edge multiplies the n lookups
-    per input combination by its number of entries, at most n.
+    (index, numerator) pairs of the vector the edge carries, or None for
+    the open in-edge of a cycle vertex.  Returns the length-n vector of
+    numerators over the out index, or with an open in-edge the matrix
+    out[i][j] over the out index i and the open index j.  Each in-edge
+    multiplies the row lookups per input combination by its number of
+    entries, at most n; a row holds at most n entries.
     """
-    nbase = arr.nfixed - 1
     lists = [entries if entries is not None else [(j, None) for j in range(n)]
              for _, entries in inputs]
     slots = [slot for slot, _ in inputs]
+    nbase = sum(slot != SYM for slot in slots)
     opened = any(entries is None for _, entries in inputs)
-    zero = Fraction(0)
-    out = [[zero] * n for _ in range(n)] if opened else [zero] * n
-    table = arr.data
+    out = [[0] * n for _ in range(n)] if opened else [0] * n
     for combo in itertools.product(*lists):
         weight = 1
         base = [0, 0]
@@ -731,22 +753,24 @@ def _contract(arr, n, inputs):
             else:
                 base[slot] = idx
         sym.sort()
-        tail = tuple(base[:nbase]) + tuple(sym)
-        for i in range(n):
-            x = table.get((i,) + tail)
-            if x:
-                if opened:
+        row = rows.get(tuple(base[:nbase]) + tuple(sym))
+        if row:
+            if opened:
+                for i, x in row:
                     out[i][col] = out[i][col] + x * weight
-                else:
+            else:
+                for i, x in row:
                     out[i] = out[i] + x * weight
     return out
 
 
 def realize_graph(g, data, gens=None):
     """Contract one graph against jet data: a length-n list when anchored,
-    a scalar otherwise.  With ``gens`` (a map arity -> generator array),
-    white vertices contract against the generators; without it they are an
-    error, realization being defined on degree-0 sums.
+    a scalar otherwise, equal to the sum over all index assignments of the
+    product of the vertex arrays.  With ``gens`` (a map arity ->
+    generator array), white vertices contract against the generators;
+    without it they are an error, realization being defined on degree-0
+    sums.
 
     Every non-anchor vertex has exactly one out-edge, so each component is
     a tree into the anchor or one cycle (a wheel; a self-loop is a cycle of
@@ -757,44 +781,56 @@ def realize_graph(g, data, gens=None):
     off the cycle), and the cycle closes as the trace of the product of its
     matrices.  Scalar components multiply.  A leaf, an order-0 field, is
     not contracted: its nonzero entries are read off its array.
+
+    The arithmetic is on integers.  Each array is read as integer
+    numerators over its own denominator (:meth:`Tensor.cleared`, worked
+    out once per array and shared by every graph and sum that reads it).
+    The value is multilinear in the arrays, so every multiply-add stays in
+    ints, and the graph's denominator, the product of those of the arrays
+    it reads, is divided out once per entry of the result.
     """
     n = data.n
-    arrays = _vertex_arrays(g, data, gens)
+    rows = [None if arr is None else arr.cleared()
+            for arr in _vertex_arrays(g, data, gens)]
+    den = 1
+    for got in rows:
+        if got is not None:
+            den *= got[1]
     ins = g.in_edges()
 
     def entries(src):
         if not ins[src]:
             # a leaf is an order-0 field: its entries are its array's
-            return sorted((k[0], x) for k, x in arrays[src].data.items() if x)
+            return rows[src][0].get((), [])
         return [(i, x) for i, x in enumerate(vector(src)) if x]
 
     def vector(v):
-        return _contract(arrays[v], n, [(slot, entries(src))
-                                        for src, slot in ins[v]])
+        return _contract(rows[v][0], n, [(slot, entries(src))
+                                         for src, slot in ins[v]])
 
     cycles = _cycles(g)
-    scalar = Fraction(1)
+    scalar = 1
     for cycle in cycles:
         # walking against the edges, each matrix takes the previous one's
         # output index as its open input
         prod = None
         for pos, v in enumerate(cycle):
             pred = cycle[pos - 1]
-            m = _contract(arrays[v], n, [
+            m = _contract(rows[v][0], n, [
                 (slot, None if src == pred else entries(src))
                 for src, slot in ins[v]])
             prod = m if prod is None else _mat_mul(m, prod, n)
-        scalar = scalar * sum((prod[i][i] for i in range(n)), Fraction(0))
+        scalar = scalar * sum(prod[i][i] for i in range(n))
     for i, v in enumerate(g.vertices):
         if v.kind == ANCHOR:
-            vec = vector(ins[i][0][0])
-            return [x * scalar for x in vec] if cycles else vec
-    return scalar
+            zero = Fraction(0)
+            return [_value(x * scalar, den) if x else zero
+                    for x in vector(ins[i][0][0])]
+    return _value(scalar, den)
 
 
 def _mat_mul(a, b, n):
-    zero = Fraction(0)
-    out = [[zero] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         ai, oi = a[i], out[i]
         for k in range(n):
@@ -834,8 +870,8 @@ def realize(x, data, gens=None):
     for g, c in x:
         val = realize_graph(g, data, gens=gens)
         if anchored:
-            acc = [s + c * v for s, v in zip(acc, val)]
-        else:
+            acc = [s + c * v if v else s for s, v in zip(acc, val)]
+        elif val:
             acc = acc + c * val
     return acc
 

@@ -1,14 +1,15 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, the reference differential, a dense reference
 elimination, the derived connection rules, the realization state sum, the
-reference polynomial layer, the reference jet transformation law and the
-reference series solver."""
+reference polynomial layer, the reference jet transformation law, the
+reference series solver and the reference basis-slice encoder."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from natops.canonical import ZERO
+from natops import io
+from natops.canonical import ZERO, key_bytes
 from natops.complexes import _port_map
 from natops.formal import FormalSum
 from natops.graphs import (
@@ -678,3 +679,17 @@ def reference_solve_fixed_coefficients(residual_fn, order):
     if not r.is_zero():
         raise ArithmeticError("functional equation residual is nonzero")
     return f
+
+
+def reference_slice_to_obj(bs):
+    """The JSON object tree of a whole basis slice, every graph's dict
+    built before any is written.  natops.io.slice_to_obj, which io.dump
+    writes one graph at a time, is checked against this."""
+    return {
+        "schema": io.SCHEMA,
+        "family": bs.family.name,
+        "d": bs.d,
+        "degree": bs.m,
+        "graphs": [io.graph_to_obj(g) for g in bs.graphs],
+        "keys": [key_bytes(g).decode() for g in bs.graphs],
+    }

@@ -20,7 +20,8 @@ from natops.graphs import SYM, Graph, anchor, vector
 from natops.operad import lie_expand
 from natops.rules import replace_connection
 
-from .helpers import chain_xy, chain_yx, nabla_xy
+from .helpers import chain_xy, chain_yx, nabla_xy, reference_slice_to_obj
+from .test_canonical import SLICES
 
 
 def test_graph_round_trip():
@@ -162,6 +163,22 @@ def test_cli_basis_round_trip(tmp_path):
         g = io.obj_to_graph(gobj)
         keys.append(key_bytes(canonicalize(g)[0]).decode())
     assert keys == obj["keys"]
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_basis_slices_stream_as_the_reference(family, dmax):
+    """A slice written one graph at a time is byte for byte the whole
+    object tree written in the one layout, empty slices included."""
+    sizes = []
+    for d in range(dmax + 1):
+        for m in range(3):
+            bs = enumerate_basis(family, d, m)
+            buf = _io.StringIO()
+            io.dump(io.slice_to_obj(bs), buf)
+            assert buf.getvalue() == json.dumps(
+                reference_slice_to_obj(bs), indent=1, sort_keys=True) + "\n"
+            sizes.append(len(bs.graphs))
+    assert 0 in sizes and max(sizes) > 1
 
 
 def test_cli_diff_and_d2check(tmp_path):

@@ -9,6 +9,7 @@ from natops import jets
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, vector, wheel_vertices
+from natops.io import exact
 from natops.jets import (
     CoordinateChange,
     Dual,
@@ -99,11 +100,44 @@ def _slice_graphs(family, d):
     return [g for m in (0, 1) for g in enumerate_basis(family, d, m).graphs]
 
 
+def _state_sum_data(kind, rng, n, labels, order, conn_order):
+    """Random jets, as drawn ("fractions"), moved by a random coordinate
+    change ("transformed": large denominators), rounded to integers read
+    the way ``eval --data`` reads them ("integers"), or with a random
+    variation as the dual part ("dual", :func:`lift_with_variation`)."""
+    def draw():
+        return random_jet_data(rng, n, labels, order,
+                               with_conn=conn_order is not None,
+                               conn_order=conn_order)
+
+    data = draw()
+    if kind == "transformed":
+        phi = CoordinateChange.random(rng, n, jet_order(order, conn_order))
+        data = jet_transform(data, phi)
+    elif kind == "integers":
+        def whole(t):
+            return t.map_values(lambda v: exact(v.numerator))
+
+        data = JetData(n, order,
+                       {lab: [whole(t) for t in arrs]
+                        for lab, arrs in data.fields.items()},
+                       None if data.conn is None else
+                       [whole(t) for t in data.conn], conn_order)
+    elif kind == "dual":
+        data = lift_with_variation(data, draw())
+    return data
+
+
 @pytest.mark.parametrize("family,d", STATE_SUM_SLICES)
-@pytest.mark.parametrize("n", [2, 3])
-def test_realize_graph_matches_state_sum(family, d, n):
-    """The tree-and-wheel contraction equals the n^edges state sum, graph
-    by graph, with generators for the white vertices."""
+@pytest.mark.parametrize("n,kind", [(2, "fractions"), (3, "fractions"),
+                                    (2, "transformed"), (2, "integers"),
+                                    (2, "dual")],
+                         ids=["2", "3", "2-transformed", "2-integers",
+                              "2-dual"])
+def test_realize_graph_matches_state_sum(family, d, n, kind):
+    """The integer tree-and-wheel contraction equals the n^edges state
+    sum, graph by graph, with generators for the white vertices, on jets
+    of every kind of exact value the oracle meets."""
     graphs = _slice_graphs(family, d)
     verts = [v for g in graphs for v in g.vertices]
     labels = sorted({v.label for v in verts if v.kind == VECTOR})
@@ -111,13 +145,24 @@ def test_realize_graph_matches_state_sum(family, d, n):
     conn_order = max([v.order for v in verts if v.kind == CONNECTION],
                      default=None)
     rng = random.Random(repr(("state-sum", family, d, n)))
-    data = random_jet_data(rng, n, labels, order,
-                           with_conn=conn_order is not None,
-                           conn_order=conn_order)
+    data = _state_sum_data(kind, rng, n, labels, order, conn_order)
     gens = {s: random_tensor(rng, n, 1, s)
             for s in {v.order for v in verts if v.kind == WHITE}}
     for g in graphs:
         assert realize_graph(g, data, gens=gens) == state_sum(g, data, gens), g
+
+
+def test_realization_rereads_an_array_after_set():
+    """Realization keeps each array's integer reading until ``set``
+    changes an entry."""
+    rng = random.Random(3)
+    data = random_jet_data(rng, 2, ["X1", "X2"], 1)
+    g = chain_xy()
+    before = realize_graph(g, data)
+    assert before == state_sum(g, data)
+    data.fields["X2"][1].set((0,), (1,), Fraction(7, 5))
+    after = realize_graph(g, data)
+    assert after == state_sum(g, data) and after != before
 
 
 def test_state_sum_slices_cover_wheels_loops_and_base_slots():
