@@ -214,57 +214,36 @@ def slice_to_obj(bs):
     }
 
 
-class Lazy:
+class Lazy(list):
     """A JSON array of ``encode(item)`` for each of ``items``, each built
-    only when :func:`dump` writes it, so that a large output never holds
-    its whole object tree.  Only :func:`dump` can write one, as a value of
-    a top-level object."""
+    only as :func:`dump` writes it, so that a large output never holds its
+    whole object tree.  The list itself stays empty: its length and
+    iteration are those of the encoded items, which is all the streamed
+    encoder behind :func:`dump` reads of a list."""
 
     __slots__ = ("items", "encode")
 
     def __init__(self, items, encode):
+        super().__init__()
         self.items = items
         self.encode = encode
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.encode, self.items)
 
 
 def dump(obj, fh):
     """Write ``obj`` and a newline to a text handle in the one JSON layout
     of every output, streamed: the encoding goes out 4096 encoder chunks
     per write and is never held whole in memory (one write per chunk costs
-    5x the encoding on a pipe).
-
-    The values of a top-level object may be :class:`Lazy` arrays.  Each
-    item is then built, encoded alone and indented to its depth; 256 items
-    go out per write."""
-    encoder = json.JSONEncoder(indent=1, sort_keys=True)
-    if not (isinstance(obj, dict)
-            and any(type(v) is Lazy for v in obj.values())):
-        chunks = encoder.iterencode(obj)
-        while piece := "".join(itertools.islice(chunks, 4096)):
-            fh.write(piece)
-        fh.write("\n")
-        return
-
-    def at(depth, o):
-        return encoder.encode(o).replace("\n", "\n" + " " * depth)
-
-    head = "{"
-    for key in sorted(obj):
-        value = obj[key]
-        fh.write("%s\n %s: " % (head, encoder.encode(key)))
-        head = ","
-        if type(value) is not Lazy:
-            fh.write(at(1, value))
-            continue
-        sep, batch = "[", []
-        for item in value.items:
-            batch.append(sep + "\n  " + at(2, value.encode(item)))
-            sep = ","
-            if len(batch) == 256:
-                fh.write("".join(batch))
-                batch.clear()
-        fh.write("".join(batch) + ("[]" if sep == "[" else "\n ]"))
-    fh.write("\n}\n")
+    5x the encoding on a pipe).  Arrays may be :class:`Lazy`."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj)
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        fh.write(piece)
+    fh.write("\n")
 
 
 def to_dot(g, name="G"):
