@@ -10,16 +10,23 @@ connection vertices are never permuted.
 
 A colour is the position of its cell, the number of vertices in smaller
 cells, so splitting a cell leaves every other colour unchanged and each
-round re-keys only the members of tied cells.  When the initial colours
-are already distinct, the positions are their ranks and nothing is
-refined.  Twin leaves, order-0 vector vertices without inputs that share
-a cell and an out-edge, are swapped by an automorphism that fixes every
-white vertex and commutes with the refinement, so the search branches on
-one of them per out-edge: k fields feeding one white cost k refinements
-instead of k! leaves.  Discrete starts, the cell-wise rounds and the
-pruning change how much work is done, never the result: the
-representatives, their vertex order and the signs are those of the
-unpruned search over globally re-ranked colours.
+round re-keys only the members of tied cells.  The initial partition
+depends on the vertex tuple alone, and many presentations share one (the
+terms of the differential, the wirings of one arity multiset), so it is
+worked out once per vertex tuple and kept, as tuples, for the life of the
+process.  When the initial colours are already distinct, the positions
+are their ranks and nothing is refined.  Each round collects the in-edges
+it keys on in one pass over the out-map, read as colours, so the first
+round needs no other set-up; most graphs are discrete after it, and its
+colours are then the positions.  Only a tie that survives goes on to the
+later rounds and the search.  Twin leaves, order-0 vector vertices without
+inputs that share a cell and an out-edge, are swapped by an automorphism
+that fixes every white vertex and commutes with the refinement, so the
+search branches on one of them per out-edge: k fields feeding one white
+cost k refinements instead of k! leaves.  Discrete starts, the memoized
+partitions, the cell-wise rounds and the pruning change how much work is
+done, never the result: the representatives, their vertex order and the
+signs are those of the unpruned search over globally re-ranked colours.
 
 The input is a presentation: any graph, read through its three fields
 ``vertices``, ``out`` and ``white_order`` only.  The differential and the
@@ -63,6 +70,11 @@ ZERO = _ZeroClass()
 #: differential's cache is).  The empty graph is ``EMPTY``.
 _SHARED = {}
 
+#: The initial partition of every vertex tuple met so far (see
+#: :func:`_start`), keyed by ``g.vertices`` and kept as long as the process.
+#: Its entries are tuples, which nothing mutates.
+_STARTS = {}
+
 #: ``_PAIRS[p][s]`` is the shared edge ``(p, s)`` into position p, slot s.
 _PAIRS = []
 
@@ -74,27 +86,32 @@ def _pairs(n):
     return _PAIRS
 
 
-def _refine(out, ins, colors, cells):
+def _refine(out, colors, cells):
     """Split the tied ``cells`` until the colouring is stable.
 
-    ``colors[i]`` is the position of vertex i's cell; ``cells`` lists the
-    cells with more than one member in colour order, each ascending.  A
-    round keys every tied vertex by its colour's out-edge and its sorted
-    in-edge colours, all read from the previous round, and splits its cell
-    in key order.  Returns the new colours and tied cells.
+    ``colors[i]`` is the position of vertex i's cell, a list the rounds
+    overwrite; ``cells`` lists the cells with more than one member in colour
+    order, each ascending.  A round collects every vertex's in-edges as
+    ``(slot, colour of the source)`` in one pass over the out-map, keys every
+    tied vertex by its colour's out-edge and its sorted in-edges, all read
+    from the previous round, and splits its cell in key order.  Returns the
+    new colours and tied cells.
     """
     while cells:
+        ins = [[] for _ in colors]
+        for src, e in enumerate(out):
+            if e is not None:
+                ins[e[0]].append((e[1], colors[src]))
         tied = []
         moves = []
         for cell in cells:
             keyed = []
             for i in cell:
                 e = out[i]
+                into = ins[i]
+                into.sort()
                 keyed.append((
-                    (colors[e[0]], e[1]) if e is not None else None,
-                    tuple(sorted([(s, colors[src]) for src, s in ins[i]])),
-                    i,
-                ))
+                    (colors[e[0]], e[1]) if e is not None else None, into, i))
             keyed.sort()
             first, last = keyed[0], keyed[-1]
             if first[0] == last[0] and first[1] == last[1]:
@@ -123,7 +140,7 @@ def _refine(out, ins, colors, cells):
     return colors, cells
 
 
-def _search(out, ins, twin, colors, cells, leaves):
+def _search(out, twin, colors, cells, leaves):
     """Individualize each vertex of the first tied cell in turn; collect
     the discrete colourings (vertex -> position) in depth-first order.
 
@@ -148,8 +165,8 @@ def _search(out, ins, twin, colors, cells, leaves):
             if u != v:
                 branch[u] = top + 1
                 rest.append(u)
-        tied = [rest] + cells[1:] if len(rest) > 1 else cells[1:]
-        _search(out, ins, twin, *_refine(out, ins, branch, tied), leaves)
+        tied = [rest, *cells[1:]] if len(rest) > 1 else cells[1:]
+        _search(out, twin, *_refine(out, branch, tied), leaves)
 
 
 def _serialize(g, pos):
@@ -166,37 +183,27 @@ def _serialize(g, pos):
 def _parity(seq):
     """Parity of the permutation sorting the distinct values ``seq``."""
     swaps = 0
-    for a in range(len(seq)):
-        x = seq[a]
-        for b in range(a + 1, len(seq)):
-            if x > seq[b]:
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x > y:
                 swaps += 1
     return swaps & 1
 
 
-def _leaf(g, init, inv):
+def _leaf(g, colors, cells):
     """Positions of the first minimal leaf of a graph with tied initial
-    colours ``init`` (``inv`` lists the vertices by colour), or None when
-    two minimal leaves disagree on the parity of the white order."""
-    n = len(init)
-    colors = [0] * n
-    cells = []
-    start = 0
-    for p in range(1, n + 1):
-        if p == n or init[inv[p]] != init[inv[start]]:
-            if p - start > 1:
-                cells.append(inv[start:p])
-            for i in inv[start:p]:
-                colors[i] = start
-            start = p
+    ``colors`` and ``cells``, or None when two minimal leaves disagree on
+    the parity of the white order.  The first round usually leaves no tie,
+    and its colours are the positions."""
     out = g.out
-    ins = [[] for _ in range(n)]
-    for src, e in enumerate(out):
-        if e is not None:
-            ins[e[0]].append((src, e[1]))
-    twin = [v.kind == VECTOR and not ins[i] for i, v in enumerate(g.vertices)]
+    colors, cells = _refine(out, list(colors), cells)
+    if not cells:
+        return colors
+    fed = {e[0] for e in out if e is not None}
+    twin = [v.kind == VECTOR and i not in fed
+            for i, v in enumerate(g.vertices)]
     leaves = []
-    _search(out, ins, twin, *_refine(out, ins, colors, cells), leaves)
+    _search(out, twin, colors, cells, leaves)
     if len(leaves) == 1:
         return leaves[0]
     best = None
@@ -208,6 +215,35 @@ def _leaf(g, init, inv):
         if ser == best:
             parities.add(_parity([leaf[w] for w in g.white_order]))
     return pos if len(parities) == 1 else None
+
+
+def _start(verts):
+    """The initial partition of the vertex tuple ``verts``, as tuples
+    ``(colors, cells, pos, cverts)``.  Vertices are coloured by kind, order
+    and label: ``colors[i]`` is the position of vertex i's cell, and
+    ``cells`` are the cells with more than one member, in colour order,
+    each ascending.  For a discrete start ``pos`` is ``colors`` (the
+    positions are the ranks), else None.  ``cverts`` is the canonical vertex
+    tuple, or None when a cell holds unequal vertices (an unlabelled and an
+    empty-labelled field), whose order only the leaf decides."""
+    n = len(verts)
+    init = [(v.kind, v.order, v.label or "") for v in verts]
+    inv = sorted(range(n), key=init.__getitem__)
+    colors = [0] * n
+    cells = []
+    start = 0
+    for p in range(1, n + 1):
+        if p == n or init[inv[p]] != init[inv[start]]:
+            if p - start > 1:
+                cells.append(tuple(inv[start:p]))
+            for i in inv[start:p]:
+                colors[i] = start
+            start = p
+    colors = tuple(colors)
+    cverts = tuple([verts[i] for i in inv])
+    if any(verts[i] != verts[cell[0]] for cell in cells for i in cell):
+        cverts = None
+    return colors, tuple(cells), None if cells else colors, cverts
 
 
 def canonicalize(g):
@@ -223,23 +259,24 @@ def canonicalize(g):
     n = len(verts)
     if n == 0:
         return EMPTY, 1
-    init = [(v.kind, v.order, v.label or "") for v in verts]
-    inv = sorted(range(n), key=init.__getitem__)
-    if len(set(init)) == n:
-        # discrete start: the positions are the ranks of the initial colours
-        pos = sorted(range(n), key=inv.__getitem__)
-    else:
-        pos = _leaf(g, init, inv)
+    start = _STARTS.get(verts)
+    if start is None:
+        start = _STARTS[verts] = _start(verts)
+    colors, cells, pos, cverts = start
+    if pos is None:
+        pos = _leaf(g, colors, cells)
         if pos is None:
             return ZERO, 1
-        inv = sorted(range(n), key=pos.__getitem__)
-    whites = [pos[w] for w in g.white_order]
-    out = g.out
+        if cverts is None:
+            inv = sorted(range(n), key=pos.__getitem__)
+            cverts = tuple([verts[i] for i in inv])
     pairs = _pairs(n)
-    key = (tuple([verts[i] for i in inv]),
-           tuple([pairs[pos[e[0]]][e[1]] if e is not None else None
-                  for e in [out[i] for i in inv]]),
-           tuple(sorted(whites)))
+    edges = [None] * n
+    for i, e in enumerate(g.out):
+        if e is not None:
+            edges[pos[i]] = pairs[pos[e[0]]][e[1]]
+    whites = [pos[w] for w in g.white_order]
+    key = (cverts, tuple(edges), tuple(sorted(whites)))
     cg = _SHARED.get(key)
     if cg is None:
         cg = _SHARED[key] = Graph.from_tuples(*key)

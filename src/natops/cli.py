@@ -39,9 +39,10 @@ MAX_UPTO = 40
 #: Largest number of wirings one basis slice may build and canonicalize
 #: (``complexes.wiring_count``, counted before any is built).  The largest
 #: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 22 165
-#: graphs), takes 13-15 s for ``basis`` on a 2-core host, most of it
-#: enumeration; its degree 1 (368 886) takes 10 s.  d = 6 has 77 689 746
-#: wirings at degree 0, about 25 minutes at that rate.
+#: graphs), takes 12.6 s for ``basis`` on a 2-core host (14.2 s when every
+#: wiring's initial partition was worked out afresh), most of it
+#: enumeration; its degree 1 (368 886) takes 8-9 s.  d = 6 has 77 689 746
+#: wirings at degree 0, about 22 minutes at that rate.
 MAX_WIRINGS = 1_000_000
 
 

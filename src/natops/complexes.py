@@ -283,9 +283,11 @@ def delta_graph(g):
     the internal slots of their boundary ports, and ``v``'s own out-edge
     leaves from the internal vertex the term marks ``OUT``.  The port order
     and every edge away from ``v`` are worked out once per vertex, and each
-    term goes to :func:`canonicalize` built by ``Graph.from_tuples``.
+    term goes to :func:`canonicalize` built by ``Graph.from_tuples`` and is
+    added straight into the result's ``terms``.
     """
     out = FormalSum()
+    terms = out.terms
     verts, gout = g.vertices, g.out
     n = len(verts)
     base = n - 1  # id of a term's first internal vertex
@@ -344,7 +346,11 @@ def delta_graph(g):
                 kept_verts + term.internals, tuple(edges),
                 tuple(head + [w for _, w in ranked] + tail)))
             if cg is not ZERO:
-                out.add_canonical(cg, eps * sign * term.coeff)
+                c = terms.get(cg, 0) + eps * sign * term.coeff
+                if c:
+                    terms[cg] = c
+                else:
+                    terms.pop(cg, None)
     return out
 
 

@@ -75,6 +75,15 @@ def _int(node, what):
                       % (what, json.dumps(node)[:40]))
 
 
+def _label(node):
+    """A vector vertex's label: a non-empty JSON string, else a
+    SchemaError (a list or a number is not a field's name)."""
+    if isinstance(node, str) and node:
+        return node
+    raise SchemaError("vector label must be a non-empty string, got %s"
+                      % json.dumps(node)[:40])
+
+
 def obj_to_graph(obj):
     try:
         vs = obj["vertices"]
@@ -87,7 +96,7 @@ def obj_to_graph(obj):
     for v in vs:
         kind = v.get("kind")
         if kind == VECTOR:
-            verts[v["id"]] = Vertex(VECTOR, v.get("label"),
+            verts[v["id"]] = Vertex(VECTOR, _label(v.get("label")),
                                     _int(v.get("derivOrder", 0), "derivOrder"))
         elif kind == CONNECTION:
             verts[v["id"]] = Vertex(CONNECTION, None,

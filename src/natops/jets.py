@@ -717,8 +717,27 @@ def _cycles(g):
         while g.out[cycle[-1]][0] != cycle[0]:
             cycle.append(g.out[cycle[-1]][0])
         left -= set(cycle)
-        cycles.append(cycle)
-    return cycles
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+#: The realization plan of every graph realized so far, keyed by the graph
+#: and kept for the life of the process: ``(ins, cycles, anchor)``, the
+#: in-edges of each vertex (sources ascending), the directed cycles and the
+#: anchor's id (None for a scalar graph), all tuples.
+_PLANS = {}
+
+
+def _plan(g):
+    """The realization plan of ``g``, worked out on its first realization."""
+    plan = _PLANS.get(g)
+    if plan is None:
+        ins = g.in_edges()
+        anchor = next((i for i, v in enumerate(g.vertices)
+                       if v.kind == ANCHOR), None)
+        plan = _PLANS[g] = (tuple(tuple(ins[i]) for i in range(len(ins))),
+                            _cycles(g), anchor)
+    return plan
 
 
 def _contract(rows, n, inputs):
@@ -780,7 +799,9 @@ def realize_graph(g, data, gens=None):
     over its out-edge and its in-edge from the cycle, at n^(2 + in-degree
     off the cycle), and the cycle closes as the trace of the product of its
     matrices.  Scalar components multiply.  A leaf, an order-0 field, is
-    not contracted: its nonzero entries are read off its array.
+    not contracted: its nonzero entries are read off its array.  The
+    in-edges, cycles and anchor (the graph's plan) are worked out on its
+    first realization and kept (:func:`_plan`).
 
     The arithmetic is on integers.  Each array is read as integer
     numerators over its own denominator (:meth:`Tensor.cleared`, worked
@@ -796,7 +817,7 @@ def realize_graph(g, data, gens=None):
     for got in rows:
         if got is not None:
             den *= got[1]
-    ins = g.in_edges()
+    ins, cycles, anchor = _plan(g)
 
     def entries(src):
         if not ins[src]:
@@ -808,7 +829,6 @@ def realize_graph(g, data, gens=None):
         return _contract(rows[v][0], n, [(slot, entries(src))
                                          for src, slot in ins[v]])
 
-    cycles = _cycles(g)
     scalar = 1
     for cycle in cycles:
         # walking against the edges, each matrix takes the previous one's
@@ -821,11 +841,10 @@ def realize_graph(g, data, gens=None):
                 for src, slot in ins[v]])
             prod = m if prod is None else _mat_mul(m, prod, n)
         scalar = scalar * sum(prod[i][i] for i in range(n))
-    for i, v in enumerate(g.vertices):
-        if v.kind == ANCHOR:
-            zero = Fraction(0)
-            return [_value(x * scalar, den) if x else zero
-                    for x in vector(ins[i][0][0])]
+    if anchor is not None:
+        zero = Fraction(0)
+        return [_value(x * scalar, den) if x else zero
+                for x in vector(ins[anchor][0][0])]
     return _value(scalar, den)
 
 

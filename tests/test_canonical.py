@@ -12,7 +12,9 @@ from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
 from natops.graphs import (
     SYM,
     VECTOR,
+    WHITE,
     Graph,
+    Vertex,
     anchor,
     connection,
     relabel,
@@ -46,10 +48,9 @@ def basis_graphs(family, dmax):
             for g in enumerate_basis(family, d, m).graphs]
 
 
-def _presentations(monkeypatch, family, dmax):
-    """Basis graphs of degrees 0..2 and the raw presentation of every term
-    delta_graph hands to canonicalize from those of degrees 0 and 1."""
-    graphs = basis_graphs(family, dmax)
+def _raw_terms(monkeypatch, graphs):
+    """The raw presentation of every term delta_graph hands to
+    canonicalize from ``graphs``."""
     raw = []
 
     def record(g):
@@ -58,11 +59,34 @@ def _presentations(monkeypatch, family, dmax):
 
     monkeypatch.setattr(complexes, "canonicalize", record)
     for g in graphs:
-        if g.degree < 2:
-            delta_graph(g)
+        delta_graph(g)
     monkeypatch.undo()
+    return raw
+
+
+def _presentations(monkeypatch, family, dmax):
+    """Basis graphs of degrees 0..2 and the raw presentation of every term
+    delta_graph hands to canonicalize from those of degrees 0 and 1."""
+    graphs = basis_graphs(family, dmax)
+    raw = _raw_terms(monkeypatch, [g for g in graphs if g.degree < 2])
     assert len(raw) == RAW_TERMS[family]
     return graphs, raw
+
+
+def _matches_reference(basis, gs):
+    """Does every presentation in ``gs`` give the reference's canonical
+    form and sign, as the one shared object of its graph, a basis graph
+    being its own?"""
+    shared = {g: g for g in basis}
+    for g in gs:
+        want = reference_canonicalize(g)
+        got = canonicalize(g)
+        if want[0] is ZERO:
+            assert got == (ZERO, 1)
+        else:
+            assert got == want
+            assert shared.setdefault(got[0], got[0]) is got[0]
+    assert all(_shared_edges(cg) for cg in shared)
 
 
 def _shared_edges(g):
@@ -82,18 +106,22 @@ def test_canonicalize_matches_reference(monkeypatch, family, dmax):
     gs += [shuffle_presentation(g, rng)[0] for g in gs]
     gs += [_all_x(g) for g in gs]
     assert len(gs) == COMPARED[family]
-    # every presentation of a graph gives its one shared object, and a
-    # basis graph is its own
-    shared = {g: g for g in basis}
-    for g in gs:
-        want = reference_canonicalize(g)
-        got = canonicalize(g)
-        if want[0] is ZERO:
-            assert got == (ZERO, 1)
-        else:
-            assert got == want
-            assert shared.setdefault(got[0], got[0]) is got[0]
-    assert all(_shared_edges(cg) for cg in shared)
+    _matches_reference(basis, gs)
+
+
+# the d = 5 degree-0 slices of the families without connections, and the
+# raw presentations of their differentials' terms: 47 604 presentations
+D5_BASIS = {"bullet": 3125, "bullet-connected": 625, "bullet-wheel": 1569}
+D5_RAW_TERMS = {"bullet": 21050, "bullet-connected": 4210,
+                "bullet-wheel": 17025}
+
+
+@pytest.mark.parametrize("family", sorted(D5_BASIS))
+def test_canonicalize_matches_reference_at_d5(monkeypatch, family):
+    basis = enumerate_basis(family, 5, 0).graphs
+    raw = _raw_terms(monkeypatch, basis)
+    assert (len(basis), len(raw)) == (D5_BASIS[family], D5_RAW_TERMS[family])
+    _matches_reference(basis, list(basis) + raw)
 
 
 def _fan(k):
@@ -139,6 +167,92 @@ def test_subtrees_swapping_whites_give_zero(build):
     assert validate(g) == []
     assert reference_canonicalize(g) == (ZERO, 1)
     assert canonicalize(g) == (ZERO, 1)
+
+
+def _white_chain():
+    # the vertex tuple of _white_subtrees wired as a chain of whites: no
+    # two whites to swap, so no ZERO
+    x, w = vector("X1"), white(2)
+    return Graph([x, x, x, x, w, w, w, anchor],
+                 [(4, SYM), (4, SYM), (5, SYM), (6, SYM),
+                  (5, SYM), (6, SYM), (7, SYM), None])
+
+
+def _ties_survive(g):
+    """Does a tie survive the refinement of ``g``'s initial partition, so
+    that canonicalize goes on from the first round into the search?"""
+    colors, cells, pos, _ = canonical._start(g.vertices)
+    return pos is None and canonical._refine(g.out, list(colors), cells)[1]
+
+
+@pytest.mark.parametrize("build", [_white_subtrees, _connection_subtrees,
+                                   lambda: _fan(2), lambda: _fan(5)],
+                         ids=["white", "connection", "fan2", "fan5"])
+def test_ties_after_the_first_round_match_reference(monkeypatch, build):
+    monkeypatch.setattr(canonical, "_STARTS", {})
+    g = build()
+    assert _ties_survive(g)
+    # the first call fills the table's entry, the second reads it, and a
+    # shuffled presentation has an entry of its own
+    for h in (g, g, shuffle_presentation(g, random.Random(0))[0]):
+        assert canonicalize(h) == reference_canonicalize(h)
+
+
+def test_unequal_vertices_of_one_cell_match_reference():
+    # an unlabelled and an empty-labelled field share their initial cell,
+    # and the refinement puts them in the order their presentation does
+    # not: the canonical vertex tuple comes from the leaf, not the table
+    blank, empty = Vertex(VECTOR, None, 0), Vertex(VECTOR, "", 0)
+    for a, b in [(3, 4), (4, 3)]:
+        g = Graph([blank, empty, vector("Y"), white(2), white(2), anchor],
+                  [(a, SYM), (b, SYM), (3, SYM), (4, SYM), (5, SYM), None])
+        assert canonicalize(g) == reference_canonicalize(g)
+
+
+def _same_vertices():
+    """Groups of graphs that share their vertex tuple and differ in their
+    edges: the two wirings of _white_subtrees' vertices, and the wirings
+    of the bullet d = 4 degree-1 arity multiset with the most of them."""
+    groups = [[_white_subtrees(), _white_chain()]]
+    family = complexes.FAMILIES["bullet"]
+    best = []
+    for vs, ws, us in complexes._arities(family, 4, 1):
+        verts, sources, slot_groups = complexes._slots(family, 4, vs, ws, us)
+        verts = tuple(verts)
+        whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
+        wired = [Graph.from_tuples(verts, out, whites) for out in
+                 complexes._assignments(slot_groups, sources, len(verts))]
+        best = max(best, wired, key=len)
+    groups.append(best)
+    return groups
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_vertex_tuples_match_reference(monkeypatch, reverse):
+    # the table of initial partitions starts empty, so the first graph of
+    # each group fills the entry every later one reads
+    starts = {}
+    monkeypatch.setattr(canonical, "_STARTS", starts)
+    groups = _same_vertices()
+    assert [len(gs) for gs in groups] == [2, 60]
+    # some graphs of a group are discrete after the first round, some go
+    # on into the search
+    assert {bool(_ties_survive(g)) for gs in groups for g in gs} \
+        == {False, True}
+    for gs in groups:
+        assert len({g.vertices for g in gs}) == 1
+        assert len({g.out for g in gs}) == len(gs)
+        for g in gs[::-1] if reverse else gs:
+            want = reference_canonicalize(g)
+            assert canonicalize(g) == (want if want[0] is not ZERO
+                                       else (ZERO, 1))
+    # every entry equals a freshly computed one and is made of tuples
+    assert len(starts) == len(groups)
+    for verts, entry in starts.items():
+        assert entry == canonical._start(verts)
+        colors, cells, pos, cverts = entry
+        assert all(type(c) is tuple for c in (colors, cells, cverts, *cells))
+        assert pos is None or pos is colors
 
 
 def test_delta_cache_holds_one_object_per_graph():

@@ -85,6 +85,23 @@ def test_schema_integers_are_exact(tmp_path, capsys, field, value):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["diff", "natcheck"])
+@pytest.mark.parametrize("label", [["X1"], 5])
+def test_schema_vector_labels_are_strings(tmp_path, capsys, command, label):
+    """A label that is not a string exits 2 with a reason; it is no
+    violation (exit 1) and no crash."""
+    obj = io.graph_to_obj(chain_xy())
+    next(v for v in obj["vertices"] if v.get("label") == "X1")["label"] = label
+    with pytest.raises(io.SchemaError, match="non-empty string"):
+        io.obj_to_graph(obj)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    extra = ["--dim", "2", "--trials", "1"] if command == "natcheck" else []
+    code, out = _run([command, "--in", str(p)] + extra)
+    assert code == 2 and out == ""
+    assert "vector label must be a non-empty string" in capsys.readouterr().err
+
+
 def test_schema_edge_from_missing_vertex():
     obj = io.graph_to_obj(chain_xy())
     obj["edges"][0]["from"] = -1
