@@ -38,11 +38,11 @@ MAX_UPTO = 40
 
 #: Largest number of wirings one basis slice may build and canonicalize
 #: (``complexes.wiring_count``, counted before any is built).  The largest
-#: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 22 165
-#: graphs), takes 12.6 s for ``basis`` on a 2-core host (14.2 s when every
-#: wiring's initial partition was worked out afresh), most of it
-#: enumeration; its degree 1 (368 886) takes 8-9 s.  d = 6 has 77 689 746
-#: wirings at degree 0, about 22 minutes at that rate.
+#: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 89 185
+#: of them connected, 22 165 graphs), takes 6.6-6.7 s for ``basis`` on a
+#: 2-core host (11-12 s when every disconnected wiring was built too), 2.6 s
+#: of it enumeration and most of the rest JSON encoding; its degree 1
+#: (368 886 wirings) takes 6.3 s.  d = 6 has 77 689 746 wirings at degree 0.
 MAX_WIRINGS = 1_000_000
 
 

@@ -9,6 +9,21 @@ the freshly created white vertices into the orientation order:
 * replacing the white at position i (1-based) of the orientation order
   carries sign (-1)**(i+1), and the new whites take its place in rank
   order (the wider parent white first; see :func:`natops.rules.replace_white`).
+
+Of that work only the edges differ between graphs with one vertex tuple and
+one white order: which rule replaces each vertex, the sign, the spliced
+white order and the vertex tuple of each term are a plan, worked out once
+per (vertices, white order) and kept in ``_PLANS`` for the life of the
+process, as the differential's cache is.  A plan holds references: one
+vertex tuple and one white order per distinct value, and the rule's own
+terms.
+
+A basis slice is dealt out as wirings, one source per input slot.  In a
+connected family a partial wiring is dropped as soon as its edges close
+more cycles than a connected graph of the slice holds: with one edge per
+source, that is ``#sources - (#vertices - 1)``, 0 for an anchored slice (a
+tree) and 1 for an anchor-free one (one wheel).  Every wiring that is dealt
+in full is then connected, and no disconnected one is built.
 """
 
 from __future__ import annotations
@@ -100,29 +115,46 @@ def _multisets(total, parts, minimum):
             yield (first,) + tuple(first + c for c in rest)
 
 
-def _assignments(groups, sources, n):
+def _assignments(groups, sources, n, cycles=None):
     """Fill slot groups with distinct sources, one source per slot.
 
     ``groups`` is a list of (owner, slotcode, size); symmetric groups take
     unordered source subsets.  Yields the out-arrays (length ``n``, None
-    where no source sits) of the wirings, as tuples.
+    where no source sits) of the wirings, as tuples.  With ``cycles`` set,
+    only the wirings of connected graphs with that many independent
+    cycles: a partial wiring is dropped as soon as its edges close more.
     """
-    yield from _fill(groups, sources, [None] * n)
+    comp = None if cycles is None else list(range(n))
+    yield from _fill(groups, sources, [None] * n, comp, cycles)
 
 
-def _fill(groups, sources, out):
+def _fill(groups, sources, out, comp, spare):
     # every leaf has dealt out all sources, so ``out`` is overwritten
-    # along each path and never needs resetting
+    # along each path and never needs resetting.  ``comp`` labels the
+    # components of the edges dealt so far (None: no pruning), and
+    # ``spare`` is the number of cycles they may still close; ``comp`` is
+    # replaced, never mutated, so siblings share their parent's.
     if not groups:
         yield tuple(out)
         return
     (owner, code, size), rest = groups[0], groups[1:]
     tgt = (owner, code)
     for chosen in itertools.combinations(sources, size):
+        sub, left = comp, spare
+        if comp is not None:
+            root = comp[owner]
+            for s in chosen:
+                c = sub[s]
+                if c == root:
+                    left -= 1
+                else:
+                    sub = [root if x == c else x for x in sub]
+            if left < 0:
+                continue
         for s in chosen:
             out[s] = tgt
         remaining = tuple(s for s in sources if s not in chosen)
-        yield from _fill(rest, remaining, out)
+        yield from _fill(rest, remaining, out, sub, left)
 
 
 def enumerate_basis(family, d, m):
@@ -145,10 +177,11 @@ def enumerate_basis(family, d, m):
 
 
 def wiring_count(family, d, m, limit=None):
-    """Number of wirings ``enumerate_basis(family, d, m)`` would build and
-    canonicalize: per arity multiset, the multinomial n!/prod(size!) of
-    dealing the n sources out to the slot groups.  Nothing is built; the
-    count stops at the first partial sum above ``limit``."""
+    """Number of wirings of ``enumerate_basis(family, d, m)``, connected or
+    not: per arity multiset, the multinomial n!/prod(size!) of dealing the
+    n sources out to the slot groups.  A connected family builds and
+    canonicalizes only the connected ones.  Nothing is built; the count
+    stops at the first partial sum above ``limit``."""
     if isinstance(family, str):
         family = FAMILIES[family]
     total = 0
@@ -220,51 +253,25 @@ def _wirings(family, d, vs, ws, us):
     total_slots = sum(g[2] for g in groups)
     if total_slots != len(sources):
         return
+    # a connected graph with one edge per source has this many independent
+    # cycles: 0 with an anchor (a tree), 1 without (one wheel)
+    cycles = len(sources) - (len(verts) - 1) if family.connected else None
     verts = tuple(verts)
     whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
-    for out in _assignments(groups, sources, len(verts)):
-        if family.connected and not _connected(out):
-            continue
+    for out in _assignments(groups, sources, len(verts), cycles):
         cg, _ = canonicalize(Graph.from_tuples(verts, out, whites))
         if cg is ZERO:
             continue
         yield cg
 
 
-def _connected(out):
-    """Is the graph of the out-array ``out`` weakly connected?  Union-find
-    over its edges; connected when they merge the vertices into one set."""
-    parent = list(range(len(out)))
-    merged = 0
-    for a, e in enumerate(out):
-        if e is None:
-            continue
-        b = e[0]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            merged += 1
-    return merged >= len(out) - 1
-
-
-def _port_map(g, v):
-    """Deterministic boundary-port order for the inputs of vertex ``v``."""
-    ins = [(src, slot) for src, e in enumerate(g.out) if e is not None and e[0] == v for slot in (e[1],)]
-    vv = g.vertices[v]
-    if vv.kind == CONNECTION:
-        b0 = sorted(e for e in ins if e[1] == 0)
-        b1 = sorted(e for e in ins if e[1] == 1)
-        syms = sorted(e for e in ins if e[1] == SYM)
-        ordered = b0 + b1 + syms
-    else:
-        ordered = sorted(ins)
-    return {e: p for p, e in enumerate(ordered)}
-
-
 _DELTA_CACHE = {}
+
+#: The substitution plan of every (vertices, white order) met by
+#: :func:`delta_graph` (see :func:`_plan`), kept as long as the process
+#: (as the differential's cache is).  Plans are tuples, which nothing
+#: mutates.
+_PLANS = {}
 
 
 def delta_graph_cached(g):
@@ -275,23 +282,19 @@ def delta_graph_cached(g):
     return hit
 
 
-def delta_graph(g):
-    """Differential of a single graph presentation, as a formal sum.
-
-    Each term substitutes a rule term for one vertex ``v``: the term's
-    internal vertices take ids from n - 1 on, the edges into ``v`` go to
-    the internal slots of their boundary ports, and ``v``'s own out-edge
-    leaves from the internal vertex the term marks ``OUT``.  The port order
-    and every edge away from ``v`` are worked out once per vertex, and each
-    term goes to :func:`canonicalize` built by ``Graph.from_tuples`` and is
-    added straight into the result's ``terms``.
-    """
-    out = FormalSum()
-    terms = out.terms
-    verts, gout = g.vertices, g.out
-    n = len(verts)
-    base = n - 1  # id of a term's first internal vertex
-    order = list(g.white_order)
+def _plan(verts, order):
+    """What the differential of a graph with vertex tuple ``verts`` and
+    white order ``order`` does without reading its edges: per replaced
+    vertex v, ``(v, nbase, terms)`` with ``nbase`` v's number of ordered
+    base slots and, per rule term, ``(vertices, white order, eps * coeff,
+    term)``.  The term's vertices are the kept ones, then its internals;
+    its white order splices the internal whites, in rank order, where v
+    stood, or ahead of all for a non-white v.  Equal vertex tuples and
+    white orders of one plan are one object each."""
+    plan = []
+    shared = {}
+    base = len(verts) - 1  # id of a term's first internal vertex
+    order = list(order)
     for v, vv in enumerate(verts):
         if vv.kind == ANCHOR:
             continue
@@ -299,34 +302,72 @@ def delta_graph(g):
         if not tpl.terms:
             continue
         if vv.kind == WHITE:
-            i = order.index(v)
-            eps = -1 if i & 1 else 1
-            kept = order[:i] + order[i + 1:]
-            at = i
+            at = order.index(v)
+            eps = -1 if at & 1 else 1
+            kept = order[:at] + order[at + 1:]
         else:
-            eps = 1
-            kept = order
-            at = 0
-        head = [w if w < v else w - 1 for w in kept[:at]]
-        tail = [w if w < v else w - 1 for w in kept[at:]]
-        port_of = _port_map(g, v)
+            at, eps, kept = 0, 1, order
+        kept = [w if w < v else w - 1 for w in kept]
         kept_verts = verts[:v] + verts[v + 1:]
+        terms = []
+        for term in tpl.terms:
+            tverts = kept_verts + term.internals
+            ranked = sorted((r, base + j) for j, r in enumerate(term.ranks)
+                            if r is not None)
+            whites = tuple(kept[:at] + [w for _, w in ranked] + kept[at:])
+            terms.append((shared.setdefault(tverts, tverts),
+                          shared.setdefault(whites, whites),
+                          eps * term.coeff, term))
+        plan.append((v, 2 if vv.kind == CONNECTION else 0, tuple(terms)))
+    return tuple(plan)
+
+
+def delta_graph(g):
+    """Differential of a single graph presentation, as a formal sum.
+
+    Each term substitutes a rule term for one vertex ``v``: the term's
+    internal vertices take ids from n - 1 on, the edges into ``v`` go to
+    the internal slots of their boundary ports, and ``v``'s own out-edge
+    leaves from the internal vertex the term marks ``OUT``.  The boundary
+    ports of ``v`` are its ordered base slots, then its symmetric inputs by
+    source.  What does not depend on the edges comes from the plan of the
+    graph's vertex tuple and white order; the ports and every edge away
+    from ``v`` are worked out once per vertex, and each term goes to
+    :func:`canonicalize` built by ``Graph.from_tuples`` and is added
+    straight into the result's ``terms``.
+    """
+    out = FormalSum()
+    terms = out.terms
+    verts, gout = g.vertices, g.out
+    key = (verts, g.white_order)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _plan(*key)
+    base = len(verts) - 1
+    for v, nbase, rows in plan:
+        port = nbase  # the next symmetric input's boundary port
         fixed = []  # out-edges of the kept vertices, None where one enters v
         into = []  # (index in fixed, boundary port) of the edges entering v
         for i, e in enumerate(gout):
-            if i == v:
-                continue
             if e is None:
-                fixed.append(None)
-            elif e[0] == v:
-                into.append((len(fixed), port_of[(i, e[1])]))
-                fixed.append(None)
+                if i != v:
+                    fixed.append(None)
+            elif e[0] != v:
+                if i != v:
+                    fixed.append((e[0] if e[0] < v else e[0] - 1, e[1]))
             else:
-                fixed.append((e[0] if e[0] < v else e[0] - 1, e[1]))
+                if e[1] == SYM:
+                    p, port = port, port + 1
+                else:
+                    p = e[1]
+                if i == v:
+                    loop = p
+                else:
+                    into.append((len(fixed), p))
+                    fixed.append(None)
         dst, slot = gout[v]
-        loop = port_of[(v, slot)] if dst == v else None
-        leave = (dst if dst < v else dst - 1, slot)
-        for term in tpl.terms:
+        leave = None if dst == v else (dst if dst < v else dst - 1, slot)
+        for tverts, whites, c, term in rows:
             ports = term.ports
             edges = fixed[:]
             for k, p in into:
@@ -335,20 +376,17 @@ def delta_graph(g):
             for tgt in term.iout:
                 if tgt != OUT:
                     edges.append((base + tgt[0], tgt[1]))
-                elif loop is None:
+                elif leave is not None:
                     edges.append(leave)
                 else:
                     j, s = ports[loop]
                     edges.append((base + j, s))
-            ranked = sorted((r, base + j) for j, r in enumerate(term.ranks)
-                            if r is not None)
             cg, sign = canonicalize(Graph.from_tuples(
-                kept_verts + term.internals, tuple(edges),
-                tuple(head + [w for _, w in ranked] + tail)))
+                tverts, tuple(edges), whites))
             if cg is not ZERO:
-                c = terms.get(cg, 0) + eps * sign * term.coeff
-                if c:
-                    terms[cg] = c
+                x = terms.get(cg, 0) + sign * c
+                if x:
+                    terms[cg] = x
                 else:
                     terms.pop(cg, None)
     return out

@@ -105,21 +105,26 @@ class Graph:
                 i for i, v in enumerate(self.vertices) if v.kind == WHITE
             )
         self.white_order = tuple(white_order)
-        self._hash = hash((self.vertices, self.out, self.white_order))
+        self._hash = None
 
     @classmethod
     def from_tuples(cls, vertices, out, white_order):
         """The graph of fields already in normal form, taken as they are: a
         tuple of Vertex, a tuple of ``(target, slot)`` tuples or None, and a
         tuple of white ids.  The differential, the basis enumeration and
-        :func:`natops.canonical.canonicalize` build their graphs this way."""
+        :func:`natops.canonical.canonicalize` build their graphs this way.
+        The hash is worked out on first use: the terms and wirings handed to
+        canonicalize are never dict keys."""
         g = cls.__new__(cls)
         g.vertices, g.out, g.white_order = vertices, out, white_order
-        g._hash = hash((vertices, out, white_order))
+        g._hash = None
         return g
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vertices, self.out, self.white_order))
+        return h
 
     def __eq__(self, other):
         return self is other or (

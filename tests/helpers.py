@@ -1,8 +1,9 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
-reference canonical form, the reference differential, a dense reference
-elimination, the derived connection rules, the realization state sum, the
-reference polynomial layer, the reference jet transformation law, the
-reference series solver and the reference basis-slice encoder."""
+reference canonical form, the reference differential, the reference
+connectivity filter of wirings, a dense reference elimination, the derived
+connection rules, the realization state sum, the reference polynomial
+layer, the reference jet transformation law, the reference series solver
+and the reference basis-slice encoder."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +11,6 @@ from functools import lru_cache
 
 from natops import io
 from natops.canonical import ZERO, key_bytes
-from natops.complexes import _port_map
 from natops.formal import FormalSum
 from natops.graphs import (
     ANCHOR,
@@ -238,6 +238,21 @@ def reference_canonicalize(g):
 # natops.complexes.delta_graph is checked against it.
 
 
+def _port_map(g, v):
+    """Deterministic boundary-port order for the inputs of vertex ``v``."""
+    ins = [(src, e[1]) for src, e in enumerate(g.out)
+           if e is not None and e[0] == v]
+    vv = g.vertices[v]
+    if vv.kind == CONNECTION:
+        b0 = sorted(e for e in ins if e[1] == 0)
+        b1 = sorted(e for e in ins if e[1] == 1)
+        syms = sorted(e for e in ins if e[1] == SYM)
+        ordered = b0 + b1 + syms
+    else:
+        ordered = sorted(ins)
+    return {e: p for p, e in enumerate(ordered)}
+
+
 def _instantiate(g, v, term):
     """Substitute a rule term for vertex ``v``; returns (vertices, out, white_ids).
 
@@ -319,6 +334,30 @@ def reference_delta_graph(g):
             )
             out.add_graph(Graph(verts, outmap, spliced), eps * term.coeff)
     return out
+
+
+# --- the reference connectivity filter ---------------------------------
+# natops.complexes._assignments with a cycle bound is checked against the
+# unpruned fill followed by this filter.
+
+
+def reference_connected(out):
+    """Is the graph of the out-array ``out`` weakly connected?  Union-find
+    over its edges; connected when they merge the vertices into one set."""
+    parent = list(range(len(out)))
+    merged = 0
+    for a, e in enumerate(out):
+        if e is None:
+            continue
+        b = e[0]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merged += 1
+    return merged >= len(out) - 1
 
 
 def dense_rref(rows, ncols):

@@ -8,7 +8,6 @@ from natops.complexes import (
     FAMILIES,
     _arities,
     _assignments,
-    _connected,
     _slots,
     d_squared_zero,
     delta_graph,
@@ -27,7 +26,14 @@ from natops.graphs import (
     is_connected,
 )
 
-from .helpers import chain_xy, chain_yx, reference_delta_graph, unit
+from .helpers import (
+    chain_xy,
+    chain_yx,
+    reference_connected,
+    reference_delta_graph,
+    shuffle_presentation,
+    unit,
+)
 from .test_canonical import SLICES, basis_graphs
 
 
@@ -162,6 +168,14 @@ def test_bigrade_split():
         assert same + less == total
 
 
+def _split_reference(g):
+    k = g.count(CONNECTION)
+    parts = {0: FormalSum(), -1: FormalSum()}
+    for cg, c in reference_delta_graph(g):
+        parts[cg.count(CONNECTION) - k].add_canonical(cg, c)
+    return parts[0], parts[-1]
+
+
 def test_empty_graph_is_scalar_unit_slice():
     bs = enumerate_basis("bullet-wheel", 0, 0)
     assert bs.graphs == (EMPTY,)
@@ -185,14 +199,26 @@ def test_wiring_count_counts_the_wirings_built(family, d):
             assert half < wiring_count(fam, d, m, limit=half) <= built
 
 
+def _presentations(g, rng):
+    """``g``, a shuffle of it, and the shuffle with its white order
+    reversed: two presentations with one vertex tuple and, from two
+    whites on, two white orders."""
+    h, _ = shuffle_presentation(g, rng)
+    return g, h, Graph(h.vertices, h.out, h.white_order[::-1])
+
+
 @pytest.mark.parametrize("family,dmax", SLICES)
 def test_delta_matches_reference(family, dmax):
     # one Graph per term through FormalSum.add_graph, against the
     # presentations delta_graph hands to canonicalize
+    rng = random.Random(family)
     for g in basis_graphs(family, dmax):
-        got = delta_graph(g)
-        assert got == reference_delta_graph(g)
-        assert all(type(c) is int for _, c in got)
+        for h in _presentations(g, rng):
+            got = delta_graph(h)
+            assert got == reference_delta_graph(h)
+            assert all(type(c) is int for _, c in got)
+            if family in ("bullet-nabla", "bullet-nabla-1"):
+                assert nabla_bigrade_split(h) == _split_reference(h)
 
 
 @pytest.mark.parametrize("family,d", [("bullet-connected", 4),
@@ -206,6 +232,34 @@ def test_raw_connectivity_matches_is_connected(family, d):
             verts, sources, groups = _slots(fam, d, vs, ws, us)
             for out in _assignments(groups, sources, len(verts)):
                 want = is_connected(Graph(verts, out))
-                assert _connected(out) == want
+                assert reference_connected(out) == want
                 seen[want] += 1
     assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("family,dmax", [("bullet-connected", 5),
+                                         ("bullet-wheel", 4),
+                                         ("bullet-nabla-1", 4),
+                                         ("bullet-nabla-wheel", 3),
+                                         ("bullet-nabla-trace", 2)])
+def test_pruned_fill_deals_the_connected_wirings(family, dmax):
+    # the fill that drops a partial wiring once it closes too many cycles,
+    # against every wiring dealt and then filtered by the reference
+    fam = FAMILIES[family]
+    kept = dropped = 0
+    for d in range(dmax + 1):
+        for m in range(d + 1):
+            for vs, ws, us in _arities(fam, d, m):
+                verts, sources, groups = _slots(fam, d, vs, ws, us)
+                if sum(size for _, _, size in groups) != len(sources):
+                    continue
+                n = len(verts)
+                every = set(_assignments(groups, sources, n))
+                want = {out for out in every if reference_connected(out)}
+                cycles = len(sources) - (n - 1)
+                got = list(_assignments(groups, sources, n, cycles))
+                assert len(got) == len(set(got))
+                assert set(got) == want
+                kept += len(want)
+                dropped += len(every) - len(want)
+    assert kept and dropped

@@ -152,3 +152,13 @@ def test_canonical_stability_random_graphs():
             cg, sign = canonicalize(h)
             assert cg == key
             assert sign == sign0 * flip
+
+
+def test_graphs_from_tuples_hash_on_first_use():
+    for g in enumerate_basis("bullet-wheel", 3, 1).graphs + (chain_xy(),):
+        fields = (g.vertices, g.out, g.white_order)
+        assert {Graph(*fields): 1}[Graph.from_tuples(*fields)] == 1
+        assert {Graph.from_tuples(*fields): 1}[Graph(*fields)] == 1
+        made, taken = Graph(*fields), Graph.from_tuples(*fields)
+        assert taken == made and made == taken
+        assert hash(taken) == hash(made) == hash(g)
