@@ -4,8 +4,10 @@ Degree-0 graphs realize as concrete multilinear contractions of jet arrays
 on R^n (anchored graphs produce a vector, wheel graphs a scalar).  Jet data
 transforms under polynomial coordinate changes fixing the origin; a formal
 sum is *natural* when realization commutes with every such change.  All
-arithmetic is exact: rationals, or rationals with a nilpotent dual part
-when linearizing along a flow.
+arithmetic is exact, over ints and Fractions only: the first-order action
+of a flow (:func:`infinitesimal_action`) is the exact Lagrange slope of a
+few ordinary transforms, since the moved jets are polynomials in the flow
+time.
 
 Both steps run in polynomial time.  A graph contracts bottom-up along its
 trees and wheels (:func:`realize_graph`), never summing over all n^edges
@@ -25,9 +27,9 @@ Realization is on integers too.  Each jet array is read once as integer
 numerators over one denominator (:meth:`Tensor.cleared`), a graph
 contracts its arrays by int multiply-adds, and each entry of its value is
 divided by the product of their denominators once, at the end.  So
-Fractions (and dual numbers) appear only where jet arrays, coordinate
-changes and realized values are read and written; arrays and coordinate
-changes keep their tuple keys and exact values.
+Fractions appear only where jet arrays, coordinate changes and realized
+values are read and written; arrays and coordinate changes keep their
+tuple keys and exact values.
 
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.rules.derive_connection_rule` rederives from
@@ -54,80 +56,10 @@ import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, wheel_vertices
 from .linalg import mat_inv
-
-
-class Dual:
-    """Rational dual numbers a + b*eps with eps^2 = 0; the parts are ints
-    or Fractions (ints inside the polynomial layer)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a if isinstance(a, (int, Fraction)) else Fraction(a)
-        self.b = b if isinstance(b, (int, Fraction)) else Fraction(b)
-
-    def __add__(self, o):
-        if type(o) is Dual:
-            return Dual(self.a + o.a, self.b + o.b)
-        return Dual(self.a + o, self.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if type(o) is Dual:
-            return Dual(self.a - o.a, self.b - o.b)
-        return Dual(self.a - o, self.b)
-
-    def __rsub__(self, o):
-        return _dual(o) - self
-
-    def __mul__(self, o):
-        if type(o) is Dual:
-            a, b = o.a, o.b
-            return Dual(self.a * a, self.a * b + self.b * a if (b or self.b) else 0)
-        return Dual(self.a * o, self.b * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = _dual(o)
-        if not o.a:
-            raise ZeroDivisionError("dual number with zero real part")
-        inv = Fraction(1) / o.a
-        return Dual(self.a * inv, (self.b - self.a * o.b * inv) * inv)
-
-    def __rtruediv__(self, o):
-        return _dual(o) / self
-
-    def __floordiv__(self, k):
-        """Exact division of both parts by the int k."""
-        return Dual(self.a // k, self.b // k)
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    def __eq__(self, o):
-        o = _dual(o)
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    @property
-    def real(self):
-        """The real part: a dual number is a unit exactly when it is not 0."""
-        return self.a
-
-    def __repr__(self):
-        return "Dual(%s, %s)" % (self.a, self.b)
-
-
-def _dual(x):
-    return x if isinstance(x, Dual) else Dual(x)
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +112,8 @@ class Packing:
 
 
 # A polynomial is a dict {packed exponent: numerator}; the numerators are
-# ints (dual numbers of ints for a flow) over a denominator kept beside
-# them, one for a whole family of polynomials.  The arithmetic is the same
-# for both; only the converters _den, _num and _value (used by _clear,
-# _to_polys and _to_arrays) and the gcd in _reduce tell them apart.
-
-
-def _den(v):
-    """The least common denominator of an exact scalar's parts."""
-    if isinstance(v, Dual):
-        return lcm(v.a.denominator, v.b.denominator)
-    return v.denominator
-
-
-def _num(v, m):
-    """``v * m`` as an int, or a dual number of ints; m is a multiple of
-    ``_den(v)``."""
-    if isinstance(v, Dual):
-        return Dual(_num(v.a, m), _num(v.b, m))
-    return v.numerator * (m // v.denominator)
-
-
-def _value(c, den):
-    """The exact scalar ``c / den`` of a numerator c."""
-    if isinstance(c, Dual):
-        return Dual(Fraction(c.a, den), Fraction(c.b, den))
-    return Fraction(c, den)
+# ints over a denominator kept beside them, one for a whole family of
+# polynomials.
 
 
 def _clear(polys):
@@ -214,8 +122,9 @@ def _clear(polys):
     den = 1
     for p in polys.values():
         for v in p.values():
-            den = lcm(den, _den(v))
-    return {name: {k: _num(v, den) for k, v in p.items() if v}
+            den = lcm(den, v.denominator)
+    return {name: {k: v.numerator * (den // v.denominator)
+                   for k, v in p.items() if v}
             for name, p in polys.items()}, den
 
 
@@ -227,7 +136,7 @@ def _pack(comps, pk):
 
 def _unpack(p, den, pk):
     """A polynomial over ``den`` as a tuple-keyed dict of exact values."""
-    return {pk.exponents(e): _value(v, den) for e, v in p.items() if v}
+    return {pk.exponents(e): Fraction(v, den) for e, v in p.items() if v}
 
 
 def _reduce(polys, den):
@@ -236,7 +145,7 @@ def _reduce(polys, den):
     g = den
     for p in polys.values():
         for v in p.values():
-            g = gcd(g, v) if type(v) is int else gcd(g, v.a, v.b)
+            g = gcd(g, v)
             if g == 1:
                 return polys, den
     return ({name: {e: v // g for e, v in p.items()}
@@ -420,13 +329,6 @@ class Tensor:
             self._cleared = rows, den
         return self._cleared
 
-    def keys(self):
-        return self.data.keys()
-
-    def map_values(self, fn):
-        return Tensor(self.n, self.nfixed, self.nsym,
-                      {k: fn(v) for k, v in self.data.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -567,10 +469,11 @@ def _to_polys(arrays, pk, trunc):
                     ef = seen[sym] = (sum(pk.var[i] for i in sym),
                                       _fact_of_exps(_exps_of(sym, pk.n)))
                 terms.append((key[:nfixed], ef, val))
-                den = lcm(den, _den(val) * ef[1])
+                den = lcm(den, val.denominator * ef[1])
     polys = {}
     for fixed, (e, f), val in terms:
-        polys.setdefault(fixed, {})[e] = _num(val, den // f)
+        polys.setdefault(fixed, {})[e] = (val.numerator
+                                          * (den // (val.denominator * f)))
     return polys, den
 
 
@@ -590,7 +493,7 @@ def _to_arrays(polys, den, pk, nfixed, order):
                     got = seen[e] = (arrays[len(sym)].data, sym,
                                      _fact_of_exps(exps))
                 table, sym, f = got
-                table[fixed + sym] = _value(c * f, den)
+                table[fixed + sym] = Fraction(c * f, den)
     return arrays
 
 
@@ -640,12 +543,20 @@ def jet_transform(data, phi):
     monomials of degree up to ``phi.trunc`` included, so no exponent digit
     of a kept monomial can carry.
     """
+    pk = Packing.of_maps(data.n, phi.trunc, phi.comps)  # phi.trunc >= every order
+    return _to_jets(data, *_pull_back(data, phi, pk), pk)
+
+
+def _pull_back(data, phi, pk):
+    """The law of :func:`jet_transform` short of writing the arrays: the
+    moved fields {label: (polynomials, den)} and the moved connection
+    (polynomials, den), or None, keyed by their fixed indices, packed by
+    ``pk``."""
     n, K = data.n, data.order
     W = data.conn_order if data.conn is not None else None
     if phi.trunc < jet_order(K, W):
         raise ValueError("coordinate change truncated below jet_order")
     T = max(K, 1 if W is None else W + 1)
-    pk = Packing.of_maps(n, phi.trunc, phi.comps)  # phi.trunc >= every order
     F, dF = _pack(phi.comps, pk)
     psi, dpsi = map_inverse(F, dF, pk, T)
     J = [[p_diff(F[a], j, pk) for j in range(n)] for a in range(n)]
@@ -670,7 +581,7 @@ def jet_transform(data, phi):
             for pos in range(1, nfixed):
                 polys, den = _reduce(_contract_index(polys, pos, Dpsi, n, limit),
                                      den * dpsi)
-        return _to_arrays(polys, den, pk, nfixed, trunc)
+        return polys, den
 
     fields = {lab: pull_back(arrays, 1, K) for lab, arrays in data.fields.items()}
     conn = None
@@ -679,7 +590,18 @@ def jet_transform(data, phi):
         hess = {(a, j, k): _truncate(p_diff(J[a][j], k, pk), limit)
                 for a in range(n) for j in range(n) for k in range(n)}
         conn = pull_back(data.conn, 3, W, hess)
-    return JetData(n, K, fields, conn, data.conn_order)
+    return fields, conn
+
+
+def _to_jets(data, fields, conn, pk):
+    """Jet data of the orders of ``data`` from the fields {label:
+    (polynomials, den)} and connection (polynomials, den), or None, that
+    :func:`_pull_back` returns."""
+    K, W = data.order, data.conn_order
+    return JetData(data.n, K,
+                   {lab: _to_arrays(polys, den, pk, 1, K)
+                    for lab, (polys, den) in fields.items()},
+                   None if conn is None else _to_arrays(*conn, pk, 3, W), W)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +765,9 @@ def realize_graph(g, data, gens=None):
         scalar = scalar * sum(prod[i][i] for i in range(n))
     if anchor is not None:
         zero = Fraction(0)
-        return [_value(x * scalar, den) if x else zero
+        return [Fraction(x * scalar, den) if x else zero
                 for x in vector(ins[anchor][0][0])]
-    return _value(scalar, den)
+    return Fraction(scalar, den)
 
 
 def _mat_mul(a, b, n):
@@ -893,24 +815,6 @@ def realize(x, data, gens=None):
         elif val:
             acc = acc + c * val
     return acc
-
-
-def lift_with_variation(data, delta):
-    """Dual-number jet data: value parts from ``data``, eps parts ``delta``."""
-    def both(a, b):
-        out = Tensor(a.n, a.nfixed, a.nsym)
-        for k in set(a.data) | set(b.data):
-            out.data[k] = Dual(a.data.get(k, 0), b.data.get(k, 0))
-        return out
-
-    fields = {
-        lab: [both(t, delta.fields[lab][v]) for v, t in enumerate(arrs)]
-        for lab, arrs in data.fields.items()
-    }
-    conn = None
-    if data.conn is not None:
-        conn = [both(t, delta.conn[w]) for w, t in enumerate(data.conn)]
-    return JetData(data.n, data.order, fields, conn, data.conn_order)
 
 
 def apply_linear(A, vec):
@@ -972,54 +876,76 @@ def naturality_check(x, n, trials=20, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def generator_flow(gens, n, trunc):
-    """Coordinate change id + eps * sum_s H_s(x,..,x)/s! for generator
-    arrays H_s."""
-    comps = []
-    for a in range(n):
-        p = {_exps_of((a,), n): Dual(1)}
-        for gen in gens:
-            for key, val in gen.data.items():
-                if key[0] == a and val:
-                    e = _exps_of(key[1:], n)
-                    p[e] = p.get(e, 0) + Dual(0, Fraction(val) / _fact_of_exps(e))
-        comps.append(p)
-    return CoordinateChange(n, trunc, comps)
-
-
-def _lift_dual(data):
-    fields = {lab: [t.map_values(lambda v: Dual(v)) for t in arrs]
-              for lab, arrs in data.fields.items()}
-    conn = None
-    if data.conn is not None:
-        conn = [t.map_values(lambda v: Dual(v)) for t in data.conn]
-    return JetData(data.n, data.order, fields, conn, data.conn_order)
-
-
-def _eps_part(data):
-    def eps(t):
-        out = Tensor(t.n, t.nfixed, t.nsym)
-        for k, v in t.data.items():
-            b = v.b if isinstance(v, Dual) else 0
-            if b:
-                out.data[k] = b
-        return out
-
-    fields = {lab: [eps(t) for t in arrs] for lab, arrs in data.fields.items()}
-    conn = [eps(t) for t in data.conn] if data.conn is not None else None
-    return JetData(data.n, data.order, fields, conn, data.conn_order)
-
-
 def infinitesimal_action(gens, data):
-    """Derivative of jet_transform along the flow of one or several
-    generators at the identity, computed with first-order dual arithmetic.
-    Returns jet data holding the variation of every coordinate; the
-    variation is additive in the generators."""
+    """Derivative of :func:`jet_transform` along the flow of one or several
+    generators at the identity.  Returns jet data holding the variation of
+    every coordinate; the variation is additive in the generators.
+
+    Generator arrays H_s of arity s >= 2 move points along the flow
+    phi_eps = id + eps * sum_s H_s(x, ..., x)/s!, which fixes the origin
+    and has the identity as its linear part; an arity below 2 would move
+    the origin or the linear part, and is refused.  Give each monomial
+    x^e eps^k the weight |e| - k, which adds under products and does not
+    drop under composition with a map of weight >= 1.  Then phi_eps and
+    psi_eps = phi_eps^-1 have weight >= 1, Dphi_eps and Dpsi_eps weight
+    >= 0, and D2phi_eps weight >= -1.  A moved field entry of order v is
+    the coefficient of a y^e with |e| = v in a polynomial of weight >= 0,
+    so it is a polynomial in eps of degree at most v; a connection entry
+    of order v, through the D2phi term, one of degree at most v + 1.  So
+    with K and W the field and connection orders, every entry is a
+    polynomial f of degree at most D = max(K, W + 1), and Lagrange
+    interpolation at eps = 0, 1, ..., D gives its slope exactly:
+
+        f'(0) = sum_(k=1..D) (-1)^(k+1) C(D, k)/k (f(k) - f(0)).
+
+    f(0) is ``data`` itself, so this takes D ordinary pull-backs.  They
+    are combined as integer numerators (:func:`_pull_back`), over the
+    least common multiple of their denominators, and every entry is
+    divided once, as the arrays are written.
+    """
     if isinstance(gens, Tensor):
         gens = [gens]
-    n = data.n
+    for gen in gens:
+        if gen.nsym < 2:
+            raise ValueError(
+                "generator of arity %d: the flow must fix the origin and its"
+                " linear part, so every arity is at least 2" % gen.nsym)
+    n, K = data.n, data.order
     W = data.conn_order if data.conn is not None else None
-    trunc = max([jet_order(data.order, W)] + [g.nsym for g in gens])
-    phi = generator_flow(gens, n, trunc)
-    moved = jet_transform(_lift_dual(data), phi)
-    return _eps_part(moved)
+    D = max(K, -1 if W is None else W + 1)
+    trunc = max([jet_order(K, W)] + [gen.nsym for gen in gens])
+    H = [{} for _ in range(n)]  # sum_s H_s(x, ..., x)/s!
+    for gen in gens:
+        for key, val in gen.data.items():
+            e = _exps_of(key[1:], n)
+            p = H[key[0]]
+            p[e] = p.get(e, 0) + Fraction(val) / _fact_of_exps(e)
+    pk = Packing.of_maps(n, trunc, H)  # the packing of every flow
+
+    def flow(eps):
+        comps = [{e: eps * v for e, v in p.items()} for p in H]
+        for a in range(n):
+            comps[a][_exps_of((a,), n)] = 1
+        return CoordinateChange(n, trunc, comps)
+
+    stages = [({lab: _to_polys(arrays, pk, K)
+                for lab, arrays in data.fields.items()},
+               None if W is None else _to_polys(data.conn, pk, W))]
+    stages += [_pull_back(data, flow(eps), pk) for eps in range(1, D + 1)]
+    # f'(0) = sum_k weight[k] f(k) / L, the weights integers
+    L = lcm(*range(1, D + 1))
+    weight = [(-1) ** (k + 1) * comb(D, k) * (L // k) for k in range(1, D + 1)]
+    weight.insert(0, -sum(weight))
+
+    def slope(values):
+        den = lcm(*(d for _, d in values))
+        out = {}
+        for w, (polys, d) in zip(weight, values):
+            for key, p in polys.items():
+                p_add_into(out.setdefault(key, {}), p, w * (den // d))
+        return out, den * L
+
+    fields = {lab: slope([moved[lab] for moved, _ in stages])
+              for lab in data.fields}
+    conn = None if W is None else slope([conn for _, conn in stages])
+    return _to_jets(data, fields, conn, pk)

@@ -7,10 +7,8 @@ linear system of the connection-rule derivation: rows are dicts
 ``{col: Fraction}``, pivot rows are kept fully reduced and keyed by pivot
 column, and each row's pivot is its least nonzero column, so the pivot rows
 are the reduced row echelon form whatever the row order.  Batches are fed
-shortest row first to limit fill-in.  :func:`mat_inv` inverts small dense
-matrices over any field-like scalars with a ``real`` part, the jet
-oracle's dual numbers included: a pivot is usable when its real part is
-nonzero, with no per-type predicate.
+shortest row first to limit fill-in.  :func:`mat_inv` reduces [A | I] on
+the same elimination.
 """
 
 from __future__ import annotations
@@ -91,32 +89,15 @@ def nullspace(rows, ncols=None):
 
 
 def mat_inv(rows):
-    """Inverse of a square matrix over any field-like scalars.
-
-    A pivot is usable when its ``real`` part is nonzero: ``int`` and
-    ``Fraction`` are their own real part, and a dual number a + b*eps is a
-    unit exactly when a is not 0.  Raises ZeroDivisionError when the matrix
-    is singular.
+    """Inverse of a square matrix over Q, read off the reduced echelon form
+    of [A | I]: A is invertible exactly when each of its n columns holds a
+    pivot, and pivot row c then ends in row c of A^-1.  Raises
+    ZeroDivisionError when the matrix is singular.
     """
     n = len(rows)
-    m = [
-        [Fraction(x) if isinstance(x, int) else x for x in row]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c].real:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    pivots = Echelon([{**dict(enumerate(row)), n + i: 1}
+                      for i, row in enumerate(rows)]).rows
+    if any(c not in pivots for c in range(n)):
+        raise ZeroDivisionError("singular matrix")
+    zero = Fraction(0)
+    return [[pivots[c].get(n + j, zero) for j in range(n)] for c in range(n)]

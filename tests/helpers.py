@@ -2,8 +2,9 @@
 reference canonical form, the reference differential, the reference
 connectivity filter of wirings, a dense reference elimination, the derived
 connection rules, the realization state sum, the reference polynomial
-layer, the reference jet transformation law, the reference series solver
-and the reference basis-slice encoder."""
+layer, the reference jet transformation law, the dual-number flow
+derivative, the reference series solver and the reference basis-slice
+encoder."""
 
 import itertools
 from fractions import Fraction
@@ -24,11 +25,12 @@ from natops.graphs import (
     vector,
 )
 from natops.jets import (
-    Dual,
+    CoordinateChange,
     JetData,
     Tensor,
     _exps_of,
     _fact_of_exps,
+    jet_order,
     map_linear_part,
 )
 from natops.linalg import mat_inv
@@ -577,9 +579,7 @@ def _field_polys(arrays, n, trunc):
             break
         for key, val in arr.data.items():
             e = _exps_of(key[1:], n)
-            coeff = Fraction(val) / _fact_of_exps(e) if not isinstance(val, Dual) \
-                else val / _fact_of_exps(e)
-            p_add_into(polys[key[0]], {e: coeff})
+            p_add_into(polys[key[0]], {e: Fraction(val) / _fact_of_exps(e)})
     return polys
 
 
@@ -703,6 +703,66 @@ def reference_jet_transform(data, phi):
                         out[(a, b, c)] = subW(acc)
         conn = _polys_arrays(out, n, 3, W)
     return JetData(n, K, fields, conn, data.conn_order)
+
+
+class Dual:
+    """Rational dual numbers a + b*eps with eps^2 = 0: sums and products,
+    all the reference law needs along a flow whose linear part is the
+    identity, since it then divides only the data, never by the flow."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.a + o.a, self.b + o.b)
+        return Dual(self.a + o, self.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+        return Dual(self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __repr__(self):
+        return "Dual(%s, %s)" % (self.a, self.b)
+
+
+def reference_infinitesimal_action(gens, data):
+    """The flow derivative by dual numbers: ``data`` moved by the reference
+    law along id + eps * sum_s H_s(x, ..., x)/s!, eps^2 = 0, and read off
+    as the eps parts.  The flow's linear part is the plain identity, so no
+    pivot is a dual number.  natops.jets.infinitesimal_action, which
+    interpolates ordinary transforms instead, is checked against this."""
+    n = data.n
+    W = data.conn_order if data.conn is not None else None
+    trunc = max([jet_order(data.order, W)] + [g.nsym for g in gens])
+    comps = [{_exps_of((a,), n): Fraction(1)} for a in range(n)]
+    for gen in gens:
+        for key, val in gen.data.items():
+            e = _exps_of(key[1:], n)
+            p_add_into(comps[key[0]], {e: Dual(0, Fraction(val)
+                                               / _fact_of_exps(e))})
+    moved = reference_jet_transform(data, CoordinateChange(n, trunc, comps))
+
+    def eps(t):
+        return Tensor(t.n, t.nfixed, t.nsym,
+                      {k: v.b for k, v in t.data.items()
+                       if isinstance(v, Dual) and v.b})
+
+    return JetData(n, data.order,
+                   {lab: [eps(t) for t in arrs]
+                    for lab, arrs in moved.fields.items()},
+                   None if moved.conn is None else [eps(t) for t in moved.conn],
+                   data.conn_order)
 
 
 def reference_solve_fixed_coefficients(residual_fn, order):

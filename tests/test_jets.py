@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,14 +13,12 @@ from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, vector, wheel_vertices
 from natops.io import exact
 from natops.jets import (
     CoordinateChange,
-    Dual,
     JetData,
     Tensor,
     apply_linear,
     infinitesimal_action,
     jet_order,
     jet_transform,
-    lift_with_variation,
     naturality_check,
     random_jet_data,
     random_tensor,
@@ -35,6 +34,7 @@ from .helpers import (
     p_add_into,
     p_mul,
     p_var,
+    reference_infinitesimal_action,
     reference_jet_transform,
     state_sum,
     trace_pair,
@@ -102,38 +102,31 @@ def _slice_graphs(family, d):
 
 def _state_sum_data(kind, rng, n, labels, order, conn_order):
     """Random jets, as drawn ("fractions"), moved by a random coordinate
-    change ("transformed": large denominators), rounded to integers read
-    the way ``eval --data`` reads them ("integers"), or with a random
-    variation as the dual part ("dual", :func:`lift_with_variation`)."""
-    def draw():
-        return random_jet_data(rng, n, labels, order,
-                               with_conn=conn_order is not None,
-                               conn_order=conn_order)
-
-    data = draw()
+    change ("transformed": large denominators), or rounded to integers
+    read the way ``eval --data`` reads them ("integers")."""
+    data = random_jet_data(rng, n, labels, order,
+                           with_conn=conn_order is not None,
+                           conn_order=conn_order)
     if kind == "transformed":
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order))
         data = jet_transform(data, phi)
     elif kind == "integers":
         def whole(t):
-            return t.map_values(lambda v: exact(v.numerator))
+            return Tensor(t.n, t.nfixed, t.nsym,
+                          {k: exact(v.numerator) for k, v in t.data.items()})
 
         data = JetData(n, order,
                        {lab: [whole(t) for t in arrs]
                         for lab, arrs in data.fields.items()},
                        None if data.conn is None else
                        [whole(t) for t in data.conn], conn_order)
-    elif kind == "dual":
-        data = lift_with_variation(data, draw())
     return data
 
 
 @pytest.mark.parametrize("family,d", STATE_SUM_SLICES)
 @pytest.mark.parametrize("n,kind", [(2, "fractions"), (3, "fractions"),
-                                    (2, "transformed"), (2, "integers"),
-                                    (2, "dual")],
-                         ids=["2", "3", "2-transformed", "2-integers",
-                              "2-dual"])
+                                    (2, "transformed"), (2, "integers")],
+                         ids=["2", "3", "2-transformed", "2-integers"])
 def test_realize_graph_matches_state_sum(family, d, n, kind):
     """The integer tree-and-wheel contraction equals the n^edges state
     sum, graph by graph, with generators for the white vertices, on jets
@@ -213,12 +206,11 @@ def test_stable_injectivity_of_realization(d):
     assert rank(vectors) == len(slice0.graphs)
 
 
-def _random_coeff(rng, dual):
-    v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return Dual(v, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) if dual else v
+def _random_coeff(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
-def _random_poly(rng, n, lo, hi, dual):
+def _random_poly(rng, n, lo, hi):
     """Random polynomial with monomials of total degree lo..hi."""
     p = {}
     for deg in range(lo, hi + 1):
@@ -226,7 +218,7 @@ def _random_poly(rng, n, lo, hi, dual):
             e = [0] * n
             for _ in range(deg):
                 e[rng.randrange(n)] += 1
-            p_add_into(p, {tuple(e): _random_coeff(rng, dual)})
+            p_add_into(p, {tuple(e): _random_coeff(rng)})
     return p
 
 
@@ -242,17 +234,17 @@ def _naive_compose(a, comps, n, trunc):
     return out
 
 
-@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("dual", [False])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_substitution_matches_naive_composition(n, dual):
     """The packed integer Substitution composes as the tuple-keyed
     reference does when it multiplies every monomial up from scratch."""
     rng = random.Random(repr(("substitution", n, dual)))
     for trunc in (1, 2, 3, 4):
-        comps = [_random_poly(rng, n, 1, trunc, dual) for _ in range(n)]
+        comps = [_random_poly(rng, n, 1, trunc) for _ in range(n)]
         for _ in range(4):
             # degrees above trunc too: they must vanish
-            a = _random_poly(rng, n, 0, trunc + 1, dual)
+            a = _random_poly(rng, n, 0, trunc + 1)
             pk = jets.Packing.of_maps(n, trunc, comps, [a])
             inner, den = jets._pack(comps, pk)
             sub = jets.Substitution(inner, den, pk, trunc)
@@ -261,15 +253,12 @@ def test_substitution_matches_naive_composition(n, dual):
             assert got == _naive_compose(a, comps, n, trunc)
 
 
-@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("dual", [False])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_map_inverse_composes_to_identity(n, dual):
     rng = random.Random(repr(("map-inverse", n, dual)))
     for trunc in (1, 2, 3, 4):
         comps = CoordinateChange.random(rng, n, trunc).comps
-        if dual:
-            comps = [{e: Dual(v, _random_coeff(rng, False))
-                      for e, v in f.items()} for f in comps]
         pk = jets.Packing.of_maps(n, trunc, comps)
         F, dF = jets._pack(comps, pk)
         psi, dpsi = jets.map_inverse(F, dF, pk, trunc)
@@ -280,7 +269,7 @@ def test_map_inverse_composes_to_identity(n, dual):
                     for a in range(n)] == ident
 
 
-@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("dual", [False])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_jet_transform_matches_reference_law(n, dual):
     """The one pull-back law on integer numerators and packed exponents
@@ -300,13 +289,6 @@ def test_jet_transform_matches_reference_law(n, dual):
                                conn_order=conn_order)
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order)
                                       + rng.randint(0, 3))
-        if dual:
-            data = lift_with_variation(data, random_jet_data(
-                rng, n, ["X1", "X2"], order, with_conn=conn_order is not None,
-                conn_order=conn_order))
-            phi = CoordinateChange(n, phi.trunc, [
-                {e: Dual(v, _random_coeff(rng, False)) for e, v in f.items()}
-                for f in phi.comps])
         data.fields["X0"] = [Tensor(n, 1, v) for v in range(order + 1)]
         got, want = jet_transform(data, phi), reference_jet_transform(data, phi)
         assert got.fields == want.fields
@@ -452,6 +434,66 @@ def test_infinitesimal_action_matches_rules():
                 assert delta.conn[0].get((a, b, c)) == -H.get((a,), (b, c))
 
 
+#: (n, field order, connection order, generator arities) for the flow
+#: derivative against the dual-number reference: D = max(K, W + 1) set by
+#: the fields, by the connection and by both.
+ACTION_CASES = [(1, 0, None, (2,)), (1, 3, None, (2, 3)), (1, 1, 2, (3, 4)),
+                (2, 0, 0, (2,)), (2, 2, None, (2, 4)), (2, 0, 2, (2, 3, 4)),
+                (2, 3, 1, (3,)), (3, 1, None, (2, 3)), (3, 0, 1, (4,)),
+                (3, 2, 0, (2, 3, 4)), (3, 1, 2, (2,)), (3, 3, None, (3, 4))]
+
+
+@pytest.mark.parametrize("n,order,conn_order,arities", ACTION_CASES,
+                         ids=["n%d-K%d-W%s-%s" % (n, K, W, "".join(map(str, s)))
+                              for n, K, W, s in ACTION_CASES])
+def test_infinitesimal_action_matches_dual_reference(n, order, conn_order,
+                                                     arities):
+    """The exact interpolation of ordinary transforms equals the flow
+    derivative taken with dual numbers through the reference law."""
+    rng = random.Random(repr(("action", n, order, conn_order, arities)))
+    data = random_jet_data(rng, n, ["X1", "X2"], order,
+                           with_conn=conn_order is not None,
+                           conn_order=conn_order)
+    gens = [random_tensor(rng, n, 1, s) for s in arities]
+    got = infinitesimal_action(gens, data)
+    want = reference_infinitesimal_action(gens, data)
+    assert got.fields == want.fields
+    assert got.conn == want.conn
+
+
+def test_infinitesimal_action_refuses_arity_below_two():
+    """A generator of arity 0 or 1 moves the origin or the linear part, so
+    the moved jets are not polynomials in the flow time; arities 2 and up
+    are accepted."""
+    rng = random.Random(11)
+    data = random_jet_data(rng, 2, ["X1"], 1, with_conn=True, conn_order=1)
+    for s in (0, 1):
+        with pytest.raises(ValueError, match="arity %d" % s):
+            infinitesimal_action(random_tensor(rng, 2, 1, s), data)
+    for s in range(2, 6):
+        gen = random_tensor(rng, 2, 1, s)
+        got = infinitesimal_action(gen, data)
+        want = reference_infinitesimal_action([gen], data)
+        assert got.fields == want.fields and got.conn == want.conn
+
+
+def _along(data, delta, eps):
+    """The jet data ``data + eps * delta``."""
+    def add(t, d):
+        out = Tensor(t.n, t.nfixed, t.nsym, dict(t.data))
+        for k, v in d.data.items():
+            out.data[k] = out.data.get(k, 0) + eps * v
+        return out
+
+    conn = None
+    if data.conn is not None:
+        conn = [add(t, d) for t, d in zip(data.conn, delta.conn)]
+    return JetData(data.n, data.order,
+                   {lab: [add(t, d) for t, d in zip(arrs, delta.fields[lab])]
+                    for lab, arrs in data.fields.items()},
+                   conn, data.conn_order)
+
+
 @pytest.mark.parametrize(
     "family,d,with_conn",
     [
@@ -463,13 +505,13 @@ def test_infinitesimal_action_matches_rules():
 )
 def test_differential_realizes_as_flow_derivative(family, d, with_conn):
     """Bottom chain-map identity: realizing delta(G) against generators
-    equals the first-order variation of realizing G along their flow."""
+    equals the first-order variation of realizing G along their flow.
+
+    Realization is multilinear in the arrays, so along data + eps * Delta
+    it is a polynomial in eps of degree at most D, the number of arrays a
+    graph reads, and its slope at 0 is the Lagrange slope through
+    eps = 0, 1, ..., D."""
     from natops.complexes import differential, enumerate_basis
-    from natops.jets import (
-        Dual,
-        lift_with_variation,
-        random_tensor,
-    )
 
     rng = random.Random(repr((family, d)))
     n = 3
@@ -481,11 +523,16 @@ def test_differential_realizes_as_flow_derivative(family, d, with_conn):
     )
     gens = {s: random_tensor(rng, n, 1, s) for s in range(2, d + 2)}
     delta = infinitesimal_action(list(gens.values()), data)
-    dual_data = lift_with_variation(data, delta)
-    for g in enumerate_basis(family, d, 0).graphs:
+    graphs = enumerate_basis(family, d, 0).graphs
+    D = max(sum(v.kind in (VECTOR, CONNECTION) for v in g.vertices)
+            for g in graphs)
+    points = [_along(data, delta, eps) for eps in range(D + 1)]
+    for g in graphs:
         lhs = realize(differential(FormalSum.of(g)), data, gens=gens)
-        moved = realize(FormalSum.of(g), dual_data)
-        rhs = [c.b if isinstance(c, Dual) else Fraction(0) for c in moved]
+        f = [realize(FormalSum.of(g), p) for p in points]
+        rhs = [sum(Fraction((-1) ** (k + 1) * comb(D, k), k)
+                   * (f[k][a] - f[0][a]) for k in range(1, D + 1))
+               for a in range(n)]
         assert lhs == rhs
 
 
