@@ -3,15 +3,16 @@
 The differential matrix of a slice has one column per degree-m basis graph
 holding the coordinates of its differential in the degree-(m+1) basis; a
 differential term missing from the target basis is a fatal completeness
-error.  The matrix stays sparse: its rows go as {col: Fraction} dicts into
-the one sparse exact elimination of :mod:`natops.linalg`, which gives
+error.  Everything here is in the one row format of :mod:`natops.linalg`,
+sparse {col: value} dicts holding nonzeros only: the matrix is stored as
+its rows, with the differential's int coefficients kept as ints until the
+elimination divides; kernel vectors come back as {col: Fraction} and
+coordinates as {index: coeff}.  The one sparse exact elimination gives
 ranks, reduced kernel bases and span tests.  The kernel of the degree-0
 differential is the space of natural operators of the family.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .canonical import key_bytes
@@ -30,35 +31,35 @@ class BasisIncompleteError(RuntimeError):
 
 
 class SparseMatrixQ:
-    """Sparse rational matrix keyed by (row, col)."""
+    """Sparse rational matrix stored as its nonzero rows, {row: {col: value}}."""
 
-    def __init__(self, nrows, ncols, entries=None):
+    def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = dict(entries or {})
+        self.rows = {}
 
     def set(self, r, c, v):
         if v:
-            self.entries[(r, c)] = Fraction(v)
-        else:
-            self.entries.pop((r, c), None)
+            self.rows.setdefault(r, {})[c] = v
+        elif c in self.rows.get(r, ()):
+            del self.rows[r][c]
+            if not self.rows[r]:
+                del self.rows[r]
 
     def sparse_rows(self):
-        """The nonzero rows as {col: value} dicts."""
-        rows = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        return list(rows.values())
+        """The nonzero rows as {col: value} dicts (shared, not copies)."""
+        return list(self.rows.values())
 
     def triplets(self):
-        return sorted((r, c, v) for (r, c), v in self.entries.items())
+        return sorted((r, c, v) for r, row in self.rows.items()
+                      for c, v in row.items())
 
     def rank(self):
         return linalg.rank(self.sparse_rows())
 
     def __repr__(self):
         return "SparseMatrixQ(%dx%d, %d nonzero)" % (
-            self.nrows, self.ncols, len(self.entries))
+            self.nrows, self.ncols, sum(map(len, self.rows.values())))
 
 
 def delta_matrix(family, d, m, source=None, target=None):
@@ -95,13 +96,11 @@ def kernel_basis(family, d, m=0):
         family = FAMILIES[family]
     src = enumerate_basis(family, d, m)
     mat = delta_matrix(family, d, m, source=src)
-    vectors = linalg.nullspace(mat.sparse_rows(), ncols=mat.ncols)
     out = []
-    for vec in vectors:
+    for vec in linalg.nullspace(mat.sparse_rows(), mat.ncols):
         s = FormalSum()
-        for j, c in enumerate(vec):
-            if c:
-                s.add_canonical(src.graphs[j], c)
+        for j, c in vec.items():
+            s.add_canonical(src.graphs[j], c)
         if differential(s):
             raise AssertionError("kernel element fails differential re-check")
         out.append(s)
@@ -109,9 +108,9 @@ def kernel_basis(family, d, m=0):
 
 
 def coordinates(x, basis_slice):
-    """Coordinate vector of a formal sum in a basis slice."""
+    """Sparse coordinates {index: coeff} of a formal sum in a basis slice."""
     index = {g: i for i, g in enumerate(basis_slice.graphs)}
-    vec = [Fraction(0)] * len(basis_slice.graphs)
+    vec = {}
     for g, c in x:
         i = index.get(g)
         if i is None:
@@ -146,17 +145,14 @@ def wheel_block_injective(family, d):
         tgt_index[g] = (wheel_length(g), i)
     report = {}
     for wlen, graphs in sorted(by_len_src.items()):
-        rows = {}
         cols = len(graphs)
-        entries = {}
+        rows = {}
         for j, g in enumerate(graphs):
             for cg, coeff in delta_graph_cached(g):
                 tlen, i = tgt_index[cg]
                 if tlen == wlen:
-                    r = rows.setdefault(i, len(rows))
-                    entries[(r, j)] = coeff
-        mat = SparseMatrixQ(len(rows), cols, entries)
-        rank = mat.rank()
+                    rows.setdefault(i, {})[j] = coeff
+        rank = linalg.rank(rows.values())
         report[wlen] = (rank, cols)
         if rank != cols:
             raise AssertionError(

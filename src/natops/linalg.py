@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals, shared by homology, the rule
 derivation and the jet oracle.
 
-Everything is over Q; no floating point.  One sparse Gauss–Jordan
-elimination (:class:`Echelon`) serves rank, kernels, span tests and the
-linear system of the connection-rule derivation: rows are dicts
-``{col: Fraction}``, pivot rows are kept fully reduced and keyed by pivot
-column, and each row's pivot is its least nonzero column, so the pivot rows
-are the reduced row echelon form whatever the row order.  Batches are fed
-shortest row first to limit fill-in.  :func:`mat_inv` reduces [A | I] on
-the same elimination.
+Everything is over Q; no floating point.  There is one row format: a
+sparse row is a mapping ``{col: value}`` holding its nonzeros, with int or
+Fraction values; ints stay ints until :class:`Echelon` divides by a
+pivot.  One sparse Gauss–Jordan elimination (:class:`Echelon`) serves
+rank, kernels, span tests and the linear system of the connection-rule
+derivation: pivot rows are kept fully reduced and keyed by pivot column,
+and each row's pivot is its least nonzero column, so the pivot rows are
+the reduced row echelon form whatever the row order.  Batches are fed
+shortest row first to limit fill-in.  :func:`nullspace` returns kernel
+vectors in the same format, and :func:`mat_inv` reduces [A | I] on the
+same elimination.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from fractions import Fraction
 
 
 def _as_dict(row):
-    """A sequence or a {col: value} mapping as a new sparse Fraction row."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: Fraction(x) for c, x in items if x}
+    """A {col: value} mapping as a new sparse row without its zeros."""
+    return {c: x for c, x in row.items() if x}
 
 
 def _sub(dst, f, src):
@@ -54,7 +56,7 @@ class Echelon:
         if not r:
             return
         lead = min(r)
-        inv = 1 / r[lead]
+        inv = 1 / Fraction(r[lead])
         r = {k: v * inv for k, v in r.items()}
         for p in self.rows.values():
             f = p.get(lead)
@@ -64,28 +66,30 @@ class Echelon:
 
 
 def rank(rows):
-    """Rank of dense or sparse rows."""
+    """Rank of sparse rows."""
     return len(Echelon(rows).rows)
 
 
-def nullspace(rows, ncols=None):
-    """Reduced basis of the right kernel, one vector per free column."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Reduced basis of the right kernel of sparse rows over ``ncols``
+    columns: one sparse vector {col: Fraction} per free column, in column
+    order, holding its nonzeros in column order.
+
+    A pivot row c is zero left of c and on every other pivot column, so
+    its entries past c sit on free columns f > c and give the entry -r[f]
+    of f's vector at c; walking the columns in order writes each vector's
+    pivot entries, then its own 1.
+    """
     pivots = Echelon(rows).rows
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
+    basis = {f: {} for f in range(ncols) if f not in pivots}
+    for c in range(ncols):
+        if c in basis:
+            basis[c][c] = Fraction(1)
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, r in pivots.items():
-            if fc in r:
-                v[c] = -r[fc]
-        basis.append(v)
-    return basis
+        for f, x in pivots[c].items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())
 
 
 def mat_inv(rows):

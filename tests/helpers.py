@@ -403,9 +403,21 @@ def dense_nullspace(rows, ncols):
 def dense_matrix(mat):
     """A SparseMatrixQ as dense Fraction rows (reference inputs only)."""
     rows = [[Fraction(0)] * mat.ncols for _ in range(mat.nrows)]
-    for (r, c), v in mat.entries.items():
-        rows[r][c] = v
+    for r, row in mat.rows.items():
+        for c, v in row.items():
+            rows[r][c] = Fraction(v)
     return rows
+
+
+def dense_vector(vec, n):
+    """A sparse {index: value} vector as a dense Fraction list."""
+    return [Fraction(vec.get(i, 0)) for i in range(n)]
+
+
+def dense_coordinates(x, basis_slice):
+    """Reference coordinates of a formal sum as a dense list over the slice."""
+    coeff = dict(x)
+    return [Fraction(coeff.get(g, 0)) for g in basis_slice.graphs]
 
 
 def state_sum(g, data, gens=None):

@@ -42,6 +42,16 @@ def test_functional_equation_residual_zero():
     assert residual.is_zero()
 
 
+def test_cross_checks_hold_at_the_cli_cap():
+    """The recursion and the dual identity, which ``genfun`` does not run,
+    agree with the solved series over the whole range the CLI admits."""
+    from natops.cli import MAX_UPTO
+
+    g = g_series(MAX_UPTO)
+    assert [row[1] for row in table(g)] == g_recursion(MAX_UPTO)
+    assert dual_consistency(g)
+
+
 def test_dual_consistency():
     assert dual_consistency(g_series(12))
     assert dual_consistency(g_series(1))

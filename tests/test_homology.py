@@ -19,20 +19,29 @@ from natops.homology import (
 from natops.complexes import differential
 from natops import linalg
 
-from .helpers import chain_xy, chain_yx, dense_matrix, dense_nullspace, nabla_xy
+from .helpers import (
+    chain_xy,
+    chain_yx,
+    dense_coordinates,
+    dense_matrix,
+    dense_nullspace,
+    dense_vector,
+    nabla_xy,
+)
 
 
 def test_nabla1_matrix_is_row_of_signs():
     mat = delta_matrix("bullet-nabla-1", 2, 0)
     assert (mat.nrows, mat.ncols) == (1, 4)
-    vals = sorted(mat.entries.values())
+    vals = sorted(v for row in mat.rows.values() for v in row.values())
     assert vals == [Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)]
+    assert all(type(v) is int for v in vals)  # delta's ints stay ints
 
 
 def test_unit_matrix_is_empty():
     mat = delta_matrix("bullet", 1, 0)
     assert mat.ncols == 1
-    assert not mat.entries
+    assert not mat.rows and not mat.sparse_rows() and not mat.triplets()
 
 
 def test_bullet2_matrix_rank():
@@ -66,7 +75,7 @@ def test_wheel_blocks_full_rank(d):
 def test_rank_plus_nullity():
     for fam, d in [("bullet", 3), ("bullet-nabla-1", 2), ("bullet-wheel", 3)]:
         mat = delta_matrix(fam, d, 0)
-        null = len(linalg.nullspace(mat.sparse_rows(), ncols=mat.ncols))
+        null = len(linalg.nullspace(mat.sparse_rows(), mat.ncols))
         assert mat.rank() + null == mat.ncols
 
 
@@ -81,10 +90,17 @@ _REFERENCE_SLICES = (
 @pytest.mark.parametrize("fam,d", _REFERENCE_SLICES)
 def test_sparse_kernel_matches_dense_reference(fam, d):
     mat = delta_matrix(fam, d, 0)
-    want = dense_nullspace(dense_matrix(mat), mat.ncols)
+    n = mat.ncols
+    want = dense_nullspace(dense_matrix(mat), n)
     assert h0_dimension(fam, d) == len(want)
+    null = linalg.nullspace(mat.sparse_rows(), n)
+    assert [dense_vector(v, n) for v in null] == want
+    assert all(x for v in null for x in v.values())
     src = enumerate_basis(fam, d, 0)
-    assert [coordinates(x, src) for x in kernel_basis(fam, d)] == want
+    kb = kernel_basis(fam, d)
+    assert [dense_coordinates(x, src) for x in kb] == want
+    coords = [coordinates(x, src) for x in kb]
+    assert coords == null
 
 
 def test_kernel_bullet2_is_bracket_line():

@@ -198,6 +198,22 @@ def test_basis_slices_stream_as_the_reference(family, dmax):
     assert 0 in sizes and max(sizes) > 1
 
 
+@pytest.mark.parametrize("family,d", [("bullet", 4), ("bullet-nabla-1", 3)])
+def test_kerbasis_streams_as_the_reference(family, d):
+    """A kernel basis written one element at a time is byte for byte the
+    whole object tree written in the one layout."""
+    from natops.homology import kernel_basis
+
+    code, out = _run(["kerbasis", "--family", family, "--d", str(d)])
+    assert code == 0
+    basis = kernel_basis(family, d)
+    assert len(basis) > 1
+    want = {"schema": io.SCHEMA, "family": family, "d": d,
+            "dimension": len(basis),
+            "basis": [io.sum_to_obj(x) for x in basis]}
+    assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
 def test_cli_diff_and_d2check(tmp_path):
     p = tmp_path / "chain.json"
     p.write_text(json.dumps(io.graph_to_obj(chain_xy())))
