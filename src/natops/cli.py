@@ -279,9 +279,7 @@ def cmd_eval(args):
 
         labels, order, conn_order = need
         rng = random.Random(repr(("eval", args.seed)))
-        data = jets.random_jet_data(rng, args.dim, labels, order,
-                                    with_conn=conn_order is not None,
-                                    conn_order=conn_order)
+        data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
     val = jets.realize(x, data)
     if isinstance(val, list):
         out = {"schema": io.SCHEMA, "vector": [io._frac_to_str(v) for v in val]}

@@ -270,19 +270,29 @@ def is_connected(g):
 def components(g):
     """Split into weakly connected components (relative white order kept)."""
     ids = component_ids(g)
-    ncomp = max(ids) + 1 if ids else 0
-    out = []
-    for c in range(ncomp):
-        old = [i for i in range(len(g.vertices)) if ids[i] == c]
-        remap = {o: k for k, o in enumerate(old)}
-        verts = tuple(g.vertices[o] for o in old)
-        outs = tuple(
-            (remap[g.out[o][0]], g.out[o][1]) if g.out[o] is not None else None
-            for o in old
-        )
-        order = tuple(remap[w] for w in g.white_order if w in remap)
-        out.append(Graph(verts, outs, order))
-    return out
+    return [
+        splice(g, {v for v, k in enumerate(ids) if k != c})
+        for c in range(max(ids, default=-1) + 1)
+    ]
+
+
+def splice(g, drop, redirect=None):
+    """Drop the vertices in ``drop``, keeping the others and the white order
+    in their order; each kept vertex's out-edge goes to ``redirect[v]``
+    when one is given, else where it went.  Every kept edge must land on a
+    kept vertex."""
+    redirect = redirect or {}
+    keep = [v for v in range(len(g.vertices)) if v not in drop]
+    new = {v: k for k, v in enumerate(keep)}
+    outs = []
+    for v in keep:
+        e = redirect.get(v, g.out[v])
+        outs.append(None if e is None else (new[e[0]], e[1]))
+    return Graph(
+        tuple(g.vertices[v] for v in keep),
+        outs,
+        tuple(new[w] for w in g.white_order if w in new),
+    )
 
 
 def disjoint_union(a, b):

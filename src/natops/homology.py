@@ -137,22 +137,17 @@ def wheel_block_injective(family, d):
         raise ValueError("wheel blocks exist in anchor-free families only")
     src = enumerate_basis(family, d, 0)
     tgt = enumerate_basis(family, d, 1)
-    by_len_src = {}
-    for g in src.graphs:
-        by_len_src.setdefault(wheel_length(g), []).append(g)
-    tgt_index = {}
-    for i, g in enumerate(tgt.graphs):
-        tgt_index[g] = (wheel_length(g), i)
+    mat = delta_matrix(family, d, 0, source=src, target=tgt)
+    src_len = [wheel_length(g) for g in src.graphs]
+    tgt_len = [wheel_length(g) for g in tgt.graphs]
+    blocks = {wlen: {} for wlen in src_len}
+    for i, row in mat.rows.items():
+        for j, coeff in row.items():
+            if tgt_len[i] == src_len[j]:
+                blocks[src_len[j]].setdefault(i, {})[j] = coeff
     report = {}
-    for wlen, graphs in sorted(by_len_src.items()):
-        cols = len(graphs)
-        rows = {}
-        for j, g in enumerate(graphs):
-            for cg, coeff in delta_graph_cached(g):
-                tlen, i = tgt_index[cg]
-                if tlen == wlen:
-                    rows.setdefault(i, {})[j] = coeff
-        rank = linalg.rank(rows.values())
+    for wlen, rows in sorted(blocks.items()):
+        rank, cols = linalg.rank(rows.values()), src_len.count(wlen)
         report[wlen] = (rank, cols)
         if rank != cols:
             raise AssertionError(

@@ -370,17 +370,17 @@ base1) and w symmetric derivative indices; None when no connection is used.
 """
 
 
-def random_jet_data(rng, n, labels, order, with_conn=False, conn_order=None):
+def random_jet_data(rng, n, labels, order, conn_order=None):
+    """Random jets of the labelled fields to ``order``, and of a connection
+    to ``conn_order`` unless that is None."""
     fields = {
         lab: [random_tensor(rng, n, 1, v) for v in range(order + 1)]
         for lab in labels
     }
     conn = None
-    if with_conn:
-        if conn_order is None:
-            conn_order = order
+    if conn_order is not None:
         conn = [random_tensor(rng, n, 3, w) for w in range(conn_order + 1)]
-    return JetData(n, order, fields, conn, conn_order if with_conn else None)
+    return JetData(n, order, fields, conn, conn_order)
 
 
 class CoordinateChange:
@@ -859,9 +859,7 @@ def naturality_check(x, n, trials=20, seed=0):
     trunc = jet_order(order, conn_order)
     for t in range(trials):
         rng = random.Random(repr(("natcheck", seed, t)))
-        data = random_jet_data(rng, n, labels, order,
-                               with_conn=conn_order is not None,
-                               conn_order=conn_order)
+        data = random_jet_data(rng, n, labels, order, conn_order)
         phi = CoordinateChange.random(rng, n, trunc)
         lhs = realize(x, jet_transform(data, phi))
         base = realize(x, data)

@@ -9,6 +9,13 @@ vector-field family the receivers are the labelled field vertices; with
 connections present the connection vertices receive as well, which is what
 composition of differential operators dictates.
 
+All three rewrites here -- insertion, the trace, and the component split
+of :mod:`natops.graphs` -- are one primitive, :func:`natops.graphs.splice`:
+drop some vertices, keep the rest in order, redirect some out-edges.
+Insertion takes the disjoint union of the two graphs and splices away the
+replaced vertex and the inserted anchor; the trace splices away the anchor
+and X0, closing X0's output onto the anchor's feeder.
+
 Bracket words expand through the operad morphism sending the binary
 bracket to the antisymmetrized 2-chain and the star letter to the
 covariant-derivative cocycle.
@@ -16,6 +23,7 @@ covariant-derivative cocycle.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .formal import FormalSum, combine
@@ -25,9 +33,11 @@ from .graphs import (
     SYM,
     VECTOR,
     Graph,
-    Vertex,
     anchor,
     connection,
+    disjoint_union,
+    relabel,
+    splice,
     vector,
 )
 
@@ -83,93 +93,37 @@ def covariant_element():
 
 def _monomial_compose(g1, i, g2):
     """All monomials of g1 composed with g2 in slot i (labels rewritten)."""
-    u = arity(g1)
-    v = arity(g2)
-    slot_vertex = next(
-        k for k, vv in enumerate(g1.vertices)
-        if vv.kind == VECTOR and vv.label == "X%d" % i
+    u, v = g1.count(VECTOR), g2.count(VECTOR)
+    slot = next(
+        k for k, x in enumerate(g1.vertices)
+        if x.kind == VECTOR and x.label == "X%d" % i
     )
-    root2 = next(
+    off = len(g1.vertices)
+    root = next(
         k for k, e in enumerate(g2.out)
         if e is not None and g2.vertices[e[0]].kind == ANCHOR
     )
-    anchor2 = g2.out[root2][0]
+    anchor2 = off + g2.out[root][0]
+    root += off
     receivers = [
-        k for k, vv in enumerate(g2.vertices)
-        if vv.kind in (VECTOR, CONNECTION)
+        off + k for k, x in enumerate(g2.vertices)
+        if x.kind in (VECTOR, CONNECTION)
     ]
-    in_edges = [
-        (src, e[1]) for src, e in enumerate(g1.out)
-        if e is not None and e[0] == slot_vertex
-    ]
-
-    # index maps: g1 keeps all vertices but slot_vertex, then g2 minus anchor
-    def idx1(k):
-        return k if k < slot_vertex else k - 1
-
-    off = len(g1.vertices) - 1
-
-    def idx2(k):
-        return off + (k if k < anchor2 else k - 1)
-
-    relabel1 = {}
-    for j in range(1, u + 1):
-        if j < i:
-            relabel1["X%d" % j] = "X%d" % j
-        elif j > i:
-            relabel1["X%d" % j] = "X%d" % (j + v - 1)
-    relabel2 = {"X%d" % k: "X%d" % (i + k - 1) for k in range(1, v + 1)}
-
+    ins = [k for k, e in enumerate(g1.out) if e is not None and e[0] == slot]
+    outer = {"X%d" % j: "X%d" % (j + v - 1) for j in range(i + 1, u + 1)}
+    inner = {"X%d" % k: "X%d" % (i + k - 1) for k in range(1, v + 1)}
+    both = disjoint_union(relabel(g1, outer), relabel(g2, inner))
     out = []
-    for choice in _functions(in_edges, receivers):
-        counts = {}
-        for e, tgt in choice.items():
-            counts[tgt] = counts.get(tgt, 0) + 1
-        verts = []
-        for k, vv in enumerate(g1.vertices):
-            if k == slot_vertex:
-                continue
-            verts.append(Vertex(vv.kind, relabel1.get(vv.label, vv.label), vv.order))
-        for k, vv in enumerate(g2.vertices):
-            if k == anchor2:
-                continue
-            order = vv.order + counts.get(k, 0)
-            verts.append(Vertex(vv.kind, relabel2.get(vv.label, vv.label), order))
-        outmap = []
-        for k, e in enumerate(g1.out):
-            if k == slot_vertex:
-                continue
-            if e is None:
-                outmap.append(None)
-            elif e[0] == slot_vertex:
-                outmap.append((idx2(choice[(k, e[1])]), SYM))
-            else:
-                outmap.append((idx1(e[0]), e[1]))
-        for k, e in enumerate(g2.out):
-            if k == anchor2:
-                continue
-            if k == root2:
-                dst, slot = g1.out[slot_vertex]
-                if dst == slot_vertex:
-                    outmap.append((idx2(choice[(slot_vertex, slot)]), SYM))
-                else:
-                    outmap.append((idx1(dst), slot))
-            else:
-                outmap.append((idx2(e[0]), e[1]))
-        out.append(Graph(tuple(verts), tuple(outmap)))
+    for choice in itertools.product(receivers, repeat=len(ins)):
+        verts = list(both.vertices)
+        for r in choice:
+            verts[r] = verts[r]._replace(order=verts[r].order + 1)
+        redirect = {k: (r, SYM) for k, r in zip(ins, choice)}
+        # the root takes the slot's out-edge, or its self-loop's new target
+        redirect[root] = redirect.get(slot, g1.out[slot])
+        grown = Graph(verts, both.out, both.white_order)
+        out.append(splice(grown, {slot, anchor2}, redirect))
     return out
-
-
-def _functions(domain, codomain):
-    if not domain:
-        yield {}
-        return
-    head, rest = domain[0], domain[1:]
-    for tail in _functions(rest, codomain):
-        for tgt in codomain:
-            d = dict(tail)
-            d[head] = tgt
-            yield d
 
 
 def compose(a, i, b):
@@ -177,6 +131,9 @@ def compose(a, i, b):
     a, b = _as_sum(a), _as_sum(b)
     if not (1 <= i <= arity(a)):
         raise ValueError("slot index out of range")
+    arity(b)
+    if not all(g.has_anchor() for g, _ in b):
+        raise ValueError("the inserted sum must be anchored (vector-valued)")
     out = FormalSum()
     for g1, c1 in a:
         for g2, c2 in b:
@@ -189,17 +146,10 @@ def sigma_action(x, sigma):
     """Right action relabelling X_k to X_{sigma(k)}: the result evaluates
     the original element at arguments pulled back through sigma."""
     x = _as_sum(x)
-    d = arity(x)
-    if sorted(sigma) != list(range(1, d + 1)):
+    if sorted(sigma) != list(range(1, arity(x) + 1)):
         raise ValueError("permutation size mismatch")
-    mapping = {"X%d" % k: "X%d" % sigma[k - 1] for k in range(1, d + 1)}
-
-    from .graphs import relabel
-
-    out = FormalSum()
-    for g, c in x:
-        out.add_graph(relabel(g, mapping), c)
-    return out
+    mapping = {"X%d" % k: "X%d" % s for k, s in enumerate(sigma, 1)}
+    return x.map_graphs(lambda g: relabel(g, mapping))
 
 
 # --- bracket-word expansion -------------------------------------------------
@@ -236,7 +186,10 @@ def parse_word(text):
             raise ValueError("bad leaf %r" % tok)
         return int(m.group(1))
 
-    tree = rec()
+    try:
+        tree = rec()
+    except RecursionError:
+        raise ValueError("word nests too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens in word")
     return tree
@@ -269,15 +222,8 @@ def lie_expand(word):
         out = compose(compose(base, 1, el), al + 1, er)
         return out, al + ar
 
-    expr, d = rec(tree)
-    mapping = {"X%d" % (k + 1): "X%d" % leaves[k] for k in range(d)}
-
-    from .graphs import relabel
-
-    out = FormalSum()
-    for g, c in expr:
-        out.add_graph(relabel(g, mapping), c)
-    return out
+    expr, _ = rec(tree)
+    return sigma_action(expr, leaves)
 
 
 # --- trace ------------------------------------------------------------------
@@ -286,8 +232,7 @@ def lie_expand(word):
 def trace_map(g):
     """Splice out the anchor and the order-0 vertex labelled X0, closing
     the freed input and output into one edge (a wheel)."""
-    x0 = None
-    anc = None
+    x0 = anc = None
     for k, vv in enumerate(g.vertices):
         if vv.kind == VECTOR and vv.label == "X0":
             if vv.order != 0:
@@ -298,34 +243,7 @@ def trace_map(g):
     if x0 is None or anc is None:
         raise ValueError("trace needs an anchored graph with an X0 vertex")
     feeder = next(k for k, e in enumerate(g.out) if e is not None and e[0] == anc)
-    dst, slot = g.out[x0]
-    removed = sorted((x0, anc))
-
-    def idx(k):
-        return k - sum(1 for r in removed if r < k)
-
-    if feeder == x0:
-        if dst != anc:
-            raise ValueError("malformed trace graph")
-        verts = tuple(v for k, v in enumerate(g.vertices) if k not in removed)
-        outmap = tuple(
-            (idx(e[0]), e[1]) if e is not None else None
-            for k, e in enumerate(g.out) if k not in removed
-        )
-        return Graph(verts, outmap,
-                     tuple(idx(w) for w in g.white_order))
-    verts = tuple(v for k, v in enumerate(g.vertices) if k not in removed)
-    outmap = []
-    for k, e in enumerate(g.out):
-        if k in removed:
-            continue
-        if k == feeder:
-            outmap.append((idx(dst), slot))
-        elif e is None:
-            outmap.append(None)
-        else:
-            outmap.append((idx(e[0]), e[1]))
-    return Graph(verts, tuple(outmap), tuple(idx(w) for w in g.white_order))
+    return splice(g, {x0, anc}, {feeder: g.out[x0]})
 
 
 def trace_sum(x):

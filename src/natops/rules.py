@@ -287,8 +287,7 @@ def derive_connection_rule(w, n):
     nv = min(n, max(w + 2, 3), 5)
     rng = random.Random(repr(("connrule-verify", w, n)))
     gens = {s: jets.random_tensor(rng, nv, 1, s) for s in arities}
-    conn = jets.random_jet_data(rng, nv, [], w, with_conn=True,
-                                conn_order=w).conn
+    conn = jets.random_jet_data(rng, nv, [], w, conn_order=w).conn
     delta = action(nv, gens, conn)
     for b, c in itertools.product(range(nv), repeat=2):
         for ds in itertools.combinations_with_replacement(range(nv), w):

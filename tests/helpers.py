@@ -3,8 +3,8 @@ reference canonical form, the reference differential, the reference
 connectivity filter of wirings, a dense reference elimination, the derived
 connection rules, the realization state sum, the reference polynomial
 layer, the reference jet transformation law, the dual-number flow
-derivative, the reference series solver and the reference basis-slice
-encoder."""
+derivative, the reference series solver, the reference basis-slice
+encoder and the reference operad insertion and trace."""
 
 import itertools
 from fractions import Fraction
@@ -20,6 +20,7 @@ from natops.graphs import (
     VECTOR,
     WHITE,
     Graph,
+    Vertex,
     anchor,
     connection,
     vector,
@@ -34,6 +35,7 @@ from natops.jets import (
     map_linear_part,
 )
 from natops.linalg import mat_inv
+from natops.operad import arity
 from natops.rules import OUT, derive_connection_rule, rule_for
 from natops.series import Series
 
@@ -804,3 +806,145 @@ def reference_slice_to_obj(bs):
         "graphs": [io.graph_to_obj(g) for g in bs.graphs],
         "keys": [key_bytes(g).decode() for g in bs.graphs],
     }
+
+
+# --- the reference operad rewrites -------------------------------------
+# Insertion and the trace rewire their graphs through index maps of their
+# own.  natops.operad, which builds both on natops.graphs.splice, is
+# checked against them.
+
+
+def reference_monomial_compose(g1, i, g2):
+    """All monomials of g1 composed with g2 in slot i (labels rewritten)."""
+    u = arity(g1)
+    v = arity(g2)
+    slot_vertex = next(
+        k for k, vv in enumerate(g1.vertices)
+        if vv.kind == VECTOR and vv.label == "X%d" % i
+    )
+    root2 = next(
+        k for k, e in enumerate(g2.out)
+        if e is not None and g2.vertices[e[0]].kind == ANCHOR
+    )
+    anchor2 = g2.out[root2][0]
+    receivers = [
+        k for k, vv in enumerate(g2.vertices)
+        if vv.kind in (VECTOR, CONNECTION)
+    ]
+    in_edges = [
+        (src, e[1]) for src, e in enumerate(g1.out)
+        if e is not None and e[0] == slot_vertex
+    ]
+
+    # index maps: g1 keeps all vertices but slot_vertex, then g2 minus anchor
+    def idx1(k):
+        return k if k < slot_vertex else k - 1
+
+    off = len(g1.vertices) - 1
+
+    def idx2(k):
+        return off + (k if k < anchor2 else k - 1)
+
+    relabel1 = {}
+    for j in range(1, u + 1):
+        if j < i:
+            relabel1["X%d" % j] = "X%d" % j
+        elif j > i:
+            relabel1["X%d" % j] = "X%d" % (j + v - 1)
+    relabel2 = {"X%d" % k: "X%d" % (i + k - 1) for k in range(1, v + 1)}
+
+    out = []
+    for choice in _functions(in_edges, receivers):
+        counts = {}
+        for e, tgt in choice.items():
+            counts[tgt] = counts.get(tgt, 0) + 1
+        verts = []
+        for k, vv in enumerate(g1.vertices):
+            if k == slot_vertex:
+                continue
+            verts.append(Vertex(vv.kind, relabel1.get(vv.label, vv.label), vv.order))
+        for k, vv in enumerate(g2.vertices):
+            if k == anchor2:
+                continue
+            order = vv.order + counts.get(k, 0)
+            verts.append(Vertex(vv.kind, relabel2.get(vv.label, vv.label), order))
+        outmap = []
+        for k, e in enumerate(g1.out):
+            if k == slot_vertex:
+                continue
+            if e is None:
+                outmap.append(None)
+            elif e[0] == slot_vertex:
+                outmap.append((idx2(choice[(k, e[1])]), SYM))
+            else:
+                outmap.append((idx1(e[0]), e[1]))
+        for k, e in enumerate(g2.out):
+            if k == anchor2:
+                continue
+            if k == root2:
+                dst, slot = g1.out[slot_vertex]
+                if dst == slot_vertex:
+                    outmap.append((idx2(choice[(slot_vertex, slot)]), SYM))
+                else:
+                    outmap.append((idx1(dst), slot))
+            else:
+                outmap.append((idx2(e[0]), e[1]))
+        out.append(Graph(tuple(verts), tuple(outmap)))
+    return out
+
+
+def _functions(domain, codomain):
+    if not domain:
+        yield {}
+        return
+    head, rest = domain[0], domain[1:]
+    for tail in _functions(rest, codomain):
+        for tgt in codomain:
+            d = dict(tail)
+            d[head] = tgt
+            yield d
+
+
+def reference_trace_map(g):
+    """Splice out the anchor and the order-0 vertex labelled X0, closing
+    the freed input and output into one edge (a wheel)."""
+    x0 = None
+    anc = None
+    for k, vv in enumerate(g.vertices):
+        if vv.kind == VECTOR and vv.label == "X0":
+            if vv.order != 0:
+                raise ValueError("X0 must have derivative order 0")
+            x0 = k
+        elif vv.kind == ANCHOR:
+            anc = k
+    if x0 is None or anc is None:
+        raise ValueError("trace needs an anchored graph with an X0 vertex")
+    feeder = next(k for k, e in enumerate(g.out) if e is not None and e[0] == anc)
+    dst, slot = g.out[x0]
+    removed = sorted((x0, anc))
+
+    def idx(k):
+        return k - sum(1 for r in removed if r < k)
+
+    if feeder == x0:
+        if dst != anc:
+            raise ValueError("malformed trace graph")
+        verts = tuple(v for k, v in enumerate(g.vertices) if k not in removed)
+        outmap = tuple(
+            (idx(e[0]), e[1]) if e is not None else None
+            for k, e in enumerate(g.out) if k not in removed
+        )
+        return Graph(verts, outmap,
+                     tuple(idx(w) for w in g.white_order))
+    verts = tuple(v for k, v in enumerate(g.vertices) if k not in removed)
+    outmap = []
+    for k, e in enumerate(g.out):
+        if k in removed:
+            continue
+        if k == feeder:
+            outmap.append((idx(dst), slot))
+        elif e is None:
+            outmap.append(None)
+        else:
+            outmap.append((idx(e[0]), e[1]))
+    return Graph(verts, tuple(outmap), tuple(idx(w) for w in g.white_order))

@@ -145,3 +145,15 @@ def test_incomplete_basis_is_fatal():
     )
     with pytest.raises(BasisIncompleteError):
         delta_matrix("bullet", 2, 0, source=src, target=broken)
+
+
+def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
+    from natops import homology
+
+    def truncated(family, d, m):
+        bs = enumerate_basis(family, d, m)
+        return bs._replace(graphs=bs.graphs[:1]) if m == 1 else bs
+
+    monkeypatch.setattr(homology, "enumerate_basis", truncated)
+    with pytest.raises(BasisIncompleteError):
+        wheel_block_injective("bullet-wheel", 2)

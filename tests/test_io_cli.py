@@ -249,6 +249,26 @@ def test_cli_compose_lie_trace(tmp_path):
     assert len(json.loads(out)["terms"]) == 1
 
 
+def test_cli_compose_rejects_a_scalar_insertion(tmp_path, capsys):
+    # X1 of order 1 feeding itself has no anchor: no root to graft
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(io.sum_to_obj(lie_expand("(b X1 X2)"))))
+    b.write_text(json.dumps(io.graph_to_obj(
+        Graph((vector("X1", 1),), ((0, SYM),)))))
+    assert run(["compose", "--in", str(a), "--slot", "1",
+                "--with", str(b)]) == 2
+    err = capsys.readouterr().err
+    assert "must be anchored" in err and "Traceback" not in err
+
+
+def test_cli_lie_expand_rejects_a_too_deep_word(capsys):
+    start = time.perf_counter()
+    assert run(["lie-expand", "--expr", "(b " * 1200]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "nests too deeply" in err and "Traceback" not in err
+
+
 def test_cli_matrix_triplets():
     code, out = _run(["matrix", "--family", "bullet-nabla-1", "--d", "2",
                       "--degree", "0"])

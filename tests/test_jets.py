@@ -104,9 +104,7 @@ def _state_sum_data(kind, rng, n, labels, order, conn_order):
     """Random jets, as drawn ("fractions"), moved by a random coordinate
     change ("transformed": large denominators), or rounded to integers
     read the way ``eval --data`` reads them ("integers")."""
-    data = random_jet_data(rng, n, labels, order,
-                           with_conn=conn_order is not None,
-                           conn_order=conn_order)
+    data = random_jet_data(rng, n, labels, order, conn_order)
     if kind == "transformed":
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order))
         data = jet_transform(data, phi)
@@ -284,9 +282,7 @@ def test_jet_transform_matches_reference_law(n, dual):
     # and 5 s more at n = 5 for connection order 2 over order 1
     for order, conn_order in [(0, None), (3, None), (0, 0), (1, 2), (2, 1),
                               (3, {4: 2, 5: 1}.get(n, 3))]:
-        data = random_jet_data(rng, n, ["X1", "X2"], order,
-                               with_conn=conn_order is not None,
-                               conn_order=conn_order)
+        data = random_jet_data(rng, n, ["X1", "X2"], order, conn_order)
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order)
                                       + rng.randint(0, 3))
         data.fields["X0"] = [Tensor(n, 1, v) for v in range(order + 1)]
@@ -297,7 +293,7 @@ def test_jet_transform_matches_reference_law(n, dual):
 
 def test_identity_transform_fixes_jets():
     rng = random.Random(3)
-    data = random_jet_data(rng, 2, ["X1"], 2, with_conn=True, conn_order=2)
+    data = random_jet_data(rng, 2, ["X1"], 2, conn_order=2)
     ident = CoordinateChange.identity(2, 4)
     moved = jet_transform(data, ident)
     for v in range(3):
@@ -308,7 +304,7 @@ def test_identity_transform_fixes_jets():
 def test_linear_transform_of_connection():
     n = 2
     rng = random.Random(4)
-    data = random_jet_data(rng, n, [], 0, with_conn=True, conn_order=0)
+    data = random_jet_data(rng, n, [], 0, conn_order=0)
     A = [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(1)]]
     Ainv = mat_inv(A)
     comps = [
@@ -332,7 +328,7 @@ def test_linear_transform_of_connection():
 def test_quadratic_transform_shifts_connection_by_hessian():
     n = 2
     rng = random.Random(6)
-    data = random_jet_data(rng, n, [], 0, with_conn=True, conn_order=0)
+    data = random_jet_data(rng, n, [], 0, conn_order=0)
     Q = random_tensor(rng, n, 1, 2)
     comps = []
     for a in range(n):
@@ -357,7 +353,7 @@ def test_quadratic_transform_shifts_connection_by_hessian():
 
 def test_transform_is_group_action():
     rng = random.Random(8)
-    data = random_jet_data(rng, 2, ["X1"], 1, with_conn=True, conn_order=1)
+    data = random_jet_data(rng, 2, ["X1"], 1, conn_order=1)
     phi = CoordinateChange.random(rng, 2, 4)
     psi = CoordinateChange.random(rng, 2, 4)
     lhs = jet_transform(data, phi.compose(psi))
@@ -419,7 +415,7 @@ def test_infinitesimal_action_matches_rules():
     on the connection."""
     rng = random.Random(9)
     n = 3
-    data = random_jet_data(rng, n, ["X1"], 1, with_conn=True, conn_order=0)
+    data = random_jet_data(rng, n, ["X1"], 1, conn_order=0)
     H = random_tensor(rng, n, 1, 2)
     delta = infinitesimal_action(H, data)
     assert not delta.fields["X1"][0].data
@@ -451,9 +447,7 @@ def test_infinitesimal_action_matches_dual_reference(n, order, conn_order,
     """The exact interpolation of ordinary transforms equals the flow
     derivative taken with dual numbers through the reference law."""
     rng = random.Random(repr(("action", n, order, conn_order, arities)))
-    data = random_jet_data(rng, n, ["X1", "X2"], order,
-                           with_conn=conn_order is not None,
-                           conn_order=conn_order)
+    data = random_jet_data(rng, n, ["X1", "X2"], order, conn_order)
     gens = [random_tensor(rng, n, 1, s) for s in arities]
     got = infinitesimal_action(gens, data)
     want = reference_infinitesimal_action(gens, data)
@@ -466,7 +460,7 @@ def test_infinitesimal_action_refuses_arity_below_two():
     the moved jets are not polynomials in the flow time; arities 2 and up
     are accepted."""
     rng = random.Random(11)
-    data = random_jet_data(rng, 2, ["X1"], 1, with_conn=True, conn_order=1)
+    data = random_jet_data(rng, 2, ["X1"], 1, conn_order=1)
     for s in (0, 1):
         with pytest.raises(ValueError, match="arity %d" % s):
             infinitesimal_action(random_tensor(rng, 2, 1, s), data)
@@ -516,11 +510,7 @@ def test_differential_realizes_as_flow_derivative(family, d, with_conn):
     rng = random.Random(repr((family, d)))
     n = 3
     labels = ["X%d" % i for i in range(1, d + 1)]
-    data = random_jet_data(
-        rng, n, labels, d,
-        with_conn=with_conn,
-        conn_order=(d - 1) if with_conn else None,
-    )
+    data = random_jet_data(rng, n, labels, d, (d - 1) if with_conn else None)
     gens = {s: random_tensor(rng, n, 1, s) for s in range(2, d + 2)}
     delta = infinitesimal_action(list(gens.values()), data)
     graphs = enumerate_basis(family, d, 0).graphs

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,8 @@ from natops.operad import (
     trace_sum,
     unit_graph,
 )
+
+from .helpers import reference_monomial_compose, reference_trace_map
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -77,6 +80,30 @@ def test_monomial_count_random_pairs():
         )
         blacks = sum(1 for v in g2.vertices if v.kind == "vector")
         assert len(_monomial_compose(g1, i, g2)) == blacks ** inserted.order
+
+
+@pytest.mark.parametrize("family", ["bullet", "bullet-nabla-1"])
+def test_compose_matches_the_reference(family):
+    from natops.operad import _monomial_compose
+
+    pool = [g for d in (1, 2) for g in enumerate_basis(family, d, 0).graphs]
+    for g1 in pool:
+        for i in range(1, arity(g1) + 1):
+            for g2 in pool:
+                want = reference_monomial_compose(g1, i, g2)
+                assert Counter(_monomial_compose(g1, i, g2)) == Counter(want)
+                ref = FormalSum()
+                for g in want:
+                    ref.add_graph(g)
+                assert compose(g1, i, g2) == ref
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [0, 1])
+def test_trace_matches_the_reference(d, m):
+    for g in enumerate_basis("bullet-nabla-trace", d, m).graphs:
+        assert trace_map(g) == reference_trace_map(g)
+        assert trace_sum(g) == FormalSum.of(reference_trace_map(g))
 
 
 def test_pre_lie_associator_symmetry():
