@@ -48,6 +48,9 @@ white order to the canonical white order.  If two minimal labelings
 disagree on that parity, the graph admits an automorphism inducing an odd
 permutation of its white vertices and so equals its own negative: the
 distinguished ``ZERO`` class is returned.
+
+The search is bounded: a graph whose search reaches more than
+``MAX_LEAVES`` discrete refinements is refused (:class:`SearchBudgetError`).
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ _STARTS = {}
 
 #: ``_PAIRS[p][s]`` is the shared edge ``(p, s)`` into position p, slot s.
 _PAIRS = []
+
+#: Most leaves (discrete refinements) one search may reach, 7!.  No basis
+#: graph or delta term of the tabulated slices, up to bullet-nabla-1 d = 5
+#: at degree 0, reaches a second leaf, but a graph read from outside can
+#: reach k!: k order-1 fields, each on its own self-loop, tie in one cell
+#: that refinement never splits.  7 of them take about 0.2 s on a 2-core
+#: host.
+MAX_LEAVES = 5040
+
+
+class SearchBudgetError(ValueError):
+    """A graph whose canonical search reaches more than MAX_LEAVES leaves."""
 
 
 def _pairs(n):
@@ -149,6 +164,10 @@ def _search(out, twin, colors, cells, leaves):
     that fix every white, so they add no smaller leaf and no new parity.
     """
     if not cells:
+        if len(leaves) == MAX_LEAVES:
+            raise SearchBudgetError(
+                "graph too symmetric to canonicalize: its search passes %d"
+                " leaves" % MAX_LEAVES)
         leaves.append(colors)
         return
     target = cells[0]

@@ -36,6 +36,15 @@ MAX_DIM = 10
 #: up to this cap, not on every run.
 MAX_UPTO = 40
 
+#: Most leaves of a ``lie-expand`` word.  Each further letter multiplies
+#: the expansion's time by about 8 and its memory by about 4: the
+#: left-nested ``c`` word takes 0.8 s and 26 MB at 6 leaves and 6.6 s and
+#: 105 MB at 7 on a 2-core host, so one of 9 would run for minutes.
+MAX_WORD_LEAVES = 7
+
+#: Largest ``natcheck --trials``.  1000 trials of the unit graph at --dim 1
+#: take 0.43 s on a 2-core host; a trial of a larger graph costs far more.
+MAX_TRIALS = 1000
 
 #: Largest number of wirings one basis slice may build and canonicalize
 #: (``complexes.wiring_count``, counted before any is built).  The largest
@@ -52,7 +61,7 @@ def _slice_family(args, degrees):
     known to build at most ``MAX_WIRINGS`` wirings each."""
     from .complexes import wiring_count
 
-    family = _family(args.family)
+    family = FAMILIES[args.family]
     for m in degrees:
         try:
             count = wiring_count(family, args.d, m, limit=MAX_WIRINGS)
@@ -90,12 +99,6 @@ def _write(obj, out):
         io.dump(obj, fh)
 
 
-def _family(name):
-    if name not in FAMILIES:
-        raise io.SchemaError("unknown family %r" % name)
-    return FAMILIES[name]
-
-
 def cmd_basis(args):
     from .complexes import enumerate_basis
 
@@ -109,7 +112,7 @@ def cmd_diff(args):
     from .complexes import differential
 
     x = io.obj_to_sum(_read_json(args.infile))
-    fam = args.family if args.family is None else _family(args.family)
+    fam = args.family if args.family is None else FAMILIES[args.family]
     if fam is not None and args.d is None:
         raise io.SchemaError("--family requires --d")
     y = differential(x, family=fam, d=args.d)
@@ -190,9 +193,13 @@ def cmd_compose(args):
 
 
 def cmd_lie_expand(args):
-    from .operad import lie_expand
+    from .operad import _leaves, lie_expand, parse_word
 
-    _write(io.sum_to_obj(lie_expand(args.expr)), args.out)
+    tree = parse_word(args.expr)
+    if len(_leaves(tree)) > MAX_WORD_LEAVES:
+        raise ValueError("a word must have at most %d leaves (the expansion "
+                         "grows about 8x per letter)" % MAX_WORD_LEAVES)
+    _write(io.sum_to_obj(lie_expand(tree)), args.out)
     return 0
 
 
@@ -293,6 +300,9 @@ def cmd_natcheck(args):
     from . import jets
 
     _check_dim(args.dim)
+    if args.trials > MAX_TRIALS:
+        raise ValueError("--trials must be <= %d (each trial is a full "
+                         "transform and realization)" % MAX_TRIALS)
     x = io.obj_to_sum(_read_json(args.infile))
     bad = jets.naturality_check(x, args.dim, trials=args.trials, seed=args.seed)
     if bad is None:

@@ -104,14 +104,7 @@ def lie_dimensions(N):
     def residual(f):
         return (-f).exp() - Series([1], N) + t
 
-    l = solve_fixed_coefficients(residual, N)
-    out = []
-    for d in range(1, N + 1):
-        v = l[d] * factorial(d)
-        if v.denominator != 1:
-            raise ArithmeticError("non-integer Lie dimension at d=%d" % d)
-        out.append(int(v))
-    return out
+    return _dimensions(solve_fixed_coefficients(residual, N))
 
 
 def table(g):

@@ -235,36 +235,58 @@ def validate(g):
     return bad
 
 
+def _walks(g):
+    """Component id per vertex and the directed cycles of ``g``, from one
+    walk along out-edges from each vertex not yet seen.
+
+    Every vertex has at most one out-edge, so a walk either runs into a
+    vertex an earlier walk labelled, and joins its component, or stops at
+    a vertex without an out-edge or on a cycle of its own, and starts a new
+    component.  Walks start in vertex order, so the component ids 0, 1, ...
+    follow the components' least vertices.  Each cycle is listed along its
+    edges from its least vertex, and the cycles in the order of those.
+    Returns ``(ids, cycles)``.
+    """
+    ids = [None] * len(g.vertices)
+    cycles = []
+    count = 0
+    for start in range(len(ids)):
+        if ids[start] is not None:
+            continue
+        path = []
+        v = start
+        while v is not None and ids[v] is None:
+            ids[v] = -1  # on this walk
+            path.append(v)
+            e = g.out[v]
+            v = e[0] if e is not None else None
+        if v is not None and ids[v] >= 0:
+            c = ids[v]
+        else:
+            c = count
+            count += 1
+            if v is not None:
+                cycle = path[path.index(v):]
+                k = cycle.index(min(cycle))
+                cycles.append(tuple(cycle[k:] + cycle[:k]))
+        for u in path:
+            ids[u] = c
+    return ids, tuple(sorted(cycles))
+
+
 def component_ids(g):
     """Weak-connectivity component id per vertex (ids are 0,1,... by min vertex)."""
-    n = len(g.vertices)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for src, e in enumerate(g.out):
-        if e is not None:
-            ra, rb = find(src), find(e[0])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = {}
-    ids = []
-    for i in range(n):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        ids.append(roots[r])
-    return ids
+    return _walks(g)[0]
 
 
 def is_connected(g):
-    if len(g.vertices) == 0:
-        return True
-    return max(component_ids(g)) == 0
+    return max(component_ids(g), default=0) == 0
+
+
+def cycles(g):
+    """The directed cycles of g, each listed along its edges from its least
+    vertex, in the order of their least vertices."""
+    return _walks(g)[1]
 
 
 def components(g):
@@ -306,38 +328,9 @@ def disjoint_union(a, b):
     return Graph(verts, outs, order)
 
 
-def wheel_vertices(g):
-    """Vertices on directed cycles.
-
-    A connected anchor-free graph has exactly one directed cycle (its
-    wheel); this returns the wheel vertices for such graphs and, in
-    general, every vertex lying on some directed cycle.
-    """
-    n = len(g.vertices)
-    on = set()
-    for start in range(n):
-        seen = {}
-        i = start
-        steps = 0
-        while i is not None and i not in seen and steps <= n:
-            seen[i] = steps
-            e = g.out[i]
-            i = e[0] if e is not None else None
-            steps += 1
-        if i is not None and i in seen:
-            # walk the cycle once
-            j = i
-            while True:
-                on.add(j)
-                j = g.out[j][0]
-                if j == i:
-                    break
-    return on
-
-
 def wheel_length(g):
     """Number of vertices on the unique wheel of an anchor-free graph."""
-    return len(wheel_vertices(g))
+    return sum(map(len, cycles(g)))
 
 
 def relabel(g, mapping):

@@ -27,9 +27,10 @@ Realization is on integers too.  Each jet array is read once as integer
 numerators over one denominator (:meth:`Tensor.cleared`), a graph
 contracts its arrays by int multiply-adds, and each entry of its value is
 divided by the product of their denominators once, at the end.  So
-Fractions appear only where jet arrays, coordinate changes and realized
-values are read and written; arrays and coordinate changes keep their
-tuple keys and exact values.
+Fractions appear only where jet arrays and realized values are read and
+written and where a coordinate change is made.  Arrays keep their tuple
+keys and exact values; a coordinate change is packed once, as it is made
+(:class:`CoordinateChange`), and the law reads that form only.
 
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.rules.derive_connection_rule` rederives from
@@ -58,7 +59,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, wheel_vertices
+from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, cycles
 from .linalg import mat_inv
 
 
@@ -88,13 +89,6 @@ class Packing:
         self.mask = (1 << self.bits) - 1
         self.one = 1 << (n * self.bits)  # the unit of the degree digit
         self.var = [(1 << (i * self.bits)) + self.one for i in range(n)]
-
-    @classmethod
-    def of_maps(cls, n, trunc, *maps):
-        """A packing for the orders up to ``trunc`` and for every monomial
-        of the tuple-keyed polynomial maps ``maps``."""
-        return cls(n, max([trunc] + [sum(e) for comps in maps
-                                     for p in comps for e in p]))
 
     def limit(self, trunc):
         return (trunc + 1) * self.one
@@ -126,17 +120,6 @@ def _clear(polys):
     return {name: {k: v.numerator * (den // v.denominator)
                    for k, v in p.items() if v}
             for name, p in polys.items()}, den
-
-
-def _pack(comps, pk):
-    """Tuple-keyed polynomial maps as ({component: polynomial}, den)."""
-    return _clear({a: {pk.pack(e): v for e, v in p.items()}
-                   for a, p in enumerate(comps)})
-
-
-def _unpack(p, den, pk):
-    """A polynomial over ``den`` as a tuple-keyed dict of exact values."""
-    return {pk.exponents(e): Fraction(v, den) for e, v in p.items() if v}
 
 
 def _reduce(polys, den):
@@ -244,26 +227,18 @@ class Substitution:
         return out
 
 
-def map_linear_part(F, n):
-    """The linear part of a tuple-keyed polynomial map, as a matrix."""
-    return [[F[a].get(_exps_of((j,), n), 0) for j in range(n)]
-            for a in range(n)]
-
-
-def map_inverse(F, den, pk, trunc):
-    """Compositional inverse to degree ``trunc`` of the map F {a:
-    polynomial}, numerators over ``den``, with invertible linear part.
-    Returns (psi, its denominator).
+def map_inverse(phi, trunc):
+    """Compositional inverse to degree ``trunc`` of the coordinate change
+    phi, packed by ``phi.pk``.  Returns (psi, its denominator).
 
     psi is the fixed point of psi = A^-1 (x - H o psi), A the linear part
-    of F and H the rest; each round fixes one more degree.
+    of phi and H the rest; each round fixes one more degree.  A^-1 is the
+    one phi keeps.
     """
+    F, den, pk = phi.comps, phi.den, phi.pk
     n, var = pk.n, pk.var
-    # F's linear part is A/den, so its inverse is den * A^-1
-    Ainv, dA = _clear({a: {j: den * x for j, x in enumerate(row)}
-                       for a, row in enumerate(mat_inv(
-                           [[F[a].get(var[j], 0) for j in range(n)]
-                            for a in range(n)]))})
+    Ainv, dA = _clear({a: dict(enumerate(row))
+                       for a, row in enumerate(phi.linear_inverse)})
     lin = {a: {var[j]: x for j, x in row.items()} for a, row in Ainv.items()}
     linear = set(var)
     high = [{e: v for e, v in F[a].items() if e not in linear}
@@ -384,23 +359,31 @@ def random_jet_data(rng, n, labels, order, conn_order=None):
 
 
 class CoordinateChange:
-    """Polynomial coordinate change fixing the origin, with invertible
-    linear part (checked exactly)."""
+    """Polynomial coordinate change fixing the origin, of degree at most
+    ``trunc``, with invertible linear part.
+
+    It is given as n tuple-keyed components {exponents: exact value} and
+    kept in the one form the law reads: ``comps`` {a: polynomial}, packed
+    by ``pk = Packing(n, trunc)``, as integer numerators over one ``den``.
+    ``linear`` is the linear part and ``linear_inverse`` its inverse, both
+    exact matrices.  A nonzero constant term or a monomial above ``trunc``
+    raises ValueError; a singular linear part raises ZeroDivisionError.
+    """
 
     def __init__(self, n, trunc, comps):
         self.n = n
         self.trunc = trunc
-        self.comps = [dict(c) for c in comps]
-        zero = (0,) * n
-        for c in self.comps:
-            if c.get(zero):
-                raise ValueError("coordinate change must fix the origin")
-        mat_inv(map_linear_part(self.comps, n))  # singular -> raise
-
-    @classmethod
-    def identity(cls, n, trunc):
-        return cls(n, trunc, [{_exps_of((j,), n): Fraction(1)}
-                              for j in range(n)])
+        self.pk = pk = Packing(n, trunc)
+        packed = {}
+        for a, c in enumerate(comps):
+            if any(v and not 0 < sum(e) <= trunc for e, v in c.items()):
+                raise ValueError("a coordinate change fixes the origin and"
+                                 " has degree at most its trunc")
+            packed[a] = {pk.pack(e): v for e, v in c.items() if v}
+        self.comps, self.den = _clear(packed)
+        self.linear = [[Fraction(self.comps[a].get(pk.var[j], 0), self.den)
+                        for j in range(n)] for a in range(n)]
+        self.linear_inverse = mat_inv(self.linear)  # singular -> raise
 
     @classmethod
     def random(cls, rng, n, trunc):
@@ -419,19 +402,6 @@ class CoordinateChange:
                 return cls(n, trunc, comps)
             except ZeroDivisionError:
                 continue
-
-    def compose(self, other):
-        """self after other (self o other), truncated at min order."""
-        trunc = min(self.trunc, other.trunc)
-        pk = Packing.of_maps(self.n, trunc, self.comps, other.comps)
-        inner, den = _pack(other.comps, pk)
-        outer, dout = _pack(self.comps, pk)
-        sub = Substitution(inner, den, pk, trunc)
-        return CoordinateChange(self.n, trunc, [
-            _unpack(sub(f), dout * sub.scale, pk) for f in outer.values()])
-
-    def linear_part(self):
-        return map_linear_part(self.comps, self.n)
 
 
 # --- conversion between jet arrays and Taylor polynomials ------------------
@@ -538,27 +508,27 @@ def jet_transform(data, phi):
     over one denominator, cleared where the arrays are read and restored
     as Fractions where they are written; every stage multiplies the
     denominators and divides the gcd back out.  Exponents are packed into
-    one int (:class:`Packing`), so a monomial product is one addition; the
-    packing base exceeds the largest degree entering the call, phi's own
-    monomials of degree up to ``phi.trunc`` included, so no exponent digit
-    of a kept monomial can carry.
+    one int (:class:`Packing`), so a monomial product is one addition.
+    The law packs by ``phi.pk``, the packing phi was made with: its base
+    depends only on n and ``phi.trunc``, which bounds every degree entering
+    the call, phi's own monomials included, so no exponent digit of a kept
+    monomial can carry.
     """
-    pk = Packing.of_maps(data.n, phi.trunc, phi.comps)  # phi.trunc >= every order
-    return _to_jets(data, *_pull_back(data, phi, pk), pk)
+    return _to_jets(data, *_pull_back(data, phi), phi.pk)
 
 
-def _pull_back(data, phi, pk):
+def _pull_back(data, phi):
     """The law of :func:`jet_transform` short of writing the arrays: the
     moved fields {label: (polynomials, den)} and the moved connection
     (polynomials, den), or None, keyed by their fixed indices, packed by
-    ``pk``."""
+    ``phi.pk``."""
     n, K = data.n, data.order
     W = data.conn_order if data.conn is not None else None
     if phi.trunc < jet_order(K, W):
         raise ValueError("coordinate change truncated below jet_order")
     T = max(K, 1 if W is None else W + 1)
-    F, dF = _pack(phi.comps, pk)
-    psi, dpsi = map_inverse(F, dF, pk, T)
+    F, dF, pk = phi.comps, phi.den, phi.pk
+    psi, dpsi = map_inverse(phi, T)
     J = [[p_diff(F[a], j, pk) for j in range(n)] for a in range(n)]
     at = {}  # trunc -> (J truncated, composition with psi), shared by labels
 
@@ -630,19 +600,6 @@ def _vertex_arrays(g, data, gens):
     return arrays
 
 
-def _cycles(g):
-    """The directed cycles of g, each listed along its edges."""
-    cycles = []
-    left = wheel_vertices(g)
-    while left:
-        cycle = [min(left)]
-        while g.out[cycle[-1]][0] != cycle[0]:
-            cycle.append(g.out[cycle[-1]][0])
-        left -= set(cycle)
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
-
-
 #: The realization plan of every graph realized so far, keyed by the graph
 #: and kept for the life of the process: ``(ins, cycles, anchor)``, the
 #: in-edges of each vertex (sources ascending), the directed cycles and the
@@ -658,7 +615,7 @@ def _plan(g):
         anchor = next((i for i, v in enumerate(g.vertices)
                        if v.kind == ANCHOR), None)
         plan = _PLANS[g] = (tuple(tuple(ins[i]) for i in range(len(ins))),
-                            _cycles(g), anchor)
+                            cycles(g), anchor)
     return plan
 
 
@@ -863,7 +820,7 @@ def naturality_check(x, n, trials=20, seed=0):
         phi = CoordinateChange.random(rng, n, trunc)
         lhs = realize(x, jet_transform(data, phi))
         base = realize(x, data)
-        rhs = apply_linear(phi.linear_part(), base) if anchored else base
+        rhs = apply_linear(phi.linear, base) if anchored else base
         if lhs != rhs:
             return Counterexample(t, lhs, rhs)
     return None
@@ -918,7 +875,7 @@ def infinitesimal_action(gens, data):
             e = _exps_of(key[1:], n)
             p = H[key[0]]
             p[e] = p.get(e, 0) + Fraction(val) / _fact_of_exps(e)
-    pk = Packing.of_maps(n, trunc, H)  # the packing of every flow
+    pk = Packing(n, trunc)  # the packing of every flow
 
     def flow(eps):
         comps = [{e: eps * v for e, v in p.items()} for p in H]
@@ -929,7 +886,7 @@ def infinitesimal_action(gens, data):
     stages = [({lab: _to_polys(arrays, pk, K)
                 for lab, arrays in data.fields.items()},
                None if W is None else _to_polys(data.conn, pk, W))]
-    stages += [_pull_back(data, flow(eps), pk) for eps in range(1, D + 1)]
+    stages += [_pull_back(data, flow(eps)) for eps in range(1, D + 1)]
     # f'(0) = sum_k weight[k] f(k) / L, the weights integers
     L = lcm(*range(1, D + 1))
     weight = [(-1) ** (k + 1) * comb(D, k) * (L // k) for k in range(1, D + 1)]

@@ -2,9 +2,11 @@
 reference canonical form, the reference differential, the reference
 connectivity filter of wirings, a dense reference elimination, the derived
 connection rules, the realization state sum, the reference polynomial
-layer, the reference jet transformation law, the dual-number flow
-derivative, the reference series solver, the reference basis-slice
-encoder and the reference operad insertion and trace."""
+layer, the composition and identity of coordinate changes, the reference
+jet transformation law, the dual-number flow derivative, the reference
+series solver, the reference basis-slice encoder, the reference operad
+insertion and trace, and the reference components and cycles of a
+graph."""
 
 import itertools
 from fractions import Fraction
@@ -29,10 +31,10 @@ from natops.jets import (
     CoordinateChange,
     JetData,
     Tensor,
+    _clear,
     _exps_of,
     _fact_of_exps,
     jet_order,
-    map_linear_part,
 )
 from natops.linalg import mat_inv
 from natops.operad import arity
@@ -553,7 +555,8 @@ class Substitution:
 
 def map_inverse(F, n, trunc):
     """Compositional inverse of a map with invertible linear part."""
-    Ainv = mat_inv(map_linear_part(F, n))
+    Ainv = mat_inv([[F[a].get(_exps_of((j,), n), 0) for j in range(n)]
+                    for a in range(n)])
     lin = [p_zero() for _ in range(n)]
     for a in range(n):
         for j in range(n):
@@ -578,6 +581,34 @@ def map_inverse(F, n, trunc):
             nxt.append(acc)
         psi = nxt
     return psi
+
+
+def packed(comps, pk):
+    """Tuple-keyed polynomial maps as ({component: polynomial}, den), the
+    form natops.jets works on, packed by ``pk``."""
+    return _clear({a: {pk.pack(e): v for e, v in p.items()}
+                   for a, p in enumerate(comps)})
+
+
+def unpacked(p, den, pk):
+    """A packed polynomial over ``den`` as a tuple-keyed dict."""
+    return {pk.exponents(e): Fraction(v, den) for e, v in p.items() if v}
+
+
+def components(phi):
+    """The tuple-keyed exact components of a coordinate change."""
+    return [unpacked(phi.comps[a], phi.den, phi.pk) for a in range(phi.n)]
+
+
+def identity_change(n, trunc):
+    return CoordinateChange(n, trunc, [p_var(n, j) for j in range(n)])
+
+
+def compose_changes(phi, chi):
+    """phi after chi (phi o chi), truncated at the lower of their orders."""
+    trunc = min(phi.trunc, chi.trunc)
+    sub = Substitution(components(chi), phi.n, trunc)
+    return CoordinateChange(phi.n, trunc, [sub(f) for f in components(phi)])
 
 
 # The reference jet transformation law: fields and connection moved by
@@ -660,12 +691,12 @@ def _poly_mat_inverse(M, n, trunc):
     return out
 
 
-def reference_jet_transform(data, phi):
+def reference_jet_transform(data, F):
     """X'(y) = Dphi(x) X(x) and G'(y) = Dphi G(Dphi^-1, Dphi^-1) -
     D2phi(Dphi^-1, Dphi^-1), both at x = phi^-1(y), with Dphi^-1 inverted
-    as a polynomial matrix in x before the composition."""
+    as a polynomial matrix in x before the composition; phi is given by
+    its tuple-keyed components F (:func:`components`)."""
     n, K = data.n, data.order
-    F = phi.comps
     subK = Substitution(map_inverse(F, n, max(K, 1)), n, K)
     J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
     fields = {}
@@ -765,7 +796,7 @@ def reference_infinitesimal_action(gens, data):
             e = _exps_of(key[1:], n)
             p_add_into(comps[key[0]], {e: Dual(0, Fraction(val)
                                                / _fact_of_exps(e))})
-    moved = reference_jet_transform(data, CoordinateChange(n, trunc, comps))
+    moved = reference_jet_transform(data, comps)
 
     def eps(t):
         return Tensor(t.n, t.nfixed, t.nsym,
@@ -948,3 +979,71 @@ def reference_trace_map(g):
         else:
             outmap.append((idx(e[0]), e[1]))
     return Graph(verts, tuple(outmap), tuple(idx(w) for w in g.white_order))
+
+
+# The reference components and cycles of a graph: a union-find over the
+# edges, a walk from every vertex for the vertices on cycles (quadratic in
+# the vertices), and the cycles listed from those.  natops.graphs._walks is
+# checked against them.
+
+
+def reference_component_ids(g):
+    n = len(g.vertices)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for src, e in enumerate(g.out):
+        if e is not None:
+            ra, rb = find(src), find(e[0])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    roots = {}
+    ids = []
+    for i in range(n):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(roots)
+        ids.append(roots[r])
+    return ids
+
+
+def reference_wheel_vertices(g):
+    """Every vertex lying on some directed cycle."""
+    n = len(g.vertices)
+    on = set()
+    for start in range(n):
+        seen = {}
+        i = start
+        steps = 0
+        while i is not None and i not in seen and steps <= n:
+            seen[i] = steps
+            e = g.out[i]
+            i = e[0] if e is not None else None
+            steps += 1
+        if i is not None and i in seen:
+            j = i
+            while True:
+                on.add(j)
+                j = g.out[j][0]
+                if j == i:
+                    break
+    return on
+
+
+def reference_cycles(g):
+    """The directed cycles of g, each listed along its edges from its least
+    vertex, in the order of their least vertices."""
+    cycles = []
+    left = reference_wheel_vertices(g)
+    while left:
+        cycle = [min(left)]
+        while g.out[cycle[-1]][0] != cycle[0]:
+            cycle.append(g.out[cycle[-1]][0])
+        left -= set(cycle)
+        cycles.append(tuple(cycle))
+    return tuple(cycles)

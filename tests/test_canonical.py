@@ -143,6 +143,22 @@ def test_twin_fan_of_twelve_is_fast():
     assert sign == 1 and len(cg.vertices) == 14
 
 
+def _self_loops(k):
+    """k order-1 X1 fields, each on its own self-loop: one tied cell that
+    refinement never splits, so the search reaches k! leaves."""
+    return Graph([vector("X1", 1)] * k, [(i, SYM) for i in range(k)])
+
+
+def test_search_at_the_leaf_budget_matches_reference():
+    assert canonical.MAX_LEAVES == 5040  # 7!
+    assert canonicalize(_self_loops(7)) == reference_canonicalize(_self_loops(7))
+
+
+def test_search_past_the_leaf_budget_is_refused():
+    with pytest.raises(canonical.SearchBudgetError):
+        canonicalize(_self_loops(8))
+
+
 def _white_subtrees():
     # two white(2) fed by twin X1 pairs into a third white
     x, w = vector("X1"), white(2)

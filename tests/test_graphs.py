@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from natops.canonical import ZERO, canonicalize, key_bytes
-from natops.complexes import enumerate_basis
+from natops.complexes import delta_graph, enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.graphs import (
     EMPTY,
     SYM,
     Graph,
     anchor,
+    component_ids,
     components,
+    cycles,
     disjoint_union,
     is_connected,
     validate,
@@ -22,7 +24,15 @@ from natops.graphs import (
     wheel_length,
 )
 
-from .helpers import chain_xy, chain_yx, shuffle_presentation, unit
+from .helpers import (
+    chain_xy,
+    chain_yx,
+    reference_component_ids,
+    reference_cycles,
+    reference_wheel_vertices,
+    shuffle_presentation,
+    unit,
+)
 
 
 def test_unit_graph_is_legal():
@@ -129,6 +139,47 @@ def test_edge_count_law_wheel():
         assert is_connected(g)
         assert g.edge_count() == len(g.vertices)
         assert wheel_length(g) >= 1
+
+
+def _assert_walk_matches_references(g):
+    assert component_ids(g) == reference_component_ids(g), g
+    assert is_connected(g) == (max(reference_component_ids(g), default=0) == 0)
+    assert cycles(g) == reference_cycles(g), g
+    assert wheel_length(g) == len(reference_wheel_vertices(g)), g
+
+
+@pytest.mark.parametrize("family,d", [
+    ("bullet", 1), ("bullet", 2), ("bullet", 3), ("bullet", 4),
+    ("bullet-wheel", 1), ("bullet-wheel", 2), ("bullet-wheel", 3),
+    ("bullet-wheel", 4), ("bullet-nabla-wheel", 1),
+    ("bullet-nabla-wheel", 2), ("bullet-nabla-wheel", 3)])
+def test_walk_matches_union_find_and_cycle_finder(family, d):
+    """One walk along out-edges gives the components and cycles the
+    union-find and the quadratic cycle finder give, on every basis graph
+    and delta term of the slices and on a shuffled presentation of each."""
+    rng = random.Random(repr(("walks", family, d)))
+    seen = 0
+    for m in range(d + 1):
+        for g in enumerate_basis(family, d, m).graphs:
+            for h in [g] + [t for t, _ in delta_graph(g)]:
+                _assert_walk_matches_references(h)
+                _assert_walk_matches_references(shuffle_presentation(h, rng)[0])
+                seen += 1
+    assert seen
+
+
+def test_walk_on_several_cycles_and_trees():
+    """Components whose least vertices order them differently from their
+    cycles, a vertex without an out-edge that is no anchor, and a tree
+    hanging off a cycle."""
+    x = vector("X1", 1)
+    g = Graph((x, x, x, x, x, x, anchor, vector("X2")),
+              ((5, SYM), (2, SYM), (3, SYM), (2, SYM), (4, SYM), (4, SYM),
+               None, None))
+    _assert_walk_matches_references(g)
+    assert component_ids(g) == [0, 1, 1, 1, 0, 0, 2, 3]
+    assert cycles(g) == ((2, 3), (4,))
+    assert not is_connected(g) and is_connected(EMPTY)
 
 
 def test_canonical_stability_random_graphs():

@@ -13,7 +13,15 @@ import pytest
 import natops
 from natops import io
 from natops.canonical import canonicalize, key_bytes
-from natops.cli import MAX_DIM, MAX_RULE_ORDER, MAX_UPTO, MAX_WIRINGS, run
+from natops.cli import (
+    MAX_DIM,
+    MAX_RULE_ORDER,
+    MAX_TRIALS,
+    MAX_UPTO,
+    MAX_WIRINGS,
+    MAX_WORD_LEAVES,
+    run,
+)
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
 from natops.graphs import SYM, Graph, anchor, vector
@@ -267,6 +275,62 @@ def test_cli_lie_expand_rejects_a_too_deep_word(capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "nests too deeply" in err and "Traceback" not in err
+
+
+def _word(op, leaves):
+    """The right-nested word (op X1 (op X2 ... Xk))."""
+    word = "X%d" % leaves
+    for i in range(leaves - 1, 0, -1):
+        word = "(%s X%d %s)" % (op, i, word)
+    return word
+
+
+@pytest.mark.parametrize("leaves", [MAX_WORD_LEAVES + 1, 9, 30])
+def test_cli_lie_expand_leaf_cap(capsys, leaves):
+    start = time.perf_counter()
+    code, out = _run(["lie-expand", "--expr", _word("c", leaves)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "at most %d leaves" % MAX_WORD_LEAVES in err
+    assert "Traceback" not in err
+
+
+def test_cli_lie_expand_admits_the_largest_word():
+    # the right-nested b word is the cheapest of its size (about 0.3 s)
+    code, out = _run(["lie-expand", "--expr", _word("b", MAX_WORD_LEAVES)])
+    assert code == 0 and len(json.loads(out)["terms"]) == 5040
+
+
+def test_cli_natcheck_trials_cap(tmp_path, capsys):
+    p = tmp_path / "unit.json"
+    p.write_text(json.dumps(io.graph_to_obj(
+        Graph((vector("X1"), anchor), ((1, SYM), None)))))
+    args = ["natcheck", "--in", str(p), "--dim", "1", "--trials"]
+    code, out = _run(args + [str(MAX_TRIALS)])
+    assert code == 0 and json.loads(out)["trials"] == MAX_TRIALS
+    for trials in (MAX_TRIALS + 1, 10 ** 9):
+        start = time.perf_counter()
+        code, out = _run(args + [str(trials)])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "--trials must be <= %d" % MAX_TRIALS in err
+        assert "Traceback" not in err
+
+
+def test_cli_refuses_a_graph_too_symmetric_to_canonicalize(tmp_path, capsys):
+    # 12 order-1 fields, each on its own self-loop: the canonical search
+    # would visit 12! leaves
+    p = tmp_path / "loops.json"
+    p.write_text(json.dumps(io.graph_to_obj(
+        Graph([vector("X1", 1)] * 12, [(i, SYM) for i in range(12)]))))
+    start = time.perf_counter()
+    code, out = _run(["diff", "--in", str(p)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "too symmetric" in err and "Traceback" not in err
 
 
 def test_cli_matrix_triplets():

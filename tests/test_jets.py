@@ -9,7 +9,7 @@ import pytest
 from natops import jets
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
-from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, vector, wheel_vertices
+from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, cycles
 from natops.io import exact
 from natops.jets import (
     CoordinateChange,
@@ -30,15 +30,20 @@ from natops.linalg import mat_inv, rank
 from .helpers import (
     chain_xy,
     chain_yx,
+    components,
+    compose_changes,
+    identity_change,
     nabla_xy,
     p_add_into,
     p_mul,
     p_var,
+    packed,
     reference_infinitesimal_action,
     reference_jet_transform,
     state_sum,
     trace_pair,
     unit,
+    unpacked,
 )
 
 
@@ -162,7 +167,7 @@ def test_state_sum_slices_cover_wheels_loops_and_base_slots():
     seen = set()
     for family, d in STATE_SUM_SLICES:
         for g in _slice_graphs(family, d):
-            wheel = wheel_vertices(g)
+            wheel = {v for cycle in cycles(g) for v in cycle}
             for src, e in enumerate(g.out):
                 if e is None:
                     continue
@@ -243,11 +248,11 @@ def test_substitution_matches_naive_composition(n, dual):
         for _ in range(4):
             # degrees above trunc too: they must vanish
             a = _random_poly(rng, n, 0, trunc + 1)
-            pk = jets.Packing.of_maps(n, trunc, comps, [a])
-            inner, den = jets._pack(comps, pk)
+            pk = jets.Packing(n, trunc + 1)
+            inner, den = packed(comps, pk)
             sub = jets.Substitution(inner, den, pk, trunc)
-            outer, dout = jets._pack([a], pk)
-            got = jets._unpack(sub(outer[0]), dout * sub.scale, pk)
+            outer, dout = packed([a], pk)
+            got = unpacked(sub(outer[0]), dout * sub.scale, pk)
             assert got == _naive_compose(a, comps, n, trunc)
 
 
@@ -256,14 +261,13 @@ def test_substitution_matches_naive_composition(n, dual):
 def test_map_inverse_composes_to_identity(n, dual):
     rng = random.Random(repr(("map-inverse", n, dual)))
     for trunc in (1, 2, 3, 4):
-        comps = CoordinateChange.random(rng, n, trunc).comps
-        pk = jets.Packing.of_maps(n, trunc, comps)
-        F, dF = jets._pack(comps, pk)
-        psi, dpsi = jets.map_inverse(F, dF, pk, trunc)
+        phi = CoordinateChange.random(rng, n, trunc)
+        F, dF, pk = phi.comps, phi.den, phi.pk
+        psi, dpsi = jets.map_inverse(phi, trunc)
         ident = [p_var(n, a) for a in range(n)]
         for inner, din, outer, dout in ((psi, dpsi, F, dF), (F, dF, psi, dpsi)):
             sub = jets.Substitution(inner, din, pk, trunc)
-            assert [jets._unpack(sub(outer[a]), dout * sub.scale, pk)
+            assert [unpacked(sub(outer[a]), dout * sub.scale, pk)
                     for a in range(n)] == ident
 
 
@@ -286,7 +290,8 @@ def test_jet_transform_matches_reference_law(n, dual):
         phi = CoordinateChange.random(rng, n, jet_order(order, conn_order)
                                       + rng.randint(0, 3))
         data.fields["X0"] = [Tensor(n, 1, v) for v in range(order + 1)]
-        got, want = jet_transform(data, phi), reference_jet_transform(data, phi)
+        got = jet_transform(data, phi)
+        want = reference_jet_transform(data, components(phi))
         assert got.fields == want.fields
         assert got.conn == want.conn
 
@@ -294,11 +299,41 @@ def test_jet_transform_matches_reference_law(n, dual):
 def test_identity_transform_fixes_jets():
     rng = random.Random(3)
     data = random_jet_data(rng, 2, ["X1"], 2, conn_order=2)
-    ident = CoordinateChange.identity(2, 4)
+    ident = identity_change(2, 4)
     moved = jet_transform(data, ident)
     for v in range(3):
         assert moved.fields["X1"][v] == data.fields["X1"][v]
         assert moved.conn[v] == data.conn[v]
+
+
+def test_coordinate_change_keeps_its_components():
+    """A coordinate change packs its components once, exactly: they unpack
+    to the ones it was given, and its linear part and that part's inverse
+    are the exact matrices."""
+    rng = random.Random(11)
+    for n, trunc in ((1, 2), (2, 4), (3, 3)):
+        comps = [_random_poly(rng, n, 1, trunc) for _ in range(n)]
+        for a in range(n):
+            p_add_into(comps[a], p_var(n, a), 5)  # invertible linear part
+        phi = CoordinateChange(n, trunc, comps)
+        assert components(phi) == comps
+        lin = [[comps[a].get(tuple(int(i == j) for i in range(n)), 0)
+                for j in range(n)] for a in range(n)]
+        assert phi.linear == lin
+        assert phi.linear_inverse == mat_inv(lin)
+
+
+def test_coordinate_change_refuses_bad_components():
+    x, y = (1, 0), (0, 1)
+    with pytest.raises(ValueError):
+        CoordinateChange(2, 2, [{(0, 0): Fraction(1), x: 1}, {y: 1}])
+    with pytest.raises(ValueError):
+        CoordinateChange(2, 2, [{x: 1, (2, 1): Fraction(1, 2)}, {y: 1}])
+    with pytest.raises(ZeroDivisionError):
+        CoordinateChange(2, 2, [{x: 1, y: 2}, {x: 2, y: 4, (1, 1): 3}])
+    # a zero coefficient is no monomial
+    phi = CoordinateChange(2, 2, [{x: 1, (0, 0): 0, (3, 0): 0}, {y: 1}])
+    assert components(phi) == [{x: 1}, {y: 1}]
 
 
 def test_linear_transform_of_connection():
@@ -356,7 +391,7 @@ def test_transform_is_group_action():
     data = random_jet_data(rng, 2, ["X1"], 1, conn_order=1)
     phi = CoordinateChange.random(rng, 2, 4)
     psi = CoordinateChange.random(rng, 2, 4)
-    lhs = jet_transform(data, phi.compose(psi))
+    lhs = jet_transform(data, compose_changes(phi, psi))
     rhs = jet_transform(jet_transform(data, psi), phi)
     for v in range(2):
         assert lhs.fields["X1"][v] == rhs.fields["X1"][v]
@@ -532,5 +567,5 @@ def test_transformed_vector_value_is_linear_part():
     phi = CoordinateChange.random(rng, 2, 3)
     moved = jet_transform(data, phi)
     base = [data.fields["X1"][0].get((a,)) for a in range(2)]
-    want = apply_linear(phi.linear_part(), base)
+    want = apply_linear(phi.linear, base)
     assert [moved.fields["X1"][0].get((a,)) for a in range(2)] == want
