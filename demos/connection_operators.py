@@ -16,7 +16,7 @@ from natops import (
     lie_expand,
     replace_connection,
 )
-from natops.rules import connection_probe, derive_connection_rule
+from natops.oracle import connection_probe, derive_connection_rule
 
 print("h0(bullet-nabla-1, d) for d = 1..3:")
 print(" ", [h0_dimension("bullet-nabla-1", d) for d in (1, 2, 3)])

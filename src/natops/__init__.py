@@ -54,7 +54,6 @@ _EXPORTS = {
     "jets": (
         "CoordinateChange",
         "JetData",
-        "infinitesimal_action",
         "jet_transform",
         "naturality_check",
         "random_jet_data",
@@ -71,8 +70,8 @@ _EXPORTS = {
         "trace_sum",
         "unit_graph",
     ),
+    "oracle": ("derive_connection_rule", "infinitesimal_action"),
     "rules": (
-        "derive_connection_rule",
         "replace_connection",
         "replace_vectorfield",
         "replace_white",

@@ -4,8 +4,11 @@ All machine output is schema-versioned JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verification command found a violation
 (d2check residue, naturality counterexample), 2 malformed input.
 
-Each command imports the layers it uses when it runs: ``natcheck`` never
-loads the graph complexes, and ``d2check`` never loads the jet oracle.
+A process builds the argument parser of the command it runs only, and
+loads only that command's group of :mod:`natops.commands` and the layers
+the command uses: ``natcheck`` never loads the graph complexes, and
+``d2check`` never loads the jet oracle.  No command loads the rule oracle
+(:mod:`natops.oracle`).
 """
 
 from __future__ import annotations
@@ -27,8 +30,18 @@ MAX_RULE_ORDER = 9
 #: 2d - 1 of the largest tabulated slice (bullet-nabla-1, d = 5) is 9.  A
 #: one-trial natcheck of a bullet d = 4 kernel element takes 1.1-1.5 s at
 #: n = 9 and 2.0-2.6 s at n = 10 on a 2-core host, and grows by about half
-#: with each further dimension; higher jet orders grow much faster.
+#: with each further dimension; higher jet orders grow much faster, which
+#: ``MAX_JET_WORK`` bounds.
 MAX_DIM = 10
+
+#: Most multiply-adds one ``natcheck`` trial or one ``eval`` may predict
+#: (``jets.predicted_work``, from the jet orders, the in-degrees and n).
+#: One trial of a bullet d = 4 kernel element at n = 10 predicts 1.2e7 and
+#: takes 2.0-2.6 s on a 2-core host; a trial of X1 of order 6 fed by six
+#: order-0 fields predicts 2.0e6 at n = 4 (0.8 s), 6.7e7 at n = 6 (35 s)
+#: and 1.1e9 at n = 8, where it ran for more than 150 s.  Trials at the
+#: bound take 4-10 s.
+MAX_JET_WORK = 20_000_000
 
 #: Largest ``genfun --upto``.  The series grows like N^4 in exact rational
 #: products: --upto 40 prints in about 0.35 s, 60 in 1.2 s and 100 in 4.6 s.
@@ -49,10 +62,10 @@ MAX_TRIALS = 1000
 #: Largest number of wirings one basis slice may build and canonicalize
 #: (``complexes.wiring_count``, counted before any is built).  The largest
 #: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 89 185
-#: of them connected, 22 165 graphs), takes 6.6-6.7 s for ``basis`` on a
-#: 2-core host (11-12 s when every disconnected wiring was built too), 2.6 s
-#: of it enumeration and most of the rest JSON encoding; its degree 1
-#: (368 886 wirings) takes 6.3 s.  d = 6 has 77 689 746 wirings at degree 0.
+#: of them connected, 22 165 graphs), takes about 6 s for ``basis`` on a
+#: 2-core host (8.6 s through json's own encoder), 2.6 s of it
+#: enumeration and most of the rest JSON encoding; its degree 1 (368 886
+#: wirings) takes 4.1 s (6.9 s).  d = 6 has 77 689 746 wirings at degree 0.
 MAX_WIRINGS = 1_000_000
 
 
@@ -99,349 +112,94 @@ def _write(obj, out):
         io.dump(obj, fh)
 
 
-def cmd_basis(args):
-    from .complexes import enumerate_basis
-
-    fam = _slice_family(args, (args.degree,))
-    bs = enumerate_basis(fam, args.d, args.degree)
-    _write(io.slice_to_obj(bs), args.out)
-    return 0
-
-
-def cmd_diff(args):
-    from .complexes import differential
-
-    x = io.obj_to_sum(_read_json(args.infile))
-    fam = args.family if args.family is None else FAMILIES[args.family]
-    if fam is not None and args.d is None:
-        raise io.SchemaError("--family requires --d")
-    y = differential(x, family=fam, d=args.d)
-    _write(io.sum_to_obj(y), args.out)
-    return 0
-
-
-def cmd_d2check(args):
-    from .complexes import d_squared_zero
-
-    fam = _slice_family(args, (0, 1))
-    rep = d_squared_zero(fam, args.d)
-    obj = {
-        "schema": io.SCHEMA,
-        "family": rep.family,
-        "d": rep.d,
-        "checked": rep.checked,
-        "failures": [
-            {"graph": io.graph_to_obj(g), "residual": io.sum_to_obj(r)}
-            for g, r in rep.failures
-        ],
-    }
-    _write(obj, args.out)
-    return 1 if rep.failures else 0
-
-
-def cmd_h0(args):
-    from .homology import h0_dimension
-
-    fam = _slice_family(args, (0, 1))
-    n = h0_dimension(fam, args.d)
-    _write({"schema": io.SCHEMA, "family": args.family, "d": args.d, "h0": n},
-           args.out)
-    return 0
-
-
-def cmd_kerbasis(args):
-    from .homology import kernel_basis
-
-    fam = _slice_family(args, (0, 1))
-    basis = kernel_basis(fam, args.d)
-    obj = {
-        "schema": io.SCHEMA,
-        "family": args.family,
-        "d": args.d,
-        "dimension": len(basis),
-        "basis": io.Lazy(basis, io.sum_to_obj),
-    }
-    _write(obj, args.out)
-    return 0
-
-
-def cmd_matrix(args):
-    from .homology import delta_matrix
-
-    fam = _slice_family(args, (args.degree, args.degree + 1))
-    mat = delta_matrix(fam, args.d, args.degree)
-    obj = {
-        "schema": io.SCHEMA,
-        "family": args.family,
-        "d": args.d,
-        "degree": args.degree,
-        "rows": mat.nrows,
-        "cols": mat.ncols,
-        "triplets": [[r, c, io._frac_to_str(v)] for r, c, v in mat.triplets()],
-    }
-    _write(obj, args.out)
-    return 0
-
-
-def cmd_compose(args):
-    from .operad import compose
-
-    a = io.obj_to_sum(_read_json(args.infile))
-    b = io.obj_to_sum(_read_json(args.withfile))
-    _write(io.sum_to_obj(compose(a, args.slot, b)), args.out)
-    return 0
-
-
-def cmd_lie_expand(args):
-    from .operad import _leaves, lie_expand, parse_word
-
-    tree = parse_word(args.expr)
-    if len(_leaves(tree)) > MAX_WORD_LEAVES:
-        raise ValueError("a word must have at most %d leaves (the expansion "
-                         "grows about 8x per letter)" % MAX_WORD_LEAVES)
-    _write(io.sum_to_obj(lie_expand(tree)), args.out)
-    return 0
-
-
-def cmd_trace(args):
-    from .operad import trace_sum
-
-    x = io.obj_to_sum(_read_json(args.infile))
-    _write(io.sum_to_obj(trace_sum(x)), args.out)
-    return 0
-
-
-def _jetdata_from_obj(obj, need):
-    from . import jets
-
-    labels, order, conn_order = need
-    n = obj.get("n") if isinstance(obj, dict) else None
-    if type(n) is not int or not 1 <= n <= MAX_DIM:
-        raise io.SchemaError("jet data \"n\" must be an integer in 1..%d"
-                             % MAX_DIM)
-
-    def tensor(nested, nfixed, nsym, name):
-        t = jets.Tensor(n, nfixed, nsym)
-        first = {}  # sorted entry -> (the first index read for it, value)
-
-        def walk(node, idx):
-            if len(idx) == nfixed + nsym:
-                v = io.exact(node)
-                key = idx[:nfixed] + tuple(sorted(idx[nfixed:]))
-                idx0, v0 = first.setdefault(key, (idx, v))
-                if v != v0:
-                    raise io.SchemaError(
-                        "%s is not symmetric in its derivative indices: "
-                        "entry %s is %s but entry %s is %s"
-                        % (name, list(idx), io._frac_to_str(v), list(idx0),
-                           io._frac_to_str(v0)))
-                if v:
-                    t.set(idx[:nfixed], idx[nfixed:], v)
-                return
-            if not isinstance(node, list) or len(node) != n:
-                raise io.SchemaError("jet array has wrong extent")
-            for i, sub in enumerate(node):
-                walk(sub, idx + (i,))
-
-        walk(nested, ())
-        return t
-
-    given = obj.get("fields", {})
-    fields = {}
-    for lab in labels:
-        arrs = given.get(lab) if isinstance(given, dict) else None
-        if not isinstance(arrs, list) or len(arrs) < order + 1:
-            raise io.SchemaError("jet data missing field %s to order %d"
-                                 % (lab, order))
-        fields[lab] = [tensor(arrs[v], 1, v, "field %s order %d" % (lab, v))
-                       for v in range(order + 1)]
-    conn = None
-    if conn_order is not None:
-        arrs = obj.get("connection")
-        if not isinstance(arrs, list) or len(arrs) < conn_order + 1:
-            raise io.SchemaError("jet data missing connection jets")
-        conn = [tensor(arrs[w], 3, w, "connection order %d" % w)
-                for w in range(conn_order + 1)]
-    return jets.JetData(n, order, fields, conn, conn_order)
-
-
 def _check_dim(dim):
     if dim > MAX_DIM:
         raise ValueError("--dim must be <= %d (the oracle's cost grows like "
                          "a power of the dimension)" % MAX_DIM)
 
 
-def cmd_eval(args):
-    from . import jets
-
-    if args.dim < 1:
-        raise ValueError("--dim must be >= 1")
-    _check_dim(args.dim)
-    x = io.obj_to_sum(_read_json(args.infile))
-    need = jets.data_requirements(x)
-    if args.data:
-        data = _jetdata_from_obj(_read_json(args.data), need)
-    else:
-        import random
-
-        labels, order, conn_order = need
-        rng = random.Random(repr(("eval", args.seed)))
-        data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
-    val = jets.realize(x, data)
-    if isinstance(val, list):
-        out = {"schema": io.SCHEMA, "vector": [io._frac_to_str(v) for v in val]}
-    else:
-        out = {"schema": io.SCHEMA, "scalar": io._frac_to_str(val)}
-    _write(out, args.out)
-    return 0
+def _arg(*flags, **kw):
+    return flags, kw
 
 
-def cmd_natcheck(args):
-    from . import jets
+_FAMILY = _arg("--family", required=True, choices=sorted(FAMILIES))
+_D = _arg("--d", type=int, required=True)
+_DEGREE = _arg("--degree", type=int, default=0)
+_IN = _arg("--in", dest="infile", required=True)
+_SEED = _arg("--seed", type=int, default=0)
 
-    _check_dim(args.dim)
-    if args.trials > MAX_TRIALS:
-        raise ValueError("--trials must be <= %d (each trial is a full "
-                         "transform and realization)" % MAX_TRIALS)
-    x = io.obj_to_sum(_read_json(args.infile))
-    bad = jets.naturality_check(x, args.dim, trials=args.trials, seed=args.seed)
-    if bad is None:
-        _write({"schema": io.SCHEMA, "result": "pass", "trials": args.trials,
-                "dim": args.dim, "seed": args.seed}, args.out)
-        return 0
-    def render(v):
-        if isinstance(v, list):
-            return [io._frac_to_str(c) for c in v]
-        return io._frac_to_str(v)
-    _write({"schema": io.SCHEMA, "result": "counterexample",
-            "trial": bad.trial, "dim": args.dim, "seed": args.seed,
-            "transformed": render(bad.lhs), "expected": render(bad.rhs)},
-           args.out)
-    return 1
-
-
-def cmd_genfun(args):
-    from . import genfun
-
-    if args.upto < 1:
-        raise ValueError("--upto must be >= 1")
-    if args.upto > MAX_UPTO:
-        raise ValueError("--upto must be <= %d (the series cost grows like "
-                         "N^4)" % MAX_UPTO)
-    rows = genfun.table(genfun.g_series(args.upto))
-    _write({"schema": io.SCHEMA,
-            "rows": [{"d": d, "g": g, "lie": lie} for d, g, lie in rows]},
-           args.out)
-    return 0
-
-
-def cmd_export_dot(args):
-    x = io.obj_to_sum(_read_json(args.infile))
-    with _output(args.out) as fh:
-        for k, (g, c) in enumerate(x.sorted_terms()):
-            fh.write("// coeff %s\n%s" % (c, io.to_dot(g, "G%d" % k)))
-    return 0
+#: name -> (help, the module of natops.commands that holds ``cmd_<name>``,
+#: the arguments besides --out, each as (flags, add_argument keywords))
+COMMANDS = {
+    "basis": ("enumerate a basis slice", "slices", (_FAMILY, _D, _DEGREE)),
+    "diff": ("differential of a formal sum", "slices", (
+        _IN, _arg("--family", choices=sorted(FAMILIES)),
+        _arg("--d", type=int))),
+    "d2check": ("check delta^2 = 0 on a family", "slices", (_FAMILY, _D)),
+    "h0": ("dimension of the degree-0 kernel", "slices", (_FAMILY, _D)),
+    "kerbasis": ("explicit kernel basis", "slices", (_FAMILY, _D)),
+    "matrix": ("differential matrix as triplets", "slices",
+               (_FAMILY, _D, _DEGREE)),
+    "compose": ("operadic insertion", "operad", (
+        _IN, _arg("--slot", type=int, required=True),
+        _arg("--with", dest="withfile", required=True))),
+    "lie-expand": ("expand a bracket/star word", "operad", (
+        _arg("--expr", required=True, help="s-expression, e.g. "
+             "'(b (b X1 X2) X3)' or '(c X1 X2)'"),)),
+    "trace": ("trace map on an X0-linear sum", "operad", (_IN,)),
+    "eval": ("realize a degree-0 sum on jet data", "jets", (
+        _IN, _arg("--data", default=None, help="JetData JSON (else random)"),
+        _arg("--dim", type=int, default=3), _SEED)),
+    "natcheck": ("seeded naturality trials", "jets", (
+        _IN, _arg("--dim", type=int, required=True),
+        _arg("--trials", type=int, default=20), _SEED)),
+    "genfun": ("dimension table from generating functions", "misc",
+               (_arg("--upto", type=int, required=True),)),
+    "export-dot": ("DOT rendering of a sum", "misc", (_IN,)),
+    "rule": ("export a replacement rule template", "misc", (
+        _arg("--kind", required=True,
+             choices=["white", "vector", "connection"]),
+        _arg("--order", type=int, required=True))),
+}
 
 
-def cmd_rule(args):
-    from . import rules
-
-    if args.order > MAX_RULE_ORDER:
-        raise ValueError("--order must be <= %d (templates grow like 2^order)"
-                         % MAX_RULE_ORDER)
-    if args.kind == "white":
-        tpl = rules.replace_white(args.order)
-    elif args.kind == "vector":
-        tpl = rules.replace_vectorfield(args.order)
-    else:
-        tpl = rules.replace_connection(args.order)
-    _write(io.template_to_obj(tpl), args.out)
-    return 0
-
-
-def build_parser():
+def build_parser(command=None):
+    """The parser of one command, or of every command when ``command`` is
+    None.  Both read that command's arguments alike and print the same
+    messages about them."""
     ap = argparse.ArgumentParser(
         prog="natops",
-        description="graph-complex calculator for natural differential operators",
+        description="graph-complex calculator for natural differential "
+                    "operators",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    families = sorted(FAMILIES)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        return p
-
-    p = add("basis", cmd_basis, help="enumerate a basis slice")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--degree", type=int, default=0)
-
-    p = add("diff", cmd_diff, help="differential of a formal sum")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--family", choices=families)
-    p.add_argument("--d", type=int)
-
-    p = add("d2check", cmd_d2check, help="check delta^2 = 0 on a family")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("h0", cmd_h0, help="dimension of the degree-0 kernel")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("kerbasis", cmd_kerbasis, help="explicit kernel basis")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("matrix", cmd_matrix, help="differential matrix as triplets")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--degree", type=int, default=0)
-
-    p = add("compose", cmd_compose, help="operadic insertion")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--slot", type=int, required=True)
-    p.add_argument("--with", dest="withfile", required=True)
-
-    p = add("lie-expand", cmd_lie_expand, help="expand a bracket/star word")
-    p.add_argument("--expr", required=True,
-                   help="s-expression, e.g. '(b (b X1 X2) X3)' or '(c X1 X2)'")
-
-    p = add("trace", cmd_trace, help="trace map on an X0-linear sum")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("eval", cmd_eval, help="realize a degree-0 sum on jet data")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--data", default=None, help="JetData JSON (else random)")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("natcheck", cmd_natcheck, help="seeded naturality trials")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("genfun", cmd_genfun, help="dimension table from generating functions")
-    p.add_argument("--upto", type=int, required=True)
-
-    p = add("export-dot", cmd_export_dot, help="DOT rendering of a sum")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("rule", cmd_rule, help="export a replacement rule template")
-    p.add_argument("--kind", required=True, choices=["white", "vector", "connection"])
-    p.add_argument("--order", type=int, required=True)
-
+    # a one-command parser names every command in its usage line, as the
+    # whole parser does from its choices (a metavar would also rename the
+    # command argument in the whole parser's messages)
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, _, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.add_argument("--out", default=None,
+                           help="output file (default stdout)")
+            for flags, kw in arguments:
+                p.add_argument(*flags, **kw)
     return ap
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command line; returns its exit code.  Only the invoked
+    command's parser is built and only its group is imported."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    # __import__ rather than importlib, so that -X importtime lists it
+    name = "%s.commands.%s" % (__package__, COMMANDS[args.command][1])
+    __import__(name)
+    group = sys.modules[name]
+    fn = getattr(group, "cmd_" + args.command.replace("-", "_"))
     try:
-        return args.fn(args)
+        return fn(args)
     except io.SchemaError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2

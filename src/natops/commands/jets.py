@@ -1,0 +1,124 @@
+"""Commands on the jet oracle: eval and natcheck."""
+
+from __future__ import annotations
+
+import random
+
+from .. import cli, io, jets
+
+
+def _jetdata_from_obj(obj, need):
+    labels, order, conn_order = need
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int or not 1 <= n <= cli.MAX_DIM:
+        raise io.SchemaError("jet data \"n\" must be an integer in 1..%d"
+                             % cli.MAX_DIM)
+
+    def tensor(nested, nfixed, nsym, name):
+        t = jets.Tensor(n, nfixed, nsym)
+        first = {}  # sorted entry -> (the first index read for it, value)
+
+        def walk(node, idx):
+            if len(idx) == nfixed + nsym:
+                v = io.exact(node)
+                key = idx[:nfixed] + tuple(sorted(idx[nfixed:]))
+                idx0, v0 = first.setdefault(key, (idx, v))
+                if v != v0:
+                    raise io.SchemaError(
+                        "%s is not symmetric in its derivative indices: "
+                        "entry %s is %s but entry %s is %s"
+                        % (name, list(idx), io._frac_to_str(v), list(idx0),
+                           io._frac_to_str(v0)))
+                if v:
+                    t.set(idx[:nfixed], idx[nfixed:], v)
+                return
+            if not isinstance(node, list) or len(node) != n:
+                raise io.SchemaError("jet array has wrong extent")
+            for i, sub in enumerate(node):
+                walk(sub, idx + (i,))
+
+        walk(nested, ())
+        return t
+
+    given = obj.get("fields", {})
+    fields = {}
+    for lab in labels:
+        arrs = given.get(lab) if isinstance(given, dict) else None
+        if not isinstance(arrs, list) or len(arrs) < order + 1:
+            raise io.SchemaError("jet data missing field %s to order %d"
+                                 % (lab, order))
+        fields[lab] = [tensor(arrs[v], 1, v, "field %s order %d" % (lab, v))
+                       for v in range(order + 1)]
+    conn = None
+    if conn_order is not None:
+        arrs = obj.get("connection")
+        if not isinstance(arrs, list) or len(arrs) < conn_order + 1:
+            raise io.SchemaError("jet data missing connection jets")
+        conn = [tensor(arrs[w], 3, w, "connection order %d" % w)
+                for w in range(conn_order + 1)]
+    return jets.JetData(n, order, fields, conn, conn_order)
+
+
+def _check_work(x, n, trial):
+    """Refuse ``x`` at dimension n (1 or more) when one realization of it,
+    or one naturality trial with ``trial``, predicts more than
+    ``cli.MAX_JET_WORK`` multiply-adds (:func:`natops.jets.predicted_work`).
+    """
+    work = jets.predicted_work(x, n, trial)
+    if work > cli.MAX_JET_WORK:
+        raise ValueError(
+            "%s at dimension %d predicts %.3g multiply-adds, more than %d "
+            "(the work grows like a power of the dimension and the jet "
+            "orders)" % ("a naturality trial" if trial else "realization", n,
+                         work, cli.MAX_JET_WORK))
+
+
+def cmd_eval(args):
+    if args.dim < 1:
+        raise ValueError("--dim must be >= 1")
+    cli._check_dim(args.dim)
+    x = io.obj_to_sum(cli._read_json(args.infile))
+    need = jets.data_requirements(x)
+    if args.data:
+        data = _jetdata_from_obj(cli._read_json(args.data), need)
+        _check_work(x, data.n, trial=False)
+    else:
+        _check_work(x, args.dim, trial=False)
+        labels, order, conn_order = need
+        rng = random.Random(repr(("eval", args.seed)))
+        data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
+    val = jets.realize(x, data)
+    if isinstance(val, list):
+        out = {"schema": io.SCHEMA,
+               "vector": [io._frac_to_str(v) for v in val]}
+    else:
+        out = {"schema": io.SCHEMA, "scalar": io._frac_to_str(val)}
+    cli._write(out, args.out)
+    return 0
+
+
+def cmd_natcheck(args):
+    cli._check_dim(args.dim)
+    if args.trials > cli.MAX_TRIALS:
+        raise ValueError("--trials must be <= %d (each trial is a full "
+                         "transform and realization)" % cli.MAX_TRIALS)
+    x = io.obj_to_sum(cli._read_json(args.infile))
+    if args.dim >= 1:  # naturality_check refuses the rest
+        _check_work(x, args.dim, trial=True)
+    bad = jets.naturality_check(x, args.dim, trials=args.trials,
+                                seed=args.seed)
+    if bad is None:
+        cli._write({"schema": io.SCHEMA, "result": "pass",
+                    "trials": args.trials, "dim": args.dim,
+                    "seed": args.seed}, args.out)
+        return 0
+
+    def render(v):
+        if isinstance(v, list):
+            return [io._frac_to_str(c) for c in v]
+        return io._frac_to_str(v)
+    cli._write({"schema": io.SCHEMA, "result": "counterexample",
+                "trial": bad.trial, "dim": args.dim, "seed": args.seed,
+                "transformed": render(bad.lhs), "expected": render(bad.rhs)},
+               args.out)
+    return 1

@@ -1,0 +1,91 @@
+"""Commands on basis slices and the differential: basis, diff, d2check,
+h0, kerbasis and matrix."""
+
+from __future__ import annotations
+
+from .. import cli, io
+from ..graphs import FAMILIES
+
+
+def cmd_basis(args):
+    from ..complexes import enumerate_basis
+
+    fam = cli._slice_family(args, (args.degree,))
+    bs = enumerate_basis(fam, args.d, args.degree)
+    cli._write(io.slice_to_obj(bs), args.out)
+    return 0
+
+
+def cmd_diff(args):
+    from ..complexes import differential
+
+    x = io.obj_to_sum(cli._read_json(args.infile))
+    fam = args.family if args.family is None else FAMILIES[args.family]
+    if fam is not None and args.d is None:
+        raise io.SchemaError("--family requires --d")
+    y = differential(x, family=fam, d=args.d)
+    cli._write(io.sum_to_obj(y), args.out)
+    return 0
+
+
+def cmd_d2check(args):
+    from ..complexes import d_squared_zero
+
+    fam = cli._slice_family(args, (0, 1))
+    rep = d_squared_zero(fam, args.d)
+    obj = {
+        "schema": io.SCHEMA,
+        "family": rep.family,
+        "d": rep.d,
+        "checked": rep.checked,
+        "failures": [
+            {"graph": io.graph_to_obj(g), "residual": io.sum_to_obj(r)}
+            for g, r in rep.failures
+        ],
+    }
+    cli._write(obj, args.out)
+    return 1 if rep.failures else 0
+
+
+def cmd_h0(args):
+    from ..homology import h0_dimension
+
+    fam = cli._slice_family(args, (0, 1))
+    n = h0_dimension(fam, args.d)
+    cli._write({"schema": io.SCHEMA, "family": args.family, "d": args.d,
+                "h0": n}, args.out)
+    return 0
+
+
+def cmd_kerbasis(args):
+    from ..homology import kernel_basis
+
+    fam = cli._slice_family(args, (0, 1))
+    basis = kernel_basis(fam, args.d)
+    obj = {
+        "schema": io.SCHEMA,
+        "family": args.family,
+        "d": args.d,
+        "dimension": len(basis),
+        "basis": io.Lazy(basis, io.sum_to_obj),
+    }
+    cli._write(obj, args.out)
+    return 0
+
+
+def cmd_matrix(args):
+    from ..homology import delta_matrix
+
+    fam = cli._slice_family(args, (args.degree, args.degree + 1))
+    mat = delta_matrix(fam, args.d, args.degree)
+    obj = {
+        "schema": io.SCHEMA,
+        "family": args.family,
+        "d": args.d,
+        "degree": args.degree,
+        "rows": mat.nrows,
+        "cols": mat.ncols,
+        "triplets": [[r, c, io._frac_to_str(v)] for r, c, v in mat.triplets()],
+    }
+    cli._write(obj, args.out)
+    return 0

@@ -15,13 +15,9 @@ order (rank 2, when present, the next one).
 Rules for white vertices are unshuffle sums.  Vector-field and connection
 rules are one closed form, :func:`_lie_derivative_rule`: the Leibniz
 expansion of the Lie derivative along a jet-group generator that vanishes
-to second order, with unit coefficients.  :func:`derive_connection_rule`
-derives connection rules independently: it realizes every candidate
-degree-1 graph on the fields of :func:`connection_probe` with the jet
-oracle's :func:`natops.jets.realize` and matches the candidates against the
-linearized coordinate-change action on connection jets.  The tests compare
-it with the differential of the probe, and no runtime path calls it, so
-the jet oracle and the linear algebra it needs load only when it runs.
+to second order, with unit coefficients.  :mod:`natops.oracle` derives
+connection rules independently from the jet action; the tests compare the
+two, and no runtime path calls it.
 """
 
 from __future__ import annotations
@@ -30,21 +26,8 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .canonical import canonicalize
-from .formal import FormalSum
-from .graphs import (
-    CONNECTION,
-    SYM,
-    VECTOR,
-    WHITE,
-    Graph,
-    Vertex,
-    anchor,
-    connection,
-    relabel,
-    vector,
-    white,
-)
+from .graphs import CONNECTION, SYM, VECTOR, WHITE, Vertex, connection, white
+
 #: out-target marker: the internal vertex's output leaves the local graph.
 OUT = ("out",)
 
@@ -182,118 +165,10 @@ def rule_for(vertex):
     raise ValueError("no replacement rule for %r" % (vertex.kind,))
 
 
-# ---------------------------------------------------------------------------
-# Derivation of connection rules from the jet action (reference for tests)
-# ---------------------------------------------------------------------------
-
-
-def connection_probe(w):
-    """The order-``w`` connection vertex fed from order-0 fields X1..X(w+2),
-    X1 and X2 in the base slots, and anchored.  The fields name the boundary
-    ports, so its differential is the connection rule written as a sum of
-    graphs."""
-    fields = tuple(vector("X%d" % (i + 1)) for i in range(w + 2))
-    c = w + 2
-    return Graph(fields + (connection(w), anchor),
-                 ((c, 0), (c, 1)) + ((c, SYM),) * w + ((c + 1, SYM), None))
-
-
-def _unit_fields(n, ports, conn, w):
-    """Jet data whose field Xk is the unit vector at index ``ports[k-1]``."""
-    from . import jets
-
-    fields = {"X%d" % (k + 1): [jets.Tensor(n, 1, 0, {(i,): 1})]
-              for k, i in enumerate(ports)}
-    return jets.JetData(n, 0, fields, conn, w)
-
-
 def derive_connection_rule(w, n):
-    """Derive the order-``w`` connection rule in probe dimension ``n``.
+    """The order-``w`` connection rule derived from the jet action in probe
+    dimension ``n``: :func:`natops.oracle.derive_connection_rule`, loaded
+    only when this runs."""
+    from .oracle import derive_connection_rule
 
-    The candidates are the degree-1 graphs on the fields of
-    :func:`connection_probe`, with one coefficient per orbit under
-    permutations of the derivative ports.  Each sample draws sparse
-    generators of every arity and sparse connection jets at dimension
-    ``n``, denser from one sample to the next, and asks the candidates,
-    realized at unit-vector fields on boundary indices where the action is
-    nonzero, to reproduce the exact first-order action of the generators on
-    the order-``w`` connection jet.  The match must be unique, which the
-    stable-range bound n >= 2w + 4 guarantees, and is then verified at
-    every boundary index of a small dimension with dense fresh data.
-    Returns the rule as a formal sum, which the closed form must reproduce
-    as ``differential(connection_probe(w))``.
-    """
-    import random
-
-    from . import jets
-    from .complexes import BULLET_NABLA1, _wirings  # complexes imports rules
-    from .linalg import Echelon
-
-    if n < 2 * w + 4:
-        raise ValueError("probe dimension below stable bound 2w+4")
-    arities = range(2, w + 3)
-    # merging the derivative labels into one names a graph's orbit
-    merged = {"X%d" % k: "D" for k in range(3, w + 3)}
-    orbits = {}
-    for s in arities:
-        ws = (w + 1 - s,) if s <= w + 1 else ()
-        for g in _wirings(BULLET_NABLA1, w + 2, (0,) * (w + 2), ws, (s,)):
-            orbits.setdefault(canonicalize(relabel(g, merged))[0], {})[g] = 1
-    orbits = [FormalSum(orbit) for orbit in orbits.values()]
-    norb = len(orbits)
-
-    def action(dim, gens, conn):
-        data = jets.JetData(dim, 0, {}, conn, w)
-        return jets.infinitesimal_action(list(gens.values()), data).conn[w]
-
-    # one row per output index a: the orbit realizations, then the action
-    # in the augmented column norb, which turns pivot when no rule matches
-    rng = random.Random(repr(("connrule", w, n)))
-    echelon = Echelon()
-    for k in range(40):
-        if len(echelon.rows) == norb or norb in echelon.rows:
-            break
-        # sparse draws pin few orbits, and acting on a draw costs more than
-        # realizing the orbits at one pick: read each at norb/2 + 1 picks
-        density = 2 + 4 * k
-        gens = {s: jets.random_sparse_tensor(rng, n, 1, s, density)
-                for s in arities}
-        conn = [jets.random_sparse_tensor(rng, n, 3, v, 3 * density)
-                for v in range(w + 1)]
-        delta = action(n, gens, conn)
-        picks = sorted({key[1:3] + tuple(sorted(key[3:]))
-                        for key in delta.data})
-        rng.shuffle(picks)
-        for ports in picks[:norb // 2 + 1]:
-            data = _unit_fields(n, ports, conn, w)
-            cols = [jets.realize(orbit, data, gens) for orbit in orbits]
-            for a in range(n):
-                row = {j: col[a] for j, col in enumerate(cols) if col[a]}
-                row[norb] = delta.get((a,) + ports[:2], ports[2:])
-                echelon.add(row)
-    if norb in echelon.rows:
-        raise ArithmeticError(
-            "no order-%d connection rule matches the jet action" % w)
-    if len(echelon.rows) < norb:
-        raise ArithmeticError(
-            "singular rule-matching system for w=%d (rule-basis bug)" % w)
-    rule = FormalSum()
-    for j, orbit in enumerate(orbits):
-        coeff = echelon.rows[j].get(norb, 0)
-        if coeff.denominator != 1:
-            raise ArithmeticError(
-                "non-integer connection-rule coefficient %s" % (coeff,))
-        rule = rule + orbit.scale(coeff)
-    nv = min(n, max(w + 2, 3), 5)
-    rng = random.Random(repr(("connrule-verify", w, n)))
-    gens = {s: jets.random_tensor(rng, nv, 1, s) for s in arities}
-    conn = jets.random_jet_data(rng, nv, [], w, conn_order=w).conn
-    delta = action(nv, gens, conn)
-    for b, c in itertools.product(range(nv), repeat=2):
-        for ds in itertools.combinations_with_replacement(range(nv), w):
-            data = _unit_fields(nv, (b, c) + ds, conn, w)
-            if jets.realize(rule, data, gens) != [
-                    delta.get((a, b, c), ds) for a in range(nv)]:
-                raise ArithmeticError(
-                    "derived rule fails verification at w=%d" % w)
-    return rule
+    return derive_connection_rule(w, n)

@@ -38,7 +38,8 @@ from natops.jets import (
 )
 from natops.linalg import mat_inv
 from natops.operad import arity
-from natops.rules import OUT, derive_connection_rule, rule_for
+from natops.oracle import derive_connection_rule
+from natops.rules import OUT, rule_for
 from natops.series import Series
 
 
@@ -785,7 +786,7 @@ def reference_infinitesimal_action(gens, data):
     """The flow derivative by dual numbers: ``data`` moved by the reference
     law along id + eps * sum_s H_s(x, ..., x)/s!, eps^2 = 0, and read off
     as the eps parts.  The flow's linear part is the plain identity, so no
-    pivot is a dual number.  natops.jets.infinitesimal_action, which
+    pivot is a dual number.  natops.oracle.infinitesimal_action, which
     interpolates ordinary transforms instead, is checked against this."""
     n = data.n
     W = data.conn_order if data.conn is not None else None

@@ -33,7 +33,7 @@ from natops.operad import (
     trace_sum,
     unit_graph,
 )
-from natops.rules import connection_probe
+from natops.oracle import connection_probe
 
 from .helpers import chain_xy, chain_yx, derived_rule, nabla_xy, trace_pair
 

@@ -9,17 +9,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natops
-from natops import io
+from natops import io, jets
 from natops.canonical import canonicalize, key_bytes
 from natops.cli import (
     MAX_DIM,
+    MAX_JET_WORK,
     MAX_RULE_ORDER,
     MAX_TRIALS,
     MAX_UPTO,
     MAX_WIRINGS,
     MAX_WORD_LEAVES,
+    build_parser,
     run,
 )
 from natops.complexes import enumerate_basis, wiring_count
@@ -403,16 +406,56 @@ def test_commands_load_only_their_layers(tmp_path):
     p = tmp_path / "b.json"
     p.write_text(json.dumps(io.sum_to_obj(b)))
     out = str(tmp_path / "out.json")
-    natcheck = _loaded_layers(_LOADED, "natcheck", "--in", str(p), "--dim",
-                              "2", "--trials", "1", "--out", out)
-    assert "jets" in natcheck
-    assert not natcheck & {"complexes", "homology", "operad", "genfun",
-                           "rules"}
-    for command in ("d2check", "h0"):
-        loaded = _loaded_layers(_LOADED, command, "--family", "bullet",
-                                "--d", "2", "--out", out)
-        assert "complexes" in loaded
-        assert not loaded & {"jets", "operad", "genfun"}
+    fam = ["--family", "bullet", "--d", "2"]
+    for argv, group in [
+            (["natcheck", "--in", str(p), "--dim", "2", "--trials", "1"],
+             "jets"),
+            (["h0"] + fam, "slices"), (["kerbasis"] + fam, "slices"),
+            (["d2check"] + fam, "slices"),
+            (["rule", "--kind", "connection", "--order", "2"], "misc")]:
+        loaded = _loaded_layers(_LOADED, *argv, "--out", out)
+        # its own group of commands, and never the rule oracle
+        assert {m for m in loaded if m.startswith("commands")} == {
+            "commands", "commands." + group}, argv[0]
+        assert "oracle" not in loaded, argv[0]
+        if group == "jets":
+            assert "jets" in loaded
+            assert not loaded & {"complexes", "homology", "operad",
+                                 "genfun", "rules"}
+        elif group == "slices":
+            assert "complexes" in loaded
+            assert not loaded & {"jets", "operad", "genfun"}
+        else:
+            assert "rules" in loaded
+            assert not loaded & {"jets", "complexes", "homology"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nosuch"], ["natcheck", "--help"], ["h0", "--help"],
+    ["h0", "--family", "bullet"], ["h0", "--family", "nosuch", "--d", "2"],
+    ["h0", "--family", "bullet", "--d", "2", "--bogus"],
+    ["h0", "--family", "bullet", "--d", "two"], ["--out", "x", "h0"]])
+def test_one_command_parser_reads_as_the_whole(capsys, argv):
+    """``run`` builds the invoked command's parser only; its help, its
+    errors and their exit codes are those of the parser of every
+    command."""
+    def outcome(parse):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        got = capsys.readouterr()
+        return e.value.code, got.out, got.err
+
+    whole = outcome(build_parser().parse_args)
+    assert whole[0] in (0, 2) and whole[1] + whole[2]
+    assert outcome(run) == whole
+
+
+def test_rules_derivation_forwards_to_the_oracle():
+    from natops import oracle, rules
+    from natops.complexes import differential
+
+    assert rules.derive_connection_rule(0, 4) == differential(
+        oracle.connection_probe(0))
 
 
 def test_every_exported_name_resolves():
@@ -598,3 +641,117 @@ def test_wiring_budget_admits_the_tabulated_slices():
         for m in (0, 1):
             assert 0 < wiring_count(family, d, m) <= MAX_WIRINGS
     assert wiring_count("bullet-nabla-1", 6, 0) > MAX_WIRINGS
+
+
+def _star(order):
+    """X1 of the given order fed by that many order-0 fields, anchored."""
+    fields = tuple(vector("X%d" % (i + 2)) for i in range(order))
+    return Graph((vector("X1", order),) + fields + (anchor,),
+                 ((order + 1, SYM),) + ((0, SYM),) * order + (None,))
+
+
+@pytest.mark.parametrize("command,order,dim", [
+    ("natcheck", 6, 8), ("natcheck", 6, 10), ("natcheck", 9, 10),
+    ("eval", 9, 10)])
+def test_cli_jet_work_budget(tmp_path, command, order, dim):
+    """--dim alone does not bound the oracle: a natcheck trial of the
+    order-6 star ran for more than 150 s at n = 8.  Each command runs in
+    its own process, killed after 10 s, since an admitted one would run
+    for minutes and take gigabytes."""
+    p = tmp_path / "star.json"
+    p.write_text(json.dumps(io.graph_to_obj(_star(order))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "natops", command, "--in", str(p), "--dim",
+         str(dim)] + (["--trials", "1"] if command == "natcheck" else []),
+        env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "more than %d" % MAX_JET_WORK in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_jet_work_budget_admits_the_verified_range():
+    """Every natcheck of the benchmark's verify workload (each element of
+    a kernel basis, or a signed combination of the whole basis, and the
+    two controls) and one trial of a bullet d = 4 kernel element at
+    n = MAX_DIM stay under the budget."""
+    from natops.homology import kernel_basis
+
+    for family, d, n in [("bullet", 2, 2), ("bullet", 3, 3), ("bullet", 4, 4),
+                         ("bullet-nabla-1", 2, 3), ("bullet-nabla-1", 3, 5),
+                         ("bullet", 4, MAX_DIM)]:
+        basis = kernel_basis(family, d)
+        for x in basis + [sum(basis, FormalSum())]:
+            assert jets.predicted_work(x, n) <= MAX_JET_WORK, (family, d)
+    for g, n in [(chain_xy(), 2), (nabla_xy(), 3)]:
+        assert jets.predicted_work(FormalSum.of(g), n) <= MAX_JET_WORK
+    # the two sides of the bound, from the oracle's own cost model
+    assert jets.predicted_work(FormalSum.of(_star(6)), 4) <= MAX_JET_WORK
+    assert jets.predicted_work(FormalSum.of(_star(6)), 6) > MAX_JET_WORK
+    assert jets.predicted_work(FormalSum.of(_star(6)), 8, trial=False) \
+        <= MAX_JET_WORK
+
+
+# --- the JSON writer --------------------------------------------------------
+
+# non-ASCII, quote, backslash and control characters among any others
+_strings = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')))
+_scalars = st.one_of(
+    st.none(), st.booleans(), _strings, st.integers(),
+    st.integers(min_value=10 ** 40, max_value=10 ** 400).flatmap(
+        lambda k: st.sampled_from([k, -k])))  # past 64 bits, either sign
+
+
+def _containers(children):
+    items = st.lists(children, max_size=5)
+    return st.one_of(items, items.map(tuple),
+                     items.map(lambda xs: io.Lazy(xs, lambda x: x)),
+                     st.dictionaries(_strings, children, max_size=5))
+
+
+def _plain(v):
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
+
+
+@given(st.recursive(_scalars, _containers, max_leaves=30))
+@settings(max_examples=150, deadline=None)
+def test_dump_writes_the_bytes_of_json(value):
+    buf = _io.StringIO()
+    io.dump(value, buf)
+    assert buf.getvalue() == json.dumps(
+        _plain(value), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.0], {"a": [1, 2.5]}, {1: "x"}, {"a": {None: 1}}, {(1, 2): 3},
+    Fraction(1, 2), [{1, 2}], b"x", object()])
+def test_dump_refuses_what_has_no_exact_json_form(value):
+    with pytest.raises(TypeError):
+        io.dump(value, _io.StringIO())
+
+
+def test_dump_streams_a_long_array():
+    class Handle:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    fh = Handle()
+    io.dump({"items": io.Lazy(range(10 ** 5), str)}, fh)
+    text = "".join(fh.writes)
+    assert text == json.dumps({"items": [str(i) for i in range(10 ** 5)]},
+                              indent=1, sort_keys=True) + "\n"
+    assert len(fh.writes) >= 10
+    assert max(map(len, fh.writes)) < len(text) / 5

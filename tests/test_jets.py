@@ -16,7 +16,6 @@ from natops.jets import (
     JetData,
     Tensor,
     apply_linear,
-    infinitesimal_action,
     jet_order,
     jet_transform,
     naturality_check,
@@ -26,6 +25,7 @@ from natops.jets import (
     realize_graph,
 )
 from natops.linalg import mat_inv, rank
+from natops.oracle import infinitesimal_action
 
 from .helpers import (
     chain_xy,

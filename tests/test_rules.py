@@ -6,13 +6,12 @@ from math import comb
 
 import pytest
 
-from natops import jets
+from natops import oracle
 from natops.complexes import differential
 from natops.graphs import CONNECTION, WHITE
+from natops.oracle import connection_probe, derive_connection_rule
 from natops.rules import (
     OUT,
-    connection_probe,
-    derive_connection_rule,
     replace_connection,
     replace_vectorfield,
     replace_white,
@@ -137,7 +136,7 @@ def test_stable_bound_enforced():
 
 
 def test_derivation_rejects_an_action_no_rule_matches(monkeypatch):
-    act = jets.infinitesimal_action
+    act = oracle.infinitesimal_action
 
     def shifted(gens, data):
         # a constant no realization of the candidates can reproduce
@@ -149,7 +148,7 @@ def test_derivation_rejects_an_action_no_rule_matches(monkeypatch):
                 top.set((0, b, c), ds, top.get((0, b, c), ds) + 1)
         return moved
 
-    monkeypatch.setattr(jets, "infinitesimal_action", shifted)
+    monkeypatch.setattr(oracle, "infinitesimal_action", shifted)
     with pytest.raises(ArithmeticError, match="no order-1 connection rule"):
         derive_connection_rule(1, 6)
 
