@@ -14,19 +14,23 @@ round re-keys only the members of tied cells.  The initial partition
 depends on the vertex tuple alone, and many presentations share one (the
 terms of the differential, the wirings of one arity multiset), so it is
 worked out once per vertex tuple and kept, as tuples, for the life of the
-process.  When the initial colours are already distinct, the positions
-are their ranks and nothing is refined.  Each round collects the in-edges
-it keys on in one pass over the out-map, read as colours, so the first
-round needs no other set-up; most graphs are discrete after it, and its
-colours are then the positions.  Only a tie that survives goes on to the
-later rounds and the search.  Twin leaves, order-0 vector vertices without
-inputs that share a cell and an out-edge, are swapped by an automorphism
-that fixes every white vertex and commutes with the refinement, so the
-search branches on one of them per out-edge: k fields feeding one white
-cost k refinements instead of k! leaves.  Discrete starts, the memoized
-partitions, the cell-wise rounds and the pruning change how much work is
-done, never the result: the representatives, their vertex order and the
-signs are those of the unpruned search over globally re-ranked colours.
+process.  A caller that already holds it passes it in (``start``): the
+differential keeps it in each row of its plans and the basis enumeration
+looks it up once per arity multiset, so neither hashes a vertex tuple per
+graph.  When the initial colours are already distinct, the positions are
+their ranks and nothing is refined.  Each round collects the in-edges of
+the tied vertices it keys on in one pass over the out-map, read as
+colours, so the first round needs no other set-up; most graphs are
+discrete after it, and its colours are then the positions.  Only a tie
+that survives goes on to the later rounds and the search.  Twin leaves,
+order-0 vector vertices without inputs that share a cell and an out-edge,
+are swapped by an automorphism that fixes every white vertex and commutes
+with the refinement, so the search branches on one of them per out-edge:
+k fields feeding one white cost k refinements instead of k! leaves.
+Discrete starts, the memoized partitions, the cell-wise rounds and the
+pruning change how much work is done, never the result: the
+representatives, their vertex order and the signs are those of the
+unpruned search over globally re-ranked colours.
 
 The input is a presentation: any graph, read through its three fields
 ``vertices``, ``out`` and ``white_order`` only.  The differential and the
@@ -51,6 +55,9 @@ distinguished ``ZERO`` class is returned.
 
 The search is bounded: a graph whose search reaches more than
 ``MAX_LEAVES`` discrete refinements is refused (:class:`SearchBudgetError`).
+
+:func:`key_bytes`, the sort key of bases and sums, joins per-vertex and
+per-edge pieces made once each and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -106,17 +113,22 @@ def _refine(out, colors, cells):
 
     ``colors[i]`` is the position of vertex i's cell, a list the rounds
     overwrite; ``cells`` lists the cells with more than one member in colour
-    order, each ascending.  A round collects every vertex's in-edges as
-    ``(slot, colour of the source)`` in one pass over the out-map, keys every
-    tied vertex by its colour's out-edge and its sorted in-edges, all read
-    from the previous round, and splits its cell in key order.  Returns the
-    new colours and tied cells.
+    order, each ascending.  A round collects the in-edges of the tied
+    vertices as ``(slot, colour of the source)`` in one pass over the
+    out-map, keys every tied vertex by its colour's out-edge and its sorted
+    in-edges, all read from the previous round, and splits its cell in key
+    order.  Returns the new colours and tied cells.
     """
     while cells:
-        ins = [[] for _ in colors]
+        ins = [None] * len(colors)
+        for cell in cells:
+            for i in cell:
+                ins[i] = []
         for src, e in enumerate(out):
             if e is not None:
-                ins[e[0]].append((e[1], colors[src]))
+                into = ins[e[0]]
+                if into is not None:
+                    into.append((e[1], colors[src]))
         tied = []
         moves = []
         for cell in cells:
@@ -265,7 +277,16 @@ def _start(verts):
     return colors, tuple(cells), None if cells else colors, cverts
 
 
-def canonicalize(g):
+def start_of(verts):
+    """The initial partition of the vertex tuple ``verts`` (see
+    :func:`_start`), from the table of those met so far."""
+    start = _STARTS.get(verts)
+    if start is None:
+        start = _STARTS[verts] = _start(verts)
+    return start
+
+
+def canonicalize(g, start=None):
     """Return ``(canonical_graph, sign)`` or ``(ZERO, 1)``.
 
     The canonical graph is the same graph re-presented with vertices in
@@ -273,14 +294,18 @@ def canonicalize(g):
     *presented* orientation to the canonical one.  It is the process's one
     shared object for that graph (the empty graph is ``EMPTY``): equal
     results are identical, and none may ever be mutated.
+
+    ``start`` is ``start_of(g.vertices)`` when the caller already holds
+    it: the differential's plans keep it per term and the basis
+    enumeration looks it up once per arity multiset, so that neither
+    hashes a vertex tuple per graph.  Left out, it is looked up here.
     """
     verts = g.vertices
     n = len(verts)
     if n == 0:
         return EMPTY, 1
-    start = _STARTS.get(verts)
     if start is None:
-        start = _STARTS[verts] = _start(verts)
+        start = start_of(verts)
     colors, cells, pos, cverts = start
     if pos is None:
         pos = _leaf(g, colors, cells)
@@ -289,7 +314,7 @@ def canonicalize(g):
         if cverts is None:
             inv = sorted(range(n), key=pos.__getitem__)
             cverts = tuple([verts[i] for i in inv])
-    pairs = _pairs(n)
+    pairs = _PAIRS if n <= len(_PAIRS) else _pairs(n)
     edges = [None] * n
     for i, e in enumerate(g.out):
         if e is not None:
@@ -302,15 +327,26 @@ def canonicalize(g):
     return cg, -1 if _parity(whites) else 1
 
 
+#: The pieces of :func:`key_bytes`, per vertex and per edge, made once each
+#: and kept as long as the process.
+_VERTEX_KEYS = {}
+_EDGE_KEYS = {None: "-"}
+
+
 def key_bytes(cg):
-    """Stable byte-string key of a canonical graph (for files and sorting)."""
+    """Stable byte-string key of a canonical graph (for files and sorting):
+    ``kind initial:label:order>target.slot`` (``-`` for no edge) per
+    vertex, joined by ``;``."""
     if cg is ZERO:
         return b"ZERO"
     parts = []
-    for i, v in enumerate(cg.vertices):
-        e = cg.out[i]
-        parts.append(
-            "%s:%s:%d>%s"
-            % (v.kind[0], v.label or "", v.order, "%d.%d" % e if e else "-")
-        )
+    for v, e in zip(cg.vertices, cg.out):
+        vk = _VERTEX_KEYS.get(v)
+        if vk is None:
+            vk = _VERTEX_KEYS[v] = "%s:%s:%d>" % (v.kind[0], v.label or "",
+                                                  v.order)
+        ek = _EDGE_KEYS.get(e)
+        if ek is None:
+            ek = _EDGE_KEYS[e] = "%d.%d" % e
+        parts.append(vk + ek)
     return ";".join(parts).encode()

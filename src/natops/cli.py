@@ -43,6 +43,12 @@ MAX_DIM = 10
 #: bound take 4-10 s.
 MAX_JET_WORK = 20_000_000
 
+#: Most multiply-adds all the trials of one ``natcheck`` may predict
+#: together, ``--trials`` times the prediction for one trial: at 0.2-0.8
+#: microseconds per unit, about 2-7 minutes.  Without it 1000 trials near
+#: ``MAX_JET_WORK`` are admitted and run for hours.
+MAX_NATCHECK_WORK = 25 * MAX_JET_WORK
+
 #: Largest ``genfun --upto``.  The series grows like N^4 in exact rational
 #: products: --upto 40 prints in about 0.35 s, 60 in 1.2 s and 100 in 4.6 s.
 #: Its cross-checks, the recursion and the dual identity, run in the tests

@@ -59,11 +59,14 @@ def _jetdata_from_obj(obj, need):
     return jets.JetData(n, order, fields, conn, conn_order)
 
 
-def _check_work(x, n, trial):
-    """Refuse ``x`` at dimension n (1 or more) when one realization of it,
-    or one naturality trial with ``trial``, predicts more than
-    ``cli.MAX_JET_WORK`` multiply-adds (:func:`natops.jets.predicted_work`).
+def _check_work(x, n, trials=None):
+    """Refuse ``x`` at dimension n (1 or more) when one realization of it
+    (``trials`` None), or one naturality trial, predicts more than
+    ``cli.MAX_JET_WORK`` multiply-adds (:func:`natops.jets.predicted_work`),
+    or when ``trials`` trials together predict more than
+    ``cli.MAX_NATCHECK_WORK``.
     """
+    trial = trials is not None
     work = jets.predicted_work(x, n, trial)
     if work > cli.MAX_JET_WORK:
         raise ValueError(
@@ -71,6 +74,11 @@ def _check_work(x, n, trial):
             "(the work grows like a power of the dimension and the jet "
             "orders)" % ("a naturality trial" if trial else "realization", n,
                          work, cli.MAX_JET_WORK))
+    if trial and trials * work > cli.MAX_NATCHECK_WORK:
+        raise ValueError(
+            "%d naturality trials at dimension %d predict %.3g multiply-adds "
+            "together, more than %d" % (trials, n, trials * work,
+                                        cli.MAX_NATCHECK_WORK))
 
 
 def cmd_eval(args):
@@ -81,9 +89,9 @@ def cmd_eval(args):
     need = jets.data_requirements(x)
     if args.data:
         data = _jetdata_from_obj(cli._read_json(args.data), need)
-        _check_work(x, data.n, trial=False)
+        _check_work(x, data.n)
     else:
-        _check_work(x, args.dim, trial=False)
+        _check_work(x, args.dim)
         labels, order, conn_order = need
         rng = random.Random(repr(("eval", args.seed)))
         data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
@@ -104,7 +112,7 @@ def cmd_natcheck(args):
                          "transform and realization)" % cli.MAX_TRIALS)
     x = io.obj_to_sum(cli._read_json(args.infile))
     if args.dim >= 1:  # naturality_check refuses the rest
-        _check_work(x, args.dim, trial=True)
+        _check_work(x, args.dim, args.trials)
     bad = jets.naturality_check(x, args.dim, trials=args.trials,
                                 seed=args.seed)
     if bad is None:

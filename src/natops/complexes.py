@@ -10,13 +10,24 @@ the freshly created white vertices into the orientation order:
   carries sign (-1)**(i+1), and the new whites take its place in rank
   order (the wider parent white first; see :func:`natops.rules.replace_white`).
 
+A term keeps the ids of the graph it comes from: the internal vertex
+that exports the rule term's output takes the replaced vertex's id, and
+the other internals take n, n + 1, ... for a graph of n vertices.  So a
+term's out-map is the graph's own with the edges into the replaced vertex
+rewritten and the internals' edges appended.
+
 Of that work only the edges differ between graphs with one vertex tuple and
 one white order: which rule replaces each vertex, the sign, the spliced
 white order and the vertex tuple of each term are a plan, worked out once
 per (vertices, white order) and kept in ``_PLANS`` for the life of the
-process, as the differential's cache is.  A plan holds references: one
-vertex tuple and one white order per distinct value, and the rule's own
-terms.
+process, as the differential's cache is.  A plan row holds, per rule term,
+the term's vertex tuple, white order and coefficient, where each boundary
+port enters, the internals' own edges, and the canonical start of the
+vertex tuple, which is handed to :func:`canonicalize` with every term.
+The port maps and internal edges depend only on the rule, the replaced
+vertex's id and n, so they are worked out once per such triple
+(``_PLACED``) and shared by every plan; their edges are the shared pairs
+of :mod:`natops.canonical`.
 
 A basis slice is dealt out as wirings, one source per input slot.  In a
 connected family a partial wiring is dropped as soon as its edges close
@@ -32,7 +43,7 @@ import itertools
 from collections import namedtuple
 from math import factorial
 
-from .canonical import ZERO, canonicalize, key_bytes
+from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
 from .formal import FormalSum
 from .graphs import (  # noqa: F401  (the families are re-exported here)
     ANCHOR,
@@ -258,8 +269,9 @@ def _wirings(family, d, vs, ws, us):
     cycles = len(sources) - (len(verts) - 1) if family.connected else None
     verts = tuple(verts)
     whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
+    start = start_of(verts)
     for out in _assignments(groups, sources, len(verts), cycles):
-        cg, _ = canonicalize(Graph.from_tuples(verts, out, whites))
+        cg, _ = canonicalize(Graph.from_tuples(verts, out, whites), start)
         if cg is ZERO:
             continue
         yield cg
@@ -282,19 +294,64 @@ def delta_graph_cached(g):
     return hit
 
 
+#: The terms of each rule template placed at vertex v of an n-vertex
+#: graph (see :func:`_placed`), keyed by ``(id(template), v, n)`` beside
+#: the template itself, which keeps that id from being reused; kept as
+#: long as the process, as the plans are.
+_PLACED = {}
+
+
+def _placed(tpl, v, n):
+    """Per term of the rule template ``tpl`` replacing vertex v of a graph
+    of n vertices: ``(internal, rest, new whites, coeff, ports, own)``.
+    The internal that exports the term's output (its ``iout`` is ``OUT``)
+    takes v's id, and the ``rest`` of the internals take n, n + 1, ... in
+    their order in the term.  ``new whites`` are the ids of the internal
+    whites in rank order; ``ports`` gives, per boundary port of v, the
+    ``(id, slot)`` it enters and ``own`` the out-edges of the rest, in id
+    order, all as shared pairs of ``canonical._PAIRS``."""
+    hit = _PLACED.get((id(tpl), v, n))
+    if hit is not None:
+        return hit[1]
+    terms = []
+    for term in tpl.terms:
+        iout = term.iout
+        jout = iout.index(OUT)
+        ids = [v if j == jout else n + j - (j > jout)
+               for j in range(len(iout))]
+        pairs = _pairs(n + len(iout) - 1)
+        internals = term.internals
+        ranked = sorted((r, ids[j]) for j, r in enumerate(term.ranks)
+                        if r is not None)
+        terms.append((
+            internals[jout], internals[:jout] + internals[jout + 1:],
+            tuple(w for _, w in ranked), term.coeff,
+            tuple(pairs[ids[j]][s] for j, s in term.ports),
+            tuple(pairs[ids[t[0]]][t[1]] for t in iout if t != OUT)))
+    terms = tuple(terms)
+    _PLACED[id(tpl), v, n] = (tpl, terms)
+    return terms
+
+
 def _plan(verts, order):
     """What the differential of a graph with vertex tuple ``verts`` and
     white order ``order`` does without reading its edges: per replaced
-    vertex v, ``(v, nbase, terms)`` with ``nbase`` v's number of ordered
-    base slots and, per rule term, ``(vertices, white order, eps * coeff,
-    term)``.  The term's vertices are the kept ones, then its internals;
-    its white order splices the internal whites, in rank order, where v
-    stood, or ahead of all for a non-white v.  Equal vertex tuples and
-    white orders of one plan are one object each."""
+    vertex v, ``(v, nbase, rows)`` with ``nbase`` v's number of ordered
+    base slots and one row per rule term.
+
+    A term keeps the graph's vertex ids: v's id goes to the internal that
+    exports the output and the other internals take n, n + 1, ...
+    (:func:`_placed`).  A row is ``(vertices, white order, eps * coeff,
+    ports, own, start)``: the term's vertex tuple; its white order, the
+    internal whites in rank order spliced where v stood, or ahead of all
+    for a non-white v; per boundary port of v, the ``(id, slot)`` it
+    enters, and the out-edges of the other internals, as shared pairs of
+    ``canonical._PAIRS``; and the canonical start of the vertex tuple
+    (:func:`natops.canonical.start_of`).  Equal vertex tuples and white
+    orders of one plan are one object each."""
     plan = []
     shared = {}
-    base = len(verts) - 1  # id of a term's first internal vertex
-    order = list(order)
+    n = len(verts)
     for v, vv in enumerate(verts):
         if vv.kind == ANCHOR:
             continue
@@ -304,36 +361,35 @@ def _plan(verts, order):
         if vv.kind == WHITE:
             at = order.index(v)
             eps = -1 if at & 1 else 1
-            kept = order[:at] + order[at + 1:]
+            before, after = order[:at], order[at + 1:]
         else:
-            at, eps, kept = 0, 1, order
-        kept = [w if w < v else w - 1 for w in kept]
-        kept_verts = verts[:v] + verts[v + 1:]
-        terms = []
-        for term in tpl.terms:
-            tverts = kept_verts + term.internals
-            ranked = sorted((r, base + j) for j, r in enumerate(term.ranks)
-                            if r is not None)
-            whites = tuple(kept[:at] + [w for _, w in ranked] + kept[at:])
-            terms.append((shared.setdefault(tverts, tverts),
-                          shared.setdefault(whites, whites),
-                          eps * term.coeff, term))
-        plan.append((v, 2 if vv.kind == CONNECTION else 0, tuple(terms)))
+            eps, before, after = 1, (), order
+        head, tail = verts[:v], verts[v + 1:]
+        rows = []
+        for internal, rest, new, coeff, ports, own in _placed(tpl, v, n):
+            tverts = head + (internal,) + tail + rest
+            tverts = shared.setdefault(tverts, tverts)
+            whites = before + new + after
+            rows.append((tverts, shared.setdefault(whites, whites),
+                         eps * coeff, ports, own, start_of(tverts)))
+        plan.append((v, 2 if vv.kind == CONNECTION else 0, tuple(rows)))
     return tuple(plan)
 
 
 def delta_graph(g):
     """Differential of a single graph presentation, as a formal sum.
 
-    Each term substitutes a rule term for one vertex ``v``: the term's
-    internal vertices take ids from n - 1 on, the edges into ``v`` go to
-    the internal slots of their boundary ports, and ``v``'s own out-edge
-    leaves from the internal vertex the term marks ``OUT``.  The boundary
-    ports of ``v`` are its ordered base slots, then its symmetric inputs by
-    source.  What does not depend on the edges comes from the plan of the
-    graph's vertex tuple and white order; the ports and every edge away
-    from ``v`` are worked out once per vertex, and each term goes to
-    :func:`canonicalize` built by ``Graph.from_tuples`` and is added
+    Each term substitutes a rule term for one vertex ``v`` and keeps every
+    other vertex's id: the internal that exports the output takes v's id,
+    so v's own out-edge stays as it is, and the other internals take ids
+    from n on.  The edges into ``v`` go to the internal slots of their
+    boundary ports, which are v's ordered base slots, then its symmetric
+    inputs by source.  What does not depend on the edges comes from the
+    plan of the graph's vertex tuple and white order (:func:`_plan`).  Per
+    graph, the in-edges are collected once; per term, the out-map is
+    copied, the edges into v rewritten (v's own too when it loops), the
+    internals' edges appended, and the term goes to :func:`canonicalize`
+    with its plan's start, built by ``Graph.from_tuples``, and is added
     straight into the result's ``terms``.
     """
     out = FormalSum()
@@ -343,46 +399,31 @@ def delta_graph(g):
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _plan(*key)
-    base = len(verts) - 1
+    make = Graph.from_tuples
+    ins = [[] for _ in verts]
+    for src, e in enumerate(gout):
+        if e is not None:
+            ins[e[0]].append((src, e[1]))
     for v, nbase, rows in plan:
         port = nbase  # the next symmetric input's boundary port
-        fixed = []  # out-edges of the kept vertices, None where one enters v
-        into = []  # (index in fixed, boundary port) of the edges entering v
-        for i, e in enumerate(gout):
-            if e is None:
-                if i != v:
-                    fixed.append(None)
-            elif e[0] != v:
-                if i != v:
-                    fixed.append((e[0] if e[0] < v else e[0] - 1, e[1]))
+        into = []  # (source, boundary port) of the edges entering v
+        loop = None  # v's boundary port fed by v itself
+        for src, slot in ins[v]:
+            if slot == SYM:
+                p, port = port, port + 1
             else:
-                if e[1] == SYM:
-                    p, port = port, port + 1
-                else:
-                    p = e[1]
-                if i == v:
-                    loop = p
-                else:
-                    into.append((len(fixed), p))
-                    fixed.append(None)
-        dst, slot = gout[v]
-        leave = None if dst == v else (dst if dst < v else dst - 1, slot)
-        for tverts, whites, c, term in rows:
-            ports = term.ports
-            edges = fixed[:]
-            for k, p in into:
-                j, s = ports[p]
-                edges[k] = (base + j, s)
-            for tgt in term.iout:
-                if tgt != OUT:
-                    edges.append((base + tgt[0], tgt[1]))
-                elif leave is not None:
-                    edges.append(leave)
-                else:
-                    j, s = ports[loop]
-                    edges.append((base + j, s))
-            cg, sign = canonicalize(Graph.from_tuples(
-                tverts, tuple(edges), whites))
+                p = slot
+            if src == v:
+                loop = p
+            else:
+                into.append((src, p))
+        for tverts, whites, c, ports, own, start in rows:
+            edges = [*gout, *own]
+            for src, p in into:
+                edges[src] = ports[p]
+            if loop is not None:
+                edges[v] = ports[loop]
+            cg, sign = canonicalize(make(tverts, tuple(edges), whites), start)
             if cg is not ZERO:
                 x = terms.get(cg, 0) + sign * c
                 if x:
@@ -415,14 +456,25 @@ D2Report = namedtuple("D2Report", ["family", "d", "checked", "failures"])
 
 
 def d_squared_zero(family, d, degrees=(0, 1)):
-    """Check delta(delta(G)) = 0 on basis graphs of the given degrees."""
+    """Check delta(delta(G)) = 0 on basis graphs of the given degrees.
+
+    Each residue is added up in one dict straight from the cached
+    differentials of G and of its terms."""
     if isinstance(family, str):
         family = FAMILIES[family]
     failures = []
     checked = 0
     for m in degrees:
         for g in enumerate_basis(family, d, m).graphs:
-            r = differential(differential(FormalSum({g: 1})))
+            r = FormalSum()
+            acc = r.terms
+            for h, c in delta_graph_cached(g):
+                for k, e in delta_graph_cached(h):
+                    x = acc.get(k, 0) + c * e
+                    if x:
+                        acc[k] = x
+                    else:
+                        del acc[k]
             checked += 1
             if r:
                 failures.append((g, r))

@@ -22,8 +22,6 @@ import json
 import re
 from fractions import Fraction
 
-from .canonical import key_bytes
-from .formal import FormalSum
 from .graphs import (
     ANCHOR,
     CONNECTION,
@@ -170,6 +168,8 @@ def sum_to_obj(x):
 
 
 def obj_to_sum(obj):
+    from .formal import FormalSum
+
     out = FormalSum()
     terms = obj.get("terms")
     if terms is None:
@@ -212,6 +212,8 @@ def template_to_obj(tpl):
 def slice_to_obj(bs):
     """A basis slice for :func:`dump`: its graphs and their keys are
     :class:`Lazy` arrays, built one graph at a time as they are written."""
+    from .canonical import key_bytes
+
     return {
         "schema": SCHEMA,
         "family": bs.family.name,

@@ -4,16 +4,16 @@ connectivity filter of wirings, a dense reference elimination, the derived
 connection rules, the realization state sum, the reference polynomial
 layer, the composition and identity of coordinate changes, the reference
 jet transformation law, the dual-number flow derivative, the reference
-series solver, the reference basis-slice encoder, the reference operad
-insertion and trace, and the reference components and cycles of a
-graph."""
+series solver, the reference basis-slice encoder and graph keys, the
+reference operad insertion and trace, and the reference components and
+cycles of a graph."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from natops import io
-from natops.canonical import ZERO, key_bytes
+from natops.canonical import ZERO
 from natops.formal import FormalSum
 from natops.graphs import (
     ANCHOR,
@@ -238,6 +238,22 @@ def reference_canonicalize(g):
     )
     order = tuple(sorted(pos[w] for w in g.white_order))
     return Graph(verts, outs, order), sign
+
+
+def reference_key_bytes(cg):
+    """The byte-string key of a canonical graph, formatted afresh for every
+    vertex.  natops.canonical.key_bytes, which joins memoized pieces, is
+    checked against it."""
+    if cg is ZERO:
+        return b"ZERO"
+    parts = []
+    for i, v in enumerate(cg.vertices):
+        e = cg.out[i]
+        parts.append(
+            "%s:%s:%d>%s"
+            % (v.kind[0], v.label or "", v.order, "%d.%d" % e if e else "-")
+        )
+    return ";".join(parts).encode()
 
 
 # --- the reference differential ----------------------------------------
@@ -836,7 +852,7 @@ def reference_slice_to_obj(bs):
         "d": bs.d,
         "degree": bs.m,
         "graphs": [io.graph_to_obj(g) for g in bs.graphs],
-        "keys": [key_bytes(g).decode() for g in bs.graphs],
+        "keys": [reference_key_bytes(g).decode() for g in bs.graphs],
     }
 
 

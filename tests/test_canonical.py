@@ -7,7 +7,7 @@ import time
 import pytest
 
 from natops import canonical, complexes
-from natops.canonical import ZERO, canonicalize
+from natops.canonical import ZERO, canonicalize, key_bytes
 from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
 from natops.graphs import (
     SYM,
@@ -23,7 +23,11 @@ from natops.graphs import (
     white,
 )
 
-from .helpers import reference_canonicalize, shuffle_presentation
+from .helpers import (
+    reference_canonicalize,
+    reference_key_bytes,
+    shuffle_presentation,
+)
 
 # every slice some other test of the suite enumerates, to degree 2
 SLICES = [("bullet", 4), ("bullet-connected", 4), ("bullet-wheel", 4),
@@ -50,12 +54,12 @@ def basis_graphs(family, dmax):
 
 def _raw_terms(monkeypatch, graphs):
     """The raw presentation of every term delta_graph hands to
-    canonicalize from ``graphs``."""
+    canonicalize from ``graphs``; the plan's start is passed on."""
     raw = []
 
-    def record(g):
+    def record(g, start=None):
         raw.append(g)
-        return canonicalize(g)
+        return canonicalize(g, start)
 
     monkeypatch.setattr(complexes, "canonicalize", record)
     for g in graphs:
@@ -282,3 +286,28 @@ def test_delta_cache_holds_one_object_per_graph():
     assert len(graphs) > len(complexes._DELTA_CACHE) > 0
     assert len({id(g) for g in graphs}) == len(set(graphs))
     assert all(_shared_edges(g) for g in graphs)
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_key_bytes_matches_reference(family, dmax):
+    graphs = basis_graphs(family, dmax)
+    assert graphs
+    for g in graphs + [ZERO]:
+        assert key_bytes(g) == reference_key_bytes(g)
+
+
+def test_plan_rows_hold_the_start_of_their_vertex_tuple(monkeypatch):
+    # fresh plans and starts, so that every row is made and checked here
+    monkeypatch.setattr(complexes, "_PLANS", {})
+    monkeypatch.setattr(canonical, "_STARTS", {})
+    for family, dmax in SLICES:
+        for g in basis_graphs(family, dmax):
+            delta_graph(g)
+    rows = [row for plan in complexes._PLANS.values()
+            for _, _, rows in plan for row in rows]
+    assert len(rows) > 1000
+    for tverts, whites, _, ports, own, start in rows:
+        assert start == canonical._start(tverts)
+        assert start is canonical._STARTS[tverts]
+        # every edge a row holds is the shared pair for its id and slot
+        assert all(e is canonical._PAIRS[e[0]][e[1]] for e in ports + own)

@@ -1,9 +1,11 @@
 """Family bases and the differential: counts, worked examples, d-squared."""
 
+import json
 import random
 
 import pytest
 
+from natops import cli, complexes, rules
 from natops.complexes import (
     FAMILIES,
     _arities,
@@ -159,6 +161,37 @@ def test_d_squared_zero_small(family, d):
     rep = d_squared_zero(family, d)
     assert rep.failures == []
     assert rep.checked > 0
+
+
+def test_d2check_finds_a_broken_rule(monkeypatch, tmp_path):
+    """One white-rule term with a wrong coefficient breaks delta^2 = 0:
+    d_squared_zero reports each basis graph whose delta(delta g), worked
+    out by the reference differential under the same rule, is nonzero,
+    with that residue, and d2check exits 1."""
+    replace_white = rules.replace_white
+    good = replace_white(3)
+    bad = good._replace(terms=(good.terms[0]._replace(coeff=2),)
+                        + good.terms[1:])
+    monkeypatch.setattr(
+        rules, "replace_white", lambda u: bad if u == 3 else replace_white(u))
+    monkeypatch.setattr(complexes, "_PLANS", {})
+    monkeypatch.setattr(complexes, "_DELTA_CACHE", {})
+    want = {}
+    for m in (0, 1):
+        for g in enumerate_basis("bullet", 3, m).graphs:
+            r = FormalSum()
+            for h, c in reference_delta_graph(g):
+                for k, e in reference_delta_graph(h):
+                    r.add_canonical(k, c * e)
+            if r:
+                want[g] = r
+    rep = d_squared_zero("bullet", 3)
+    assert want and dict(rep.failures) == want
+    assert len(rep.failures) == len(want)
+    out = tmp_path / "d2.json"
+    assert cli.run(["d2check", "--family", "bullet", "--d", "3",
+                    "--out", str(out)]) == 1
+    assert len(json.loads(out.read_text())["failures"]) == len(want)
 
 
 def test_bigrade_split():

@@ -17,6 +17,7 @@ from natops.canonical import canonicalize, key_bytes
 from natops.cli import (
     MAX_DIM,
     MAX_JET_WORK,
+    MAX_NATCHECK_WORK,
     MAX_RULE_ORDER,
     MAX_TRIALS,
     MAX_UPTO,
@@ -412,7 +413,8 @@ def test_commands_load_only_their_layers(tmp_path):
              "jets"),
             (["h0"] + fam, "slices"), (["kerbasis"] + fam, "slices"),
             (["d2check"] + fam, "slices"),
-            (["rule", "--kind", "connection", "--order", "2"], "misc")]:
+            (["rule", "--kind", "connection", "--order", "2"], "misc"),
+            (["genfun", "--upto", "3"], "misc")]:
         loaded = _loaded_layers(_LOADED, *argv, "--out", out)
         # its own group of commands, and never the rule oracle
         assert {m for m in loaded if m.startswith("commands")} == {
@@ -426,8 +428,11 @@ def test_commands_load_only_their_layers(tmp_path):
             assert "complexes" in loaded
             assert not loaded & {"jets", "operad", "genfun"}
         else:
-            assert "rules" in loaded
-            assert not loaded & {"jets", "complexes", "homology"}
+            # io loads canonical forms and formal sums only to read a sum
+            # or write a slice, which neither rule nor genfun does
+            assert ("rules" if argv[0] == "rule" else "genfun") in loaded
+            assert not loaded & {"jets", "complexes", "homology",
+                                 "canonical", "formal"}, argv[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -674,11 +679,44 @@ def test_cli_jet_work_budget(tmp_path, command, order, dim):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_natcheck_total_work_budget(tmp_path):
+    """The per-trial bound alone admits 1000 trials just under it: one
+    trial of the order-5 star at n = 6 predicts 1.5e7 and took 5.5 s, so
+    1000 would run for hours.  Killed after 10 s, as above."""
+    p = tmp_path / "star.json"
+    p.write_text(json.dumps(io.graph_to_obj(_star(5))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "natops", "natcheck", "--in", str(p), "--dim",
+         "6", "--trials", "1000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "more than %d" % MAX_NATCHECK_WORK in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_natcheck_total_work_budget_admits_twenty_trials():
+    from natops.commands.jets import _check_work
+
+    x = FormalSum.of(_star(5))
+    assert MAX_NATCHECK_WORK == 25 * MAX_JET_WORK
+    assert jets.predicted_work(x, 6) <= MAX_JET_WORK
+    _check_work(x, 6, 20)
+    with pytest.raises(ValueError, match="together, more than"):
+        _check_work(x, 6, 1000)
+
+
 def test_jet_work_budget_admits_the_verified_range():
-    """Every natcheck of the benchmark's verify workload (each element of
-    a kernel basis, or a signed combination of the whole basis, and the
-    two controls) and one trial of a bullet d = 4 kernel element at
-    n = MAX_DIM stay under the budget."""
+    """Every natcheck of the benchmark's verify workload (one trial of each
+    element of a kernel basis, or of a signed combination of the whole
+    basis, and three of each control), one trial of a bullet d = 4 kernel
+    element at n = MAX_DIM, and README's example (20 trials at n = 2)
+    stay under the budgets."""
+    from natops.commands.jets import _check_work
     from natops.homology import kernel_basis
 
     for family, d, n in [("bullet", 2, 2), ("bullet", 3, 3), ("bullet", 4, 4),
@@ -687,8 +725,12 @@ def test_jet_work_budget_admits_the_verified_range():
         basis = kernel_basis(family, d)
         for x in basis + [sum(basis, FormalSum())]:
             assert jets.predicted_work(x, n) <= MAX_JET_WORK, (family, d)
+            _check_work(x, n, 1)
     for g, n in [(chain_xy(), 2), (nabla_xy(), 3)]:
         assert jets.predicted_work(FormalSum.of(g), n) <= MAX_JET_WORK
+        _check_work(FormalSum.of(g), n, 3)
+    for x in kernel_basis("bullet", 2) + [FormalSum.of(chain_xy())]:
+        _check_work(x, 2, 20)
     # the two sides of the bound, from the oracle's own cost model
     assert jets.predicted_work(FormalSum.of(_star(6)), 4) <= MAX_JET_WORK
     assert jets.predicted_work(FormalSum.of(_star(6)), 6) > MAX_JET_WORK
