@@ -85,6 +85,11 @@ _SHARED = {}
 #: Its entries are tuples, which nothing mutates.
 _STARTS = {}
 
+#: The colour key ``(kind, order, label or "")`` of every vertex
+#: :func:`_start` has met, kept as long as the process: one tuple per
+#: distinct vertex, shared by every vertex tuple it appears in.
+_INIT_KEYS = {}
+
 #: ``_PAIRS[p][s]`` is the shared edge ``(p, s)`` into position p, slot s.
 _PAIRS = []
 
@@ -258,7 +263,14 @@ def _start(verts):
     tuple, or None when a cell holds unequal vertices (an unlabelled and an
     empty-labelled field), whose order only the leaf decides."""
     n = len(verts)
-    init = [(v.kind, v.order, v.label or "") for v in verts]
+    keys = _INIT_KEYS
+    try:
+        init = [keys[v] for v in verts]
+    except KeyError:
+        for v in verts:
+            if v not in keys:
+                keys[v] = (v.kind, v.order, v.label or "")
+        init = [keys[v] for v in verts]
     inv = sorted(range(n), key=init.__getitem__)
     colors = [0] * n
     cells = []
@@ -266,13 +278,17 @@ def _start(verts):
     for p in range(1, n + 1):
         if p == n or init[inv[p]] != init[inv[start]]:
             if p - start > 1:
-                cells.append(tuple(inv[start:p]))
-            for i in inv[start:p]:
-                colors[i] = start
+                cell = inv[start:p]
+                cells.append(tuple(cell))
+                for i in cell:
+                    colors[i] = start
+            else:
+                colors[inv[start]] = start
             start = p
     colors = tuple(colors)
     cverts = tuple([verts[i] for i in inv])
-    if any(verts[i] != verts[cell[0]] for cell in cells for i in cell):
+    if cells and any(verts[i] != verts[cell[0]]
+                     for cell in cells for i in cell):
         cverts = None
     return colors, tuple(cells), None if cells else colors, cverts
 

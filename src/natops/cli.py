@@ -2,7 +2,18 @@
 
 All machine output is schema-versioned JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verification command found a violation
-(d2check residue, naturality counterexample), 2 malformed input.
+(d2check residue, naturality counterexample), 2 malformed input.  A
+process whose stdout is closed before its output is written (``natops
+basis ... | head``) is ended by SIGPIPE, as C tools are: shell status 141,
+``subprocess`` return code -13, and no traceback.
+
+``python -m natops`` runs :func:`main`, which ends the process with
+``os._exit`` once stdout and stderr are flushed: the interpreter's
+teardown, which frees every canonical graph, cached differential and
+module one object at a time, costs a process 15-35 ms on a 2-core host
+and gives back only memory the OS takes back at exit anyway.
+:func:`run`, which the tests and library callers use, returns the exit
+code and leaves the process to end as it would.
 
 A process builds the argument parser of the command it runs only, and
 loads only that command's group of :mod:`natops.commands` and the layers
@@ -15,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from contextlib import contextmanager
 
@@ -215,7 +228,28 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    """Entry point of ``python -m natops``: :func:`run` on ``sys.argv``,
+    then the end of the process.
+
+    SIGPIPE gets its default action back, so a reader that stops early
+    ends the process by that signal instead of a ``BrokenPipeError``
+    traceback and exit 1, which would read as a found violation.  Once
+    ``run`` returns, stdout and stderr are flushed and the process ends
+    by ``os._exit``: everything natops built is given back by the OS, not
+    freed object by object, and a failed flush still raises.  An exception
+    from ``run`` (argparse's ``SystemExit`` among them) takes the normal
+    exit, and so does every process under a profiler or tracer, which
+    writes its report at teardown.
+    """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    code = run()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)  # the report is written at teardown
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ connection rules, the realization state sum, the reference polynomial
 layer, the composition and identity of coordinate changes, the reference
 jet transformation law, the dual-number flow derivative, the reference
 series solver, the reference basis-slice encoder and graph keys, the
-reference operad insertion and trace, and the reference components and
-cycles of a graph."""
+reference operad insertion and trace, the reference components and cycles
+of a graph, and the reference initial partition of a vertex tuple."""
 
 import itertools
 from fractions import Fraction
@@ -254,6 +254,31 @@ def reference_key_bytes(cg):
             % (v.kind[0], v.label or "", v.order, "%d.%d" % e if e else "-")
         )
     return ";".join(parts).encode()
+
+
+def reference_start(verts):
+    """The initial partition of a vertex tuple, with every vertex's colour
+    key ``(kind, order, label or "")`` built afresh.
+    natops.canonical.start_of, which keys each distinct vertex once, is
+    checked against it."""
+    n = len(verts)
+    init = [(v.kind, v.order, v.label or "") for v in verts]
+    inv = sorted(range(n), key=init.__getitem__)
+    colors = [0] * n
+    cells = []
+    start = 0
+    for p in range(1, n + 1):
+        if p == n or init[inv[p]] != init[inv[start]]:
+            if p - start > 1:
+                cells.append(tuple(inv[start:p]))
+            for i in inv[start:p]:
+                colors[i] = start
+            start = p
+    colors = tuple(colors)
+    cverts = tuple([verts[i] for i in inv])
+    if any(verts[i] != verts[cell[0]] for cell in cells for i in cell):
+        cverts = None
+    return colors, tuple(cells), None if cells else colors, cverts
 
 
 # --- the reference differential ----------------------------------------

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from natops import canonical, complexes
-from natops.canonical import ZERO, canonicalize, key_bytes
+from natops.canonical import ZERO, canonicalize, key_bytes, start_of
 from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
 from natops.graphs import (
     SYM,
@@ -26,6 +26,7 @@ from natops.graphs import (
 from .helpers import (
     reference_canonicalize,
     reference_key_bytes,
+    reference_start,
     shuffle_presentation,
 )
 
@@ -294,6 +295,32 @@ def test_key_bytes_matches_reference(family, dmax):
     assert graphs
     for g in graphs + [ZERO]:
         assert key_bytes(g) == reference_key_bytes(g)
+
+
+def test_start_of_matches_reference(monkeypatch):
+    # fresh starts, vertex keys and plans, so that every entry is made here:
+    # the vertex tuples of every basis graph of SLICES at degrees 0-2, and
+    # those of the plan rows of their differentials
+    monkeypatch.setattr(complexes, "_PLANS", {})
+    monkeypatch.setattr(canonical, "_STARTS", {})
+    monkeypatch.setattr(canonical, "_INIT_KEYS", {})
+    tuples = set()
+    for family, dmax in SLICES:
+        for g in basis_graphs(family, dmax):
+            tuples.add(g.vertices)
+            delta_graph(g)
+    rows = {row[0] for plan in complexes._PLANS.values()
+            for _, _, rows in plan for row in rows}
+    assert len(rows - tuples) > 100
+    # and a cell of unequal vertices, an unlabelled and an empty-labelled
+    # field, whose canonical vertex tuple only the leaf decides
+    blank, empty = Vertex(VECTOR, None, 0), Vertex(VECTOR, "", 0)
+    odd = {(blank, empty, white(2), anchor), (empty, blank, white(2), anchor)}
+    every = tuples | rows | odd
+    for verts in every:
+        assert start_of(verts) == reference_start(verts)
+    # one key per distinct vertex, shared by every tuple it appears in
+    assert len(canonical._INIT_KEYS) == len({v for t in every for v in t})
 
 
 def test_plan_rows_hold_the_start_of_their_vertex_tuple(monkeypatch):

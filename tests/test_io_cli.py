@@ -3,6 +3,7 @@
 import io as _io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natops
-from natops import io, jets
+from natops import cli, io, jets
 from natops.canonical import canonicalize, key_bytes
 from natops.cli import (
     MAX_DIM,
@@ -364,17 +365,173 @@ def test_cli_bad_input_is_exit_2(tmp_path):
     assert code == 2
 
 
-def test_cli_subprocess_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "natops", "h0", "--family", "bullet-wheel", "--d", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["h0"] == 0
-
-
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _env():
+    """This environment, with natops's source first on the path and
+    PYTHONUNBUFFERED unset: output still buffered when a process ends by
+    ``os._exit`` is lost unless it was flushed."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+# the natcheck control is nabla_xy, Gamma(X1, X2) with no derivative: not
+# natural (the connection is not a tensor), so it exits 1
+_ENTRY_CASES = {
+    "h0": (["h0", "--family", "bullet-wheel", "--d", "2"], 0),
+    "natcheck-control": (["natcheck", "--in", "{bare}", "--dim", "3",
+                          "--trials", "3"], 1),
+    "malformed-json": (["diff", "--in", "{junk}"], 2),
+    "argparse-error": (["h0", "--family", "no-such-family", "--d", "2"], 2),
+    "out-file": (["h0", "--family", "bullet", "--d", "3", "--out", "{out}"],
+                 0),
+    "large-output": (["basis", "--family", "bullet", "--d", "4",
+                      "--degree", "1"], 0),
+}
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of ``cli.run`` in this process."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = _io.StringIO(), _io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", sorted(_ENTRY_CASES))
+def test_cli_subprocess_entry(tmp_path, case):
+    # python -m natops ends by os._exit once its output is flushed: what
+    # it writes, through a pipe or to --out, and its exit code are those
+    # of cli.run in this process
+    (tmp_path / "bare.json").write_text(
+        json.dumps(io.graph_to_obj(nabla_xy())))
+    (tmp_path / "junk.json").write_text("{not json")
+    args, want = _ENTRY_CASES[case]
+
+    def argv(out):
+        return [a.format(bare=tmp_path / "bare.json",
+                         junk=tmp_path / "junk.json",
+                         out=tmp_path / out) for a in args]
+
+    proc = subprocess.run([sys.executable, "-m", "natops"] + argv("sub.json"),
+                          env=_env(), capture_output=True)
+    code, out, err = _in_process(argv("run.json"))
+    assert proc.returncode == code == want
+    assert proc.stdout == out and proc.stderr == err
+    if case == "large-output":
+        assert len(out) > 64 * 1024  # more than a pipe holds
+    if case == "out-file":
+        assert out == b""
+        got = (tmp_path / "sub.json").read_bytes()
+        assert got == (tmp_path / "run.json").read_bytes()
+        assert json.loads(got)["h0"] == 2
+    else:
+        assert not (tmp_path / "sub.json").exists()
+
+
+class _Stream(_io.StringIO):
+    """A text stream that records what it held when last flushed."""
+
+    flushed = None
+
+    def flush(self):
+        self.flushed = self.getvalue()
+        super().flush()
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def sigpipe():
+    """main() gives SIGPIPE its default action; the test process gets its
+    own back."""
+    old = signal.getsignal(signal.SIGPIPE)
+    yield
+    signal.signal(signal.SIGPIPE, old)
+
+
+def _fake_run(argv=None):
+    sys.stdout.write("output")
+    sys.stderr.write("note")
+    return 3
+
+
+def test_main_ends_by_os_exit_once_flushed(monkeypatch, sigpipe):
+    out, err = _Stream(), _Stream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    # no profiler or tracer, even when the suite runs under one
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(cli, "run", _fake_run)
+    exits = []
+
+    def _exit(code):
+        exits.append((code, out.flushed, err.flushed))
+        raise _Exited
+
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    with pytest.raises(_Exited):
+        cli.main()
+    assert exits == [(3, "output", "note")]
+    assert signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+def test_main_exits_normally_under_a_profiler(monkeypatch, sigpipe, hook):
+    # a profiler or tracer writes its report at teardown, so main keeps it
+    monkeypatch.setattr(cli, "run", _fake_run)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("_exit"))
+    getter = getattr(sys, hook.replace("set", "get"))
+    setter = getattr(sys, hook)
+    old = getter()
+    setter(lambda *a: None)
+    try:
+        with pytest.raises(SystemExit) as e:
+            cli.main()
+    finally:
+        setter(old)
+    assert e.value.code == 3
+
+
+def test_cprofile_writes_its_report(tmp_path):
+    report = tmp_path / "F"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(report), "-m", "natops",
+         "h0", "--family", "bullet", "--d", "2"],
+        env=_env(), capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["h0"] == 1
+    assert report.stat().st_size > 0
+
+
+def test_closed_pipe_ends_the_process_by_sigpipe(tmp_path):
+    # the reader stops after 10 bytes of a 600 KB output: the process ends
+    # by the signal, as C tools do, with no traceback and no exit 1
+    err = tmp_path / "err"
+    with open(err, "wb") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "natops", "basis", "--family", "bullet",
+             "--d", "4", "--degree", "1"],
+            env=_env(), stdout=subprocess.PIPE, stderr=fh)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert head == b'{\n "d": 4,'
+    assert code == -signal.SIGPIPE
+    assert err.read_bytes() == b""
+
 
 # runs natops.cli.run on its arguments, then prints the natops.* modules
 # the process has loaded
@@ -387,10 +544,7 @@ sys.exit(code)
 
 
 def _loaded_layers(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {m[len("natops."):] for m in proc.stdout.split()}
@@ -665,14 +819,11 @@ def test_cli_jet_work_budget(tmp_path, command, order, dim):
     for minutes and take gigabytes."""
     p = tmp_path / "star.json"
     p.write_text(json.dumps(io.graph_to_obj(_star(order))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "natops", command, "--in", str(p), "--dim",
          str(dim)] + (["--trials", "1"] if command == "natcheck" else []),
-        env=env, capture_output=True, text=True, timeout=10)
+        env=_env(), capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert "more than %d" % MAX_JET_WORK in proc.stderr
@@ -685,14 +836,11 @@ def test_cli_natcheck_total_work_budget(tmp_path):
     1000 would run for hours.  Killed after 10 s, as above."""
     p = tmp_path / "star.json"
     p.write_text(json.dumps(io.graph_to_obj(_star(5))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "natops", "natcheck", "--in", str(p), "--dim",
          "6", "--trials", "1000"],
-        env=env, capture_output=True, text=True, timeout=10)
+        env=_env(), capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert "more than %d" % MAX_NATCHECK_WORK in proc.stderr
