@@ -60,8 +60,6 @@ The search is bounded: a graph whose search reaches more than
 per-edge pieces made once each and kept for the life of the process.
 """
 
-from __future__ import annotations
-
 from .graphs import EMPTY, SYM, VECTOR, Graph
 
 

@@ -15,21 +15,27 @@ and gives back only memory the OS takes back at exit anyway.
 :func:`run`, which the tests and library callers use, returns the exit
 code and leaves the process to end as it would.
 
-A process builds the argument parser of the command it runs only, and
-loads only that command's group of :mod:`natops.commands` and the layers
-the command uses: ``natcheck`` never loads the graph complexes, and
-``d2check`` never loads the jet oracle.  No command loads the rule oracle
-(:mod:`natops.oracle`).
+A plain command line, the command and then each option once by its
+exact name with one value, is read straight from :data:`COMMANDS`.  Any
+other (help, an error, an abbreviated option, ``--opt=value``, a repeated
+option, a value starting with ``-``) goes to argparse, through the parser
+of the invoked command only, so that every help text, message and exit
+code is argparse's.  A process loads only that command's group of
+:mod:`natops.commands` and the layers the command uses: ``natcheck`` never
+loads the graph complexes, and ``d2check`` never loads the jet oracle.
+No command loads the rule oracle (:mod:`natops.oracle`).  Of the standard
+library, argparse is loaded only for a command line that is not plain,
+json only to read a JSON input (:func:`_read_json`; outputs are written
+by :func:`natops.io.dump`), and fractions only by a command that reads a
+rational or computes with one (``d2check``, ``basis``, ``lie-expand``
+and ``rule`` never do).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import os
 import signal
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import io
 from .graphs import FAMILIES
@@ -109,6 +115,8 @@ def _slice_family(args, degrees):
 
 
 def _read_json(path):
+    import json
+
     try:
         with (sys.stdin if path == "-" else open(path)) as fh:
             return json.load(fh)
@@ -116,14 +124,36 @@ def _read_json(path):
         raise io.SchemaError(str(e))
 
 
+def _unwritable(out, reason):
+    return ValueError("cannot write --out %s: %s" % (out, reason))
+
+
+def _check_out(out):
+    """Refuse, before the command computes anything, an ``--out`` that
+    is a directory or lies in none.  Nothing is created or truncated
+    here: the file is opened only once the output is ready (``--in`` and
+    ``--out`` may name the same file), and whatever else keeps it from
+    being opened is reported then."""
+    if out in (None, "-"):
+        return
+    if os.path.isdir(out):
+        raise _unwritable(out, "Is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise _unwritable(out, "No such directory")
+
+
 @contextmanager
 def _output(out):
     """The text handle ``--out`` names: stdout for None or ``-``."""
     if out in (None, "-"):
         yield sys.stdout
-    else:
-        with open(out, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as e:
+        raise _unwritable(out, e.strerror)
+    with fh:
+        yield fh
 
 
 def _write(obj, out):
@@ -141,6 +171,7 @@ def _arg(*flags, **kw):
     return flags, kw
 
 
+_OUT = _arg("--out", default=None, help="output file (default stdout)")
 _FAMILY = _arg("--family", required=True, choices=sorted(FAMILIES))
 _D = _arg("--d", type=int, required=True)
 _DEGREE = _arg("--degree", type=int, default=0)
@@ -148,7 +179,7 @@ _IN = _arg("--in", dest="infile", required=True)
 _SEED = _arg("--seed", type=int, default=0)
 
 #: name -> (help, the module of natops.commands that holds ``cmd_<name>``,
-#: the arguments besides --out, each as (flags, add_argument keywords))
+#: the arguments besides ``_OUT``, each as (flags, add_argument keywords))
 COMMANDS = {
     "basis": ("enumerate a basis slice", "slices", (_FAMILY, _D, _DEGREE)),
     "diff": ("differential of a formal sum", "slices", (
@@ -186,6 +217,8 @@ def build_parser(command=None):
     """The parser of one command, or of every command when ``command`` is
     None.  Both read that command's arguments alike and print the same
     messages about them."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="natops",
         description="graph-complex calculator for natural differential "
@@ -199,25 +232,63 @@ def build_parser(command=None):
     for name, (text, _, arguments) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=text)
-            p.add_argument("--out", default=None,
-                           help="output file (default stdout)")
-            for flags, kw in arguments:
+            for flags, kw in (_OUT,) + arguments:
                 p.add_argument(*flags, **kw)
     return ap
 
 
+def _plain(argv):
+    """What ``build_parser().parse_args(argv)`` returns, read without
+    argparse, when ``argv`` is a plain command line: a command, then
+    options of that command, each given once by its exact name and
+    followed by one value that does not start with ``-``, every required
+    one among them.  Each value gets the option's type and choices check.
+    Anything else, help and every error among it, gives None."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None or len(argv) % 2 == 0:
+        return None
+    options = {}
+    values = {"command": argv[0]}
+    for (flag,), kw in (_OUT,) + spec[2]:
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        options[flag] = dest, kw
+        values[dest] = kw.get("default")
+    given = argv[1::2]
+    if len(set(given)) < len(given) or any(
+            kw.get("required") and flag not in given
+            for flag, (_, kw) in options.items()):
+        return None
+    for flag, value in zip(given, argv[2::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        dest, kw = options[flag]
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def run(argv=None):
-    """Run one command line; returns its exit code.  Only the invoked
-    command's parser is built and only its group is imported."""
+    """Run one command line; returns its exit code.  A plain command line
+    is read without argparse; any other builds the invoked command's
+    parser only.  Only the command's group is imported."""
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     # __import__ rather than importlib, so that -X importtime lists it
     name = "%s.commands.%s" % (__package__, COMMANDS[args.command][1])
     __import__(name)
     group = sys.modules[name]
     fn = getattr(group, "cmd_" + args.command.replace("-", "_"))
     try:
+        _check_out(args.out)
         return fn(args)
     except io.SchemaError as e:
         sys.stderr.write("input error: %s\n" % e)

@@ -1,7 +1,5 @@
 """Commands on the jet oracle: eval and natcheck."""
 
-from __future__ import annotations
-
 import random
 
 from .. import cli, io, jets

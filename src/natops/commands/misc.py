@@ -1,7 +1,5 @@
 """The remaining commands: genfun, export-dot and rule."""
 
-from __future__ import annotations
-
 from .. import cli, io
 
 

@@ -1,7 +1,5 @@
 """Commands on the operad of graphs: compose, lie-expand and trace."""
 
-from __future__ import annotations
-
 from .. import cli, io, operad
 
 

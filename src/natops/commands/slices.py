@@ -1,8 +1,6 @@
 """Commands on basis slices and the differential: basis, diff, d2check,
 h0, kerbasis and matrix."""
 
-from __future__ import annotations
-
 from .. import cli, io
 from ..graphs import FAMILIES
 

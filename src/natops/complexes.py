@@ -37,8 +37,6 @@ tree) and 1 for an anchor-free one (one wheel).  Every wiring that is dealt
 in full is then connected, and no disconnected one is built.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from math import factorial

@@ -6,17 +6,18 @@ coefficients are all ints), and ``1 == Fraction(1)`` with equal hashes, so
 sums compare equal whichever form a coefficient has.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-
 from .canonical import ZERO, canonicalize, key_bytes
 
 
 def _exact(c):
     """``c`` as an exact rational: an int or a Fraction as it is, anything
-    else (a ``"p/q"`` string, a bool) through ``Fraction``."""
-    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+    else (a ``"p/q"`` string, a bool) through ``Fraction``.  Sums of ints
+    never load :mod:`fractions`."""
+    if type(c) is int:
+        return c
+    import fractions  # per call, a from-import costs 5x as much
+
+    return c if type(c) is fractions.Fraction else fractions.Fraction(c)
 
 
 class FormalSum:

@@ -9,8 +9,6 @@ the series to its dual, and the same machinery yields the factorial
 dimensions (d-1)! of the bracket-only operators.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial
 

@@ -24,8 +24,6 @@ in ``white_order``.  Reorderings by odd permutations flip the sign of the
 graph; this bookkeeping lives in :mod:`natops.canonical`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 VECTOR = "vector"

@@ -12,8 +12,6 @@ ranks, reduced kernel bases and span tests.  The kernel of the degree-0
 differential is the space of natural operators of the family.
 """
 
-from __future__ import annotations
-
 from . import linalg
 from .canonical import key_bytes
 from .complexes import (

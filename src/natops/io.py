@@ -16,11 +16,7 @@ format, written with one layout (:func:`dump`); DOT is write-only, for
 eyes.
 """
 
-from __future__ import annotations
-
-import json
 import re
-from fractions import Fraction
 
 from .graphs import (
     ANCHOR,
@@ -63,13 +59,19 @@ def graph_to_obj(g):
     return {"vertices": verts, "edges": edges, "whiteOrder": list(g.white_order)}
 
 
+def _shown(node):
+    """The first 40 characters of ``node`` as JSON, for a message."""
+    import json
+
+    return json.dumps(node)[:40]
+
+
 def _int(node, what):
     """A JSON integer, exactly: a float (1.9 would read as 1) or a bool is
     a SchemaError, as is anything else."""
     if isinstance(node, int) and not isinstance(node, bool):
         return node
-    raise SchemaError("%s must be an integer, got %s"
-                      % (what, json.dumps(node)[:40]))
+    raise SchemaError("%s must be an integer, got %s" % (what, _shown(node)))
 
 
 def _label(node):
@@ -78,15 +80,23 @@ def _label(node):
     if isinstance(node, str) and node:
         return node
     raise SchemaError("vector label must be a non-empty string, got %s"
-                      % json.dumps(node)[:40])
+                      % _shown(node))
+
+
+def _typed(node, kind, what):
+    """``node`` when it is a JSON object (``kind`` dict) or array (list),
+    else a SchemaError naming ``what``."""
+    if isinstance(node, kind):
+        return node
+    raise SchemaError("%s must be a JSON %s, got %s" % (
+        what, "object" if kind is dict else "array", _shown(node)))
 
 
 def obj_to_graph(obj):
-    try:
-        vs = obj["vertices"]
-        ids = [_int(v["id"], "vertex id") for v in vs]
-    except (KeyError, TypeError) as e:
-        raise SchemaError("malformed graph object: %s" % e)
+    vs = _typed(_typed(obj, dict, "a graph").get("vertices"), list,
+                "\"vertices\"")
+    ids = [_int(_typed(v, dict, "a vertex").get("id"), "vertex id")
+           for v in vs]
     if sorted(ids) != list(range(len(ids))):
         raise SchemaError("vertex ids must be 0..n-1")
     verts = [None] * len(vs)
@@ -105,8 +115,9 @@ def obj_to_graph(obj):
         else:
             raise SchemaError("unknown vertex kind %r" % kind)
     out = [None] * len(vs)
-    for e in obj.get("edges", ()):
-        slot = e.get("slot", {})
+    for e in _typed(obj.get("edges", []), list, "\"edges\""):
+        slot = _typed(_typed(e, dict, "an edge").get("slot", {}), dict,
+                      "an edge's \"slot\"")
         group = slot.get("group")
         if group == "sym":
             code = SYM
@@ -116,13 +127,14 @@ def obj_to_graph(obj):
                 raise SchemaError("base slot index must be 0 or 1")
         else:
             raise SchemaError("slot group must be 'base' or 'sym'")
-        src = _int(e["from"], "edge \"from\"")
+        src = _int(e.get("from"), "edge \"from\"")
         if not 0 <= src < len(vs):
             raise SchemaError("edge from missing vertex %d" % src)
         if out[src] is not None:
             raise SchemaError("vertex %d has several outgoing edges" % src)
-        out[src] = (_int(e["to"], "edge \"to\""), code)
-    order = tuple(_int(w, "whiteOrder entry") for w in obj.get("whiteOrder", ()))
+        out[src] = (_int(e.get("to"), "edge \"to\""), code)
+    order = tuple(_int(w, "whiteOrder entry") for w in
+                  _typed(obj.get("whiteOrder", []), list, "\"whiteOrder\""))
     if not order:
         order = None
     g = Graph(tuple(verts), tuple(out), order)
@@ -140,19 +152,24 @@ def exact(node):
     ``"p/q"`` string.  Floats are binary fractions (0.1 would read as
     3602879701896397/36028797018963968) and bools are not numbers, so
     both raise SchemaError, as does anything else."""
-    if isinstance(node, int) and not isinstance(node, bool):
-        return Fraction(node)
-    if isinstance(node, str) and _EXACT.fullmatch(node):
+    integer = isinstance(node, int) and not isinstance(node, bool)
+    if integer or isinstance(node, str) and _EXACT.fullmatch(node):
+        import fractions  # per call, a from-import costs 5x as much
+
         try:
-            return Fraction(node)
-        except ZeroDivisionError:
+            return fractions.Fraction(node)
+        except ZeroDivisionError:  # "p/0"
             pass
     raise SchemaError("expected an integer or a \"p/q\" string, got %s"
-                      % json.dumps(node)[:40])
+                      % _shown(node))
 
 
 def _frac_to_str(c):
-    c = Fraction(c)
+    if type(c) is int:
+        return _int_text(c)
+    import fractions
+
+    c = fractions.Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (
         c.numerator, c.denominator)
 
@@ -171,12 +188,15 @@ def obj_to_sum(obj):
     from .formal import FormalSum
 
     out = FormalSum()
-    terms = obj.get("terms")
+    terms = _typed(obj, dict, "a sum").get("terms")
     if terms is None:
         # a bare graph object is accepted as a single +1 term
         out.add_graph(obj_to_graph(obj), 1)
         return out
-    for t in terms:
+    for t in _typed(terms, list, "\"terms\""):
+        t = _typed(t, dict, "a term")
+        if "graph" not in t or "coeff" not in t:
+            raise SchemaError("a term must have a \"graph\" and a \"coeff\"")
         out.add_graph(obj_to_graph(t["graph"]), exact(t["coeff"]))
     return out
 
@@ -248,7 +268,11 @@ class Lazy(list):
 #: pieces of text :func:`dump` gathers before it writes them to the handle
 _PIECES = 4096
 
-_quote = json.encoder.encode_basestring_ascii
+# json.encoder's own quoting: its C accelerator, without importing json
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import py_encode_basestring_ascii as _quote
 _int_text = int.__repr__
 
 

@@ -48,8 +48,6 @@ with psi, and contract each lower index with Dpsi.  Dphi^-1 at x = psi(y)
 is exactly Dpsi(y), so no polynomial matrix is ever inverted.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from collections import namedtuple

@@ -14,8 +14,6 @@ vectors in the same format, and :func:`mat_inv` reduces [A | I] on the
 same elimination.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -21,8 +21,6 @@ bracket to the antisymmetrized 2-chain and the star letter to the
 covariant-derivative cocycle.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 

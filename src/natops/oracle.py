@@ -10,8 +10,6 @@ candidates against the first-order action of a flow on connection jets
 imports this module, so no command compiles or loads it.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction

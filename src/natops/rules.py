@@ -20,8 +20,6 @@ connection rules independently from the jet action; the tests compare the
 two, and no runtime path calls it.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from functools import lru_cache

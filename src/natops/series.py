@@ -4,8 +4,6 @@ Coefficients are exponential-generating-function style: a series is the
 list c[0..N] with c[k] the coefficient of t**k.  Everything is exact.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

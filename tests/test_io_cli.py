@@ -122,6 +122,61 @@ def test_schema_edge_from_missing_vertex():
         io.obj_to_graph(obj)
 
 
+def _reshaped(shape):
+    """The bracket b(X1, X2) as a sum object, with one part given a wrong
+    JSON shape."""
+    obj = io.sum_to_obj(lie_expand("(b X1 X2)"))
+    graph = obj["terms"][0]["graph"]
+    if shape == "array":
+        return [obj]
+    if shape == "string":
+        return "terms"
+    if shape == "terms":
+        obj["terms"] = 5
+    elif shape == "edge":
+        graph["edges"][0] = 5
+    elif shape == "slot":
+        graph["edges"][0]["slot"] = [1]
+    elif shape == "whiteOrder":
+        graph["whiteOrder"] = 5
+    else:
+        del obj["terms"][0]["graph"]
+    return obj
+
+
+_SHAPE_REASONS = {
+    "array": "a sum must be a JSON object, got [",
+    "string": 'a sum must be a JSON object, got "terms"',
+    "terms": '"terms" must be a JSON array, got 5',
+    "edge": "an edge must be a JSON object, got 5",
+    "slot": "an edge's \"slot\" must be a JSON object, got [1]",
+    "whiteOrder": '"whiteOrder" must be a JSON array, got 5',
+    "no-graph": 'a term must have a "graph" and a "coeff"',
+}
+
+
+# every command that reads a sum from --in, with the rest of its arguments
+_SUM_READERS = {
+    "diff": [], "compose": ["--slot", "1", "--with", "{good}"], "trace": [],
+    "eval": ["--dim", "2"], "natcheck": ["--dim", "2", "--trials", "1"],
+    "export-dot": []}
+
+
+@pytest.mark.parametrize("command", sorted(_SUM_READERS))
+@pytest.mark.parametrize("shape", sorted(_SHAPE_REASONS))
+def test_cli_wrong_json_shapes_are_input_errors(tmp_path, command, shape):
+    """A sum of the wrong JSON shape is malformed input, exit 2 with a
+    reason: no traceback, and no exit 1, which reads as a violation."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(io.sum_to_obj(lie_expand("(b X1 X2)"))))
+    bad.write_text(json.dumps(_reshaped(shape)))
+    argv = [command, "--in", str(bad)] + [
+        a.format(good=good) for a in _SUM_READERS[command]]
+    code, out, err = _in_process(argv)
+    assert code == 2 and out == b""
+    assert err.decode().startswith("input error: " + _SHAPE_REASONS[shape])
+
+
 def test_template_export_marks_boundary():
     obj = io.template_to_obj(replace_connection(1))
     assert obj["kind"] == "connection" and obj["order"] == 1
@@ -365,6 +420,48 @@ def test_cli_bad_input_is_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory",
+                                   "dangling-link"])
+def test_cli_out_that_cannot_be_written(tmp_path, capsys, where):
+    """An --out that cannot be opened exits 2 with a reason.  A directory,
+    or a path in none, is refused before the command runs (the malformed
+    --in is never read); a link into a missing directory fails only when
+    the output is opened."""
+    junk = tmp_path / "junk.json"
+    junk.write_text("{not json")
+    out = tmp_path / "no-such-dir" / "o.json"
+    if where == "directory":
+        out = tmp_path
+    elif where == "dangling-link":
+        (tmp_path / "link.json").symlink_to(out)
+        out = tmp_path / "link.json"
+    if where == "dangling-link":
+        argv = ["h0", "--family", "bullet", "--d", "2", "--out", str(out)]
+    else:
+        argv = ["diff", "--in", str(junk), "--out", str(out)]
+    code, stdout = _run(argv)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err.startswith(
+        "error: cannot write --out %s: " % out)
+
+
+def test_cli_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    """--out is opened only once the output is ready: a command that fails
+    leaves no empty file behind and an existing file as it was, and --in
+    and --out may name the same file."""
+    junk, out = tmp_path / "junk.json", tmp_path / "o.json"
+    junk.write_text("{not json")
+    assert run(["diff", "--in", str(junk), "--out", str(out)]) == 2
+    assert not out.exists()
+    out.write_text("kept")
+    assert run(["diff", "--in", str(junk), "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
+    capsys.readouterr()
+    out.write_text(json.dumps(io.graph_to_obj(chain_xy())))
+    assert run(["diff", "--in", str(out), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["terms"]) == 1
+
+
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -533,27 +630,33 @@ def test_closed_pipe_ends_the_process_by_sigpipe(tmp_path):
     assert err.read_bytes() == b""
 
 
-# runs natops.cli.run on its arguments, then prints the natops.* modules
-# the process has loaded
+# runs natops.cli.run on its arguments, then prints the modules the
+# process has loaded
 _LOADED = """import sys
 from natops.cli import run
 code = run(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("natops."))))
+print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
 
 
-def _loaded_layers(code, *args):
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=_env(),
-                          capture_output=True, text=True)
+def _loaded(code, *args):
+    """natops's modules, without their ``natops.`` prefix, and the other
+    modules that a ``python -S`` process running ``code`` has loaded:
+    without ``site`` no hook of the host preloads a module."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                          env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return {m[len("natops."):] for m in proc.stdout.split()}
+    names = proc.stdout.split()
+    return ({m[len("natops."):] for m in names if m.startswith("natops.")},
+            {m for m in names if m.split(".")[0] != "natops"})
 
 
 def test_import_natops_loads_no_layer():
-    code = ("import sys, natops\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('natops.')))")
-    assert _loaded_layers(code) == set()
+    code = "import sys, natops\nprint(' '.join(sys.modules))"
+    layers, std = _loaded(code)
+    assert layers == set()
+    assert not std & {"argparse", "json", "fractions", "__future__"}
 
 
 def test_commands_load_only_their_layers(tmp_path):
@@ -569,7 +672,13 @@ def test_commands_load_only_their_layers(tmp_path):
             (["d2check"] + fam, "slices"),
             (["rule", "--kind", "connection", "--order", "2"], "misc"),
             (["genfun", "--upto", "3"], "misc")]:
-        loaded = _loaded_layers(_LOADED, *argv, "--out", out)
+        loaded, std = _loaded(_LOADED, *argv, "--out", out)
+        # a plain command line needs no argparse, only a JSON input needs
+        # json, and a command that makes no rational needs no fractions
+        assert not std & {"argparse", "__future__"}, argv[0]
+        assert ("json" in std) == (group == "jets"), argv[0]
+        if argv[0] in ("d2check", "rule"):
+            assert "fractions" not in std, argv[0]
         # its own group of commands, and never the rule oracle
         assert {m for m in loaded if m.startswith("commands")} == {
             "commands", "commands." + group}, argv[0]
@@ -607,6 +716,89 @@ def test_one_command_parser_reads_as_the_whole(capsys, argv):
     whole = outcome(build_parser().parse_args)
     assert whole[0] in (0, 2) and whole[1] + whole[2]
     assert outcome(run) == whole
+
+
+_FLAGS = sorted({flags[0] for _, _, arguments in cli.COMMANDS.values()
+                 for flags, _ in (cli._OUT,) + arguments})
+_STRAY = ["-h", "--help", "--", "-5", "x", "--bogus", "h0", "--out=x", "-"]
+_BAD_VALUES = ["two", "1.5", "", " 7", "-1", "-x", "--d", "nosuch", "3",
+               "bullet", "connection", "0x10"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, then its options (some missing, some repeated) under
+    their names, prefixes, ``=`` forms or other commands' names, with good
+    and bad values, and now and then a stray token."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = list((cli._OUT,) + cli.COMMANDS[command][2])
+    chosen = draw(st.permutations(options))
+    chosen = chosen[:len(chosen) - draw(st.sampled_from([0, 0, 0, 1, 2]))]
+    if draw(st.integers(0, 5)) == 0:
+        chosen.append(draw(st.sampled_from(options)))
+    argv = [command]
+    for (flag,), kw in chosen:
+        if "choices" in kw:
+            good = st.sampled_from(kw["choices"])
+        elif kw.get("type") is int:
+            good = st.integers(-3, 12).map(str)
+        else:
+            good = st.sampled_from(["in.json", "a b", "x=1"])
+        value = draw(good if draw(st.integers(0, 5)) else
+                     st.sampled_from(_BAD_VALUES))
+        name = flag
+        if draw(st.integers(0, 7)) == 0:
+            name = draw(st.one_of(
+                st.sampled_from([flag[:k] for k in range(1, len(flag))]),
+                st.sampled_from(_FLAGS)))
+        if draw(st.integers(0, 9)) == 0:
+            argv.append(name + "=" + value)
+        else:
+            argv += [name, value]
+    if draw(st.integers(0, 5)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+@given(_command_lines())
+@settings(max_examples=400, deadline=None)
+def test_plain_command_lines_read_as_argparse(argv):
+    """The plain-form reader either declines a command line or reads it as
+    the parser of every command does."""
+    got = cli._plain(argv)
+    if got is not None:
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            want = None
+        assert vars(got) == want
+
+
+def test_benchmark_command_lines_are_plain(tmp_path, monkeypatch):
+    """Every command line of the benchmark's three workloads is read
+    without argparse."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+
+    def plain(argv):
+        got = cli._plain(argv)
+        assert got is not None, argv
+        assert vars(got) == vars(build_parser().parse_args(argv))
+
+    def run_setup(argv, out):
+        plain(argv)
+        code = run(argv + ["--out", out])
+        with open(out) as fh:
+            return code, False, fh.read()
+
+    ops = (workloads.classify_ops() + workloads.cochain_ops()
+           + workloads.verify_inputs(str(tmp_path), 1, run_setup))
+    assert {op.argv[0] for op in ops} == {"h0", "kerbasis", "rule",
+                                          "d2check", "natcheck"}
+    for op in ops:
+        plain(op.argv)
 
 
 def test_rules_derivation_forwards_to_the_oracle():
