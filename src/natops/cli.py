@@ -18,9 +18,9 @@ code and leaves the process to end as it would.
 A plain command line, the command and then each option once by its
 exact name with one value, is read straight from :data:`COMMANDS`.  Any
 other (help, an error, an abbreviated option, ``--opt=value``, a repeated
-option, a value starting with ``-``) goes to argparse, through the parser
-of the invoked command only, so that every help text, message and exit
-code is argparse's.  A process loads only that command's group of
+option, a value starting with ``-``) goes to argparse, which builds the
+parser of every command, so that every help text, message and exit code
+is argparse's.  A process loads only that command's group of
 :mod:`natops.commands` and the layers the command uses: ``natcheck`` never
 loads the graph complexes, and ``d2check`` never loads the jet oracle.
 No command loads the rule oracle (:mod:`natops.oracle`).  Of the standard
@@ -94,6 +94,17 @@ MAX_TRIALS = 1000
 MAX_WIRINGS = 1_000_000
 
 
+#: Most wirings the degree-0 or the degree-1 slice of ``h0`` and
+#: ``kerbasis`` may build, the two commands that eliminate over Q.  On a
+#: 2-core host the slowest slices it admits, bullet-nabla d = 4 (10 396
+#: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 1.2-2.0 s
+#: for ``h0`` and 1.5-3.9 s for ``kerbasis``; bullet d = 6 (46 656 at
+#: degree 0) takes 116 s for ``h0``, and bullet-nabla-wheel d = 4
+#: (77 996), bullet-nabla-trace d = 4 (648 800) and bullet-nabla-1 d = 5
+#: (729 605) ran for more than 150 s, the last for more than 29 minutes.
+MAX_ELIMINATION_WIRINGS = 20_000
+
+
 def _slice_family(args, degrees):
     """The family of ``args``, once the slices of the given degrees are
     known to build at most ``MAX_WIRINGS`` wirings each."""
@@ -111,6 +122,23 @@ def _slice_family(args, degrees):
             raise ValueError(
                 "%s d=%d degree %d has more than %d wirings to enumerate"
                 % (family.name, args.d, m, MAX_WIRINGS))
+    return family
+
+
+def _eliminated_family(args):
+    """The family of ``args`` for ``h0`` and ``kerbasis``, once its
+    degree-0 and degree-1 slices are known to build at most
+    ``MAX_WIRINGS`` and then ``MAX_ELIMINATION_WIRINGS`` wirings each."""
+    from .complexes import wiring_count
+
+    family = _slice_family(args, (0, 1))
+    for m in (0, 1):
+        count = wiring_count(family, args.d, m, limit=MAX_ELIMINATION_WIRINGS)
+        if count > MAX_ELIMINATION_WIRINGS:
+            raise ValueError(
+                "%s d=%d degree %d has more than %d wirings, too many to "
+                "eliminate over Q" % (family.name, args.d, m,
+                                      MAX_ELIMINATION_WIRINGS))
     return family
 
 
@@ -213,10 +241,9 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of one command, or of every command when ``command`` is
-    None.  Both read that command's arguments alike and print the same
-    messages about them."""
+def build_parser():
+    """The parser of every command, for the command lines :func:`_plain`
+    declines: help and errors."""
     import argparse
 
     ap = argparse.ArgumentParser(
@@ -224,16 +251,11 @@ def build_parser(command=None):
         description="graph-complex calculator for natural differential "
                     "operators",
     )
-    # a one-command parser names every command in its usage line, as the
-    # whole parser does from its choices (a metavar would also rename the
-    # command argument in the whole parser's messages)
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (text, _, arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flags, kw in (_OUT,) + arguments:
-                p.add_argument(*flags, **kw)
+        p = sub.add_parser(name, help=text)
+        for flags, kw in (_OUT,) + arguments:
+            p.add_argument(*flags, **kw)
     return ap
 
 
@@ -275,13 +297,10 @@ def _plain(argv):
 
 def run(argv=None):
     """Run one command line; returns its exit code.  A plain command line
-    is read without argparse; any other builds the invoked command's
-    parser only.  Only the command's group is imported."""
+    is read without argparse; any other goes to :func:`build_parser`.
+    Only the command's group is imported."""
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+    args = _plain(argv) or build_parser().parse_args(argv)
     # __import__ rather than importlib, so that -X importtime lists it
     name = "%s.commands.%s" % (__package__, COMMANDS[args.command][1])
     __import__(name)

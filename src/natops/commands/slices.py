@@ -15,13 +15,24 @@ def cmd_basis(args):
 
 
 def cmd_diff(args):
-    from ..complexes import differential
+    from ..complexes import differential, member
 
     x = io.obj_to_sum(cli._read_json(args.infile))
-    fam = args.family if args.family is None else FAMILIES[args.family]
-    if fam is not None and args.d is None:
-        raise io.SchemaError("--family requires --d")
-    y = differential(x, family=fam, d=args.d)
+    if args.family is not None:
+        if args.d is None:
+            raise io.SchemaError("--family requires --d")
+        fam = FAMILIES[args.family]
+        for g, _ in x:
+            if not member(fam, g, args.d):
+                raise ValueError("graph outside family %s" % fam.name)
+    elif args.d is not None:
+        raise io.SchemaError("--d requires --family")
+    top = max((v.order for g, _ in x for v in g.vertices), default=0)
+    if top > cli.MAX_RULE_ORDER:
+        raise ValueError("a vertex of order or arity %d: its rule has about "
+                         "2^%d terms (at most %d, as for rule --order)"
+                         % (top, top, cli.MAX_RULE_ORDER))
+    y = differential(x)
     cli._write(io.sum_to_obj(y), args.out)
     return 0
 
@@ -48,7 +59,7 @@ def cmd_d2check(args):
 def cmd_h0(args):
     from ..homology import h0_dimension
 
-    fam = cli._slice_family(args, (0, 1))
+    fam = cli._eliminated_family(args)
     n = h0_dimension(fam, args.d)
     cli._write({"schema": io.SCHEMA, "family": args.family, "d": args.d,
                 "h0": n}, args.out)
@@ -58,14 +69,14 @@ def cmd_h0(args):
 def cmd_kerbasis(args):
     from ..homology import kernel_basis
 
-    fam = cli._slice_family(args, (0, 1))
+    fam = cli._eliminated_family(args)
     basis = kernel_basis(fam, args.d)
     obj = {
         "schema": io.SCHEMA,
         "family": args.family,
         "d": args.d,
         "dimension": len(basis),
-        "basis": io.Lazy(basis, io.sum_to_obj),
+        "basis": map(io.sum_to_obj, basis),
     }
     cli._write(obj, args.out)
     return 0

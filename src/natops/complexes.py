@@ -43,22 +43,14 @@ from math import factorial
 
 from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
 from .formal import FormalSum
-from .graphs import (  # noqa: F401  (the families are re-exported here)
+from .graphs import (
     ANCHOR,
-    BULLET,
-    BULLET_CONNECTED,
-    BULLET_NABLA,
-    BULLET_NABLA1,
-    BULLET_NABLA_TRACE,
-    BULLET_NABLA_WHEEL,
-    BULLET_WHEEL,
     CONNECTION,
     EMPTY,
     FAMILIES,
     SYM,
     VECTOR,
     WHITE,
-    Family,
     Graph,
     anchor,
     connection,
@@ -431,18 +423,13 @@ def delta_graph(g):
     return out
 
 
-def differential(x, family=None, d=None):
+def differential(x):
     """Differential of a formal sum; input must be degree-homogeneous."""
     if isinstance(x, Graph):
         x = FormalSum.of(x)
     degrees = {g.degree for g, _ in x}
     if len(degrees) > 1:
         raise ValueError("mixed-degree input to differential")
-    if family is not None and d is not None:
-        fam = FAMILIES[family] if isinstance(family, str) else family
-        for g, _ in x:
-            if not member(fam, g, d):
-                raise ValueError("graph outside family %s" % fam.name)
     out = FormalSum()
     for g, c in x:
         for cg, coeff in delta_graph_cached(g):

@@ -144,14 +144,13 @@ class Graph:
         return len(self.white_order)
 
     def in_edges(self):
-        """Map vertex id -> list of (source, slot), sources ascending."""
-        ins = {i: [] for i in range(len(self.vertices))}
+        """Per vertex id, the tuple of its in-edges (source, slot), sources
+        ascending."""
+        ins = [[] for _ in self.vertices]
         for src, e in enumerate(self.out):
             if e is not None:
                 ins[e[0]].append((src, e[1]))
-        for lst in ins.values():
-            lst.sort()
-        return ins
+        return tuple(map(tuple, ins))
 
     def edge_count(self):
         return sum(1 for e in self.out if e is not None)

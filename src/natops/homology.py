@@ -36,14 +36,6 @@ class SparseMatrixQ:
         self.ncols = ncols
         self.rows = {}
 
-    def set(self, r, c, v):
-        if v:
-            self.rows.setdefault(r, {})[c] = v
-        elif c in self.rows.get(r, ()):
-            del self.rows[r][c]
-            if not self.rows[r]:
-                del self.rows[r]
-
     def sparse_rows(self):
         """The nonzero rows as {col: value} dicts (shared, not copies)."""
         return list(self.rows.values())
@@ -68,6 +60,7 @@ def delta_matrix(family, d, m, source=None, target=None):
     tgt = target if target is not None else enumerate_basis(family, d, m + 1)
     index = {g: i for i, g in enumerate(tgt.graphs)}
     mat = SparseMatrixQ(len(tgt.graphs), len(src.graphs))
+    rows = mat.rows
     for j, g in enumerate(src.graphs):
         for cg, coeff in delta_graph_cached(g):
             i = index.get(cg)
@@ -75,7 +68,8 @@ def delta_matrix(family, d, m, source=None, target=None):
                 raise BasisIncompleteError(
                     "differential term %s outside the (%s, d=%d, m=%d) basis"
                     % (key_bytes(cg).decode(), family.name, d, m + 1))
-            mat.set(i, j, coeff)
+            # each (i, j) once, and a FormalSum holds no zero coefficient
+            rows.setdefault(i, {})[j] = coeff
     return mat
 
 
@@ -85,15 +79,15 @@ def h0_dimension(family, d):
     return mat.ncols - mat.rank()
 
 
-def kernel_basis(family, d, m=0):
-    """Reduced exact basis of ker(delta) on the degree-m slice.
+def kernel_basis(family, d):
+    """Reduced exact basis of ker(delta) on the degree-0 slice.
 
     Every returned element is re-verified to have vanishing differential.
     """
     if isinstance(family, str):
         family = FAMILIES[family]
-    src = enumerate_basis(family, d, m)
-    mat = delta_matrix(family, d, m, source=src)
+    src = enumerate_basis(family, d, 0)
+    mat = delta_matrix(family, d, 0, source=src)
     out = []
     for vec in linalg.nullspace(mat.sparse_rows(), mat.ncols):
         s = FormalSum()

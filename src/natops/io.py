@@ -165,13 +165,7 @@ def exact(node):
 
 
 def _frac_to_str(c):
-    if type(c) is int:
-        return _int_text(c)
-    import fractions
-
-    c = fractions.Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (
-        c.numerator, c.denominator)
+    return _int_text(c) if type(c) is int else str(c)
 
 
 def sum_to_obj(x):
@@ -231,7 +225,7 @@ def template_to_obj(tpl):
 
 def slice_to_obj(bs):
     """A basis slice for :func:`dump`: its graphs and their keys are
-    :class:`Lazy` arrays, built one graph at a time as they are written."""
+    ``map`` arrays, built one graph at a time as they are written."""
     from .canonical import key_bytes
 
     return {
@@ -239,30 +233,9 @@ def slice_to_obj(bs):
         "family": bs.family.name,
         "d": bs.d,
         "degree": bs.m,
-        "graphs": Lazy(bs.graphs, graph_to_obj),
-        "keys": Lazy(bs.graphs, lambda g: key_bytes(g).decode()),
+        "graphs": map(graph_to_obj, bs.graphs),
+        "keys": map(lambda g: key_bytes(g).decode(), bs.graphs),
     }
-
-
-class Lazy(list):
-    """A JSON array of ``encode(item)`` for each of ``items``, each built
-    only as :func:`dump` writes it, so that a large output never holds its
-    whole object tree.  The list itself stays empty: its length and
-    iteration are those of the encoded items, which is all the streamed
-    encoder behind :func:`dump` reads of a list."""
-
-    __slots__ = ("items", "encode")
-
-    def __init__(self, items, encode):
-        super().__init__()
-        self.items = items
-        self.encode = encode
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return map(self.encode, self.items)
 
 
 #: pieces of text :func:`dump` gathers before it writes them to the handle
@@ -297,10 +270,12 @@ def dump(obj, fh):
     of every output: the bytes of ``json.dumps(obj, indent=1,
     sort_keys=True)``, 2.7-3x faster than json's own indented encoder,
     which is pure Python.  The values are dicts with str keys, lists,
-    tuples and :class:`Lazy` arrays, strs, ints, bools and None; anything
-    else, a float included, raises TypeError.  The text goes out every
-    ``_PIECES`` pieces, so it is never held whole in memory (one write
-    per piece costs 5x the encoding on a pipe)."""
+    tuples and ``map`` objects as arrays, strs, ints, bools and None;
+    anything else, a float included, raises TypeError.  A ``map`` builds
+    each item only as it is written, so that a large output never holds
+    its whole object tree.  The text goes out every ``_PIECES`` pieces,
+    so it is never held whole in memory (one write per piece costs 5x
+    the encoding on a pipe)."""
     pieces = []
     put = pieces.append
 
@@ -334,12 +309,9 @@ def dump(obj, fh):
                 if len(pieces) > _PIECES:
                     flush()
             put(nl + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                put("[]")
-                return
+        elif isinstance(v, (list, tuple, map)):
             inner = nl + " "
-            sep = "[" + inner
+            first = sep = "[" + inner
             for x in v:
                 t = type(x)
                 if t is str:
@@ -352,7 +324,7 @@ def dump(obj, fh):
                 sep = "," + inner
                 if len(pieces) > _PIECES:
                     flush()
-            put(nl + "]")
+            put("[]" if sep == first else nl + "]")
         else:
             put(_scalar(v))
 

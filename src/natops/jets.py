@@ -596,11 +596,9 @@ def _plan(g):
     """The realization plan of ``g``, worked out on its first realization."""
     plan = _PLANS.get(g)
     if plan is None:
-        ins = g.in_edges()
         anchor = next((i for i, v in enumerate(g.vertices)
                        if v.kind == ANCHOR), None)
-        plan = _PLANS[g] = (tuple(tuple(ins[i]) for i in range(len(ins))),
-                            cycles(g), anchor)
+        plan = _PLANS[g] = (g.in_edges(), cycles(g), anchor)
     return plan
 
 

@@ -17,6 +17,7 @@ from natops import cli, io, jets
 from natops.canonical import canonicalize, key_bytes
 from natops.cli import (
     MAX_DIM,
+    MAX_ELIMINATION_WIRINGS,
     MAX_JET_WORK,
     MAX_NATCHECK_WORK,
     MAX_RULE_ORDER,
@@ -29,7 +30,7 @@ from natops.cli import (
 )
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
-from natops.graphs import SYM, Graph, anchor, vector
+from natops.graphs import SYM, Graph, anchor, vector, white
 from natops.operad import lie_expand
 from natops.rules import replace_connection
 
@@ -704,9 +705,9 @@ def test_commands_load_only_their_layers(tmp_path):
     ["h0", "--family", "bullet", "--d", "2", "--bogus"],
     ["h0", "--family", "bullet", "--d", "two"], ["--out", "x", "h0"]])
 def test_one_command_parser_reads_as_the_whole(capsys, argv):
-    """``run`` builds the invoked command's parser only; its help, its
-    errors and their exit codes are those of the parser of every
-    command."""
+    """A command line that is not plain goes from ``run`` to the parser
+    of every command: its help, its errors and their exit codes are that
+    parser's."""
     def outcome(parse):
         with pytest.raises(SystemExit) as e:
             parse(argv)
@@ -1001,6 +1002,95 @@ def _star(order):
                  ((order + 1, SYM),) + ((0, SYM),) * order + (None,))
 
 
+_REFUSED_ELIMINATIONS = [("bullet-nabla-wheel", 4), ("bullet-nabla-trace", 4),
+                         ("bullet", 6), ("bullet-nabla-1", 5)]
+
+
+@pytest.mark.parametrize("command", ["h0", "kerbasis"])
+@pytest.mark.parametrize("family,d", _REFUSED_ELIMINATIONS)
+def test_cli_elimination_budget(capsys, command, family, d):
+    """Each slice ran for minutes to hours in its exact elimination."""
+    start = time.perf_counter()
+    code, out = _run([command, "--family", family, "--d", str(d)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "more than %d wirings, too many to eliminate" \
+        % MAX_ELIMINATION_WIRINGS in capsys.readouterr().err
+
+
+def test_elimination_budget_admits_the_run_slices(monkeypatch):
+    """Every slice the benchmark's classify and verify set-up, CI, README
+    and the timed table run through h0 or kerbasis is admitted."""
+    from types import SimpleNamespace
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+
+    slices = set(workloads.CLASSIFY_H0 + workloads.CLASSIFY_KERBASIS)
+    slices |= {(family, d) for family, d, _, _ in workloads.VERIFY_BASES}
+    slices |= {("bullet-nabla-1", 4), ("bullet-nabla", 4), ("bullet", 5),
+               ("bullet", 3), ("bullet", 2), ("bullet-nabla-1", 3)}
+    for family, d in slices:
+        args = SimpleNamespace(family=family, d=d)
+        assert cli._eliminated_family(args).name == family
+    for family, d in _REFUSED_ELIMINATIONS:
+        with pytest.raises(ValueError):
+            cli._eliminated_family(SimpleNamespace(family=family, d=d))
+
+
+def _white_fan(arity):
+    """One white of the given arity fed by that many fields, anchored."""
+    fields = tuple(vector("X%d" % (i + 1)) for i in range(arity))
+    return Graph(fields + (white(arity), anchor),
+                 ((arity, SYM),) * arity + ((arity + 1, SYM), None),
+                 (arity,))
+
+
+@pytest.mark.parametrize("graph", [_white_fan(16), _star(16)],
+                         ids=["white16", "order16"])
+def test_cli_diff_rule_order_cap(tmp_path, capsys, graph):
+    """A vertex of order or arity k has a rule of about 2^k terms: the
+    white fan took 20.7 s and the order-16 star 40.1 s."""
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(io.graph_to_obj(graph)))
+    start = time.perf_counter()
+    code, out = _run(["diff", "--in", str(p)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "its rule has about 2^16 terms (at most %d" % MAX_RULE_ORDER \
+        in capsys.readouterr().err
+
+
+def test_cli_diff_admits_a_kernel_element(tmp_path):
+    from natops.homology import kernel_basis
+
+    x = max(kernel_basis("bullet-nabla-1", 4),
+            key=lambda x: max(v.order for g, _ in x for v in g.vertices))
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(io.sum_to_obj(x)))
+    code, out = _run(["diff", "--in", str(p), "--family", "bullet-nabla-1",
+                      "--d", "4"])
+    assert code == 0 and json.loads(out)["terms"] == []
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--d", "2"], "--d requires --family"),
+    (["--family", "bullet"], "--family requires --d"),
+    (["--family", "bullet", "--d", "2"], "graph outside family bullet"),
+])
+def test_cli_diff_family_flags(tmp_path, capsys, flags, reason):
+    """``--family`` and ``--d`` come together, and the graph must lie in
+    that slice: two X1 fields do not."""
+    g = Graph((vector("X1"), vector("X1", 1), anchor),
+              ((1, SYM), (2, SYM), None))
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(io.graph_to_obj(g)))
+    code, out = _run(["diff", "--in", str(p)] + flags)
+    assert code == 2 and out == ""
+    assert reason in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,order,dim", [
     ("natcheck", 6, 8), ("natcheck", 6, 10), ("natcheck", 9, 10),
     ("eval", 9, 10)])
@@ -1090,11 +1180,25 @@ _scalars = st.one_of(
         lambda k: st.sampled_from([k, -k])))  # past 64 bits, either sign
 
 
+class _Streamed(list):
+    """A list that is handed to ``dump`` as a ``map`` of its items."""
+
+
 def _containers(children):
     items = st.lists(children, max_size=5)
-    return st.one_of(items, items.map(tuple),
-                     items.map(lambda xs: io.Lazy(xs, lambda x: x)),
+    return st.one_of(items, items.map(tuple), items.map(_Streamed),
                      st.dictionaries(_strings, children, max_size=5))
+
+
+def _streamed(v):
+    """``v`` with each :class:`_Streamed` list made a ``map`` object."""
+    if isinstance(v, dict):
+        return {k: _streamed(x) for k, x in v.items()}
+    if isinstance(v, _Streamed):
+        return map(_streamed, v)
+    if isinstance(v, (list, tuple)):
+        return type(v)(_streamed(x) for x in v)
+    return v
 
 
 def _plain(v):
@@ -1109,7 +1213,7 @@ def _plain(v):
 @settings(max_examples=150, deadline=None)
 def test_dump_writes_the_bytes_of_json(value):
     buf = _io.StringIO()
-    io.dump(value, buf)
+    io.dump(_streamed(value), buf)
     assert buf.getvalue() == json.dumps(
         _plain(value), indent=1, sort_keys=True) + "\n"
 
@@ -1131,9 +1235,43 @@ def test_dump_streams_a_long_array():
             self.writes.append(text)
 
     fh = Handle()
-    io.dump({"items": io.Lazy(range(10 ** 5), str)}, fh)
+    io.dump({"items": map(str, range(10 ** 5))}, fh)
     text = "".join(fh.writes)
     assert text == json.dumps({"items": [str(i) for i in range(10 ** 5)]},
                               indent=1, sort_keys=True) + "\n"
     assert len(fh.writes) >= 10
     assert max(map(len, fh.writes)) < len(text) / 5
+
+
+@pytest.mark.parametrize("items", [[], [7], ["x", [], {"k": -1}], [[1, [2]]]])
+@pytest.mark.parametrize("shape", [
+    lambda a: a(),
+    lambda a: {"a": a(), "b": 1, "c": a()},
+    lambda a: [a(), 2, [a()], {"d": a()}, a()],
+])
+def test_dump_writes_map_arrays(items, shape):
+    """A ``map`` is written as the array of its items, ``[]`` when it
+    yields none, alone, inside an object and inside an array."""
+    buf = _io.StringIO()
+    io.dump(shape(lambda: map(lambda x: x, items)), buf)
+    assert buf.getvalue() == json.dumps(
+        shape(lambda: list(items)), indent=1, sort_keys=True) + "\n"
+
+
+def _old_frac_to_str(c):
+    """The coefficient text as it was written before ``str(Fraction)``."""
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (
+        c.numerator, c.denominator)
+
+
+_big = st.integers(min_value=10 ** 40, max_value=10 ** 400).flatmap(
+    lambda k: st.sampled_from([k, -k]))
+
+
+@given(st.one_of(
+    st.integers(), _big, st.fractions(), st.integers().map(Fraction),
+    st.builds(Fraction, _big, st.integers(min_value=1, max_value=10 ** 300))))
+@settings(max_examples=300, deadline=None)
+def test_frac_to_str_writes_as_before(c):
+    assert io._frac_to_str(c) == _old_frac_to_str(c)
