@@ -317,6 +317,13 @@ def run(argv=None):
         return 2
 
 
+def _monitored():
+    """Is any ``sys.monitoring`` tool registered?  Never before 3.12."""
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(i) is not None for i in range(6))
+
+
 def main():
     """Entry point of ``python -m natops``: :func:`run` on ``sys.argv``,
     then the end of the process.
@@ -329,12 +336,15 @@ def main():
     freed object by object, and a failed flush still raises.  An exception
     from ``run`` (argparse's ``SystemExit`` among them) takes the normal
     exit, and so does every process under a profiler or tracer, which
-    writes its report at teardown.
+    writes its report at teardown: one set by ``sys.setprofile`` or
+    ``sys.settrace``, or, from Python 3.12 on, any tool registered with
+    ``sys.monitoring``, through which cProfile profiles there.
     """
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = run()
-    if sys.getprofile() is not None or sys.gettrace() is not None:
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or _monitored()):
         sys.exit(code)  # the report is written at teardown
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when the descriptor was closed

@@ -79,6 +79,13 @@ def _check_work(x, n, trials=None):
                                         cli.MAX_NATCHECK_WORK))
 
 
+def _rendered(val):
+    """A realized vector or scalar as JSON strings."""
+    if isinstance(val, list):
+        return [io._frac_to_str(c) for c in val]
+    return io._frac_to_str(val)
+
+
 def cmd_eval(args):
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
@@ -94,12 +101,8 @@ def cmd_eval(args):
         rng = random.Random(repr(("eval", args.seed)))
         data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
     val = jets.realize(x, data)
-    if isinstance(val, list):
-        out = {"schema": io.SCHEMA,
-               "vector": [io._frac_to_str(v) for v in val]}
-    else:
-        out = {"schema": io.SCHEMA, "scalar": io._frac_to_str(val)}
-    cli._write(out, args.out)
+    kind = "vector" if isinstance(val, list) else "scalar"
+    cli._write({"schema": io.SCHEMA, kind: _rendered(val)}, args.out)
     return 0
 
 
@@ -118,13 +121,8 @@ def cmd_natcheck(args):
                     "trials": args.trials, "dim": args.dim,
                     "seed": args.seed}, args.out)
         return 0
-
-    def render(v):
-        if isinstance(v, list):
-            return [io._frac_to_str(c) for c in v]
-        return io._frac_to_str(v)
     cli._write({"schema": io.SCHEMA, "result": "counterexample",
                 "trial": bad.trial, "dim": args.dim, "seed": args.seed,
-                "transformed": render(bad.lhs), "expected": render(bad.rhs)},
-               args.out)
+                "transformed": _rendered(bad.lhs),
+                "expected": _rendered(bad.rhs)}, args.out)
     return 1

@@ -42,17 +42,17 @@ from collections import namedtuple
 from math import factorial
 
 from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
-from .formal import FormalSum
+from .formal import FormalSum, as_sum
 from .graphs import (
     ANCHOR,
     CONNECTION,
     EMPTY,
-    FAMILIES,
     SYM,
     VECTOR,
     WHITE,
     Graph,
     anchor,
+    as_family,
     connection,
     is_connected,
     validate,
@@ -165,8 +165,7 @@ def enumerate_basis(family, d, m):
     balance  sum(v) + sum(w) + #conn + sum(u-1) = #fields - [anchor],
     then over all wirings, deduplicated through canonical forms.
     """
-    if isinstance(family, str):
-        family = FAMILIES[family]
+    family = as_family(family)
     found = {}
     if not family.anchored and d == 0 and m == 0:
         found[EMPTY] = True
@@ -183,8 +182,7 @@ def wiring_count(family, d, m, limit=None):
     n sources out to the slot groups.  A connected family builds and
     canonicalizes only the connected ones.  Nothing is built; the count
     stops at the first partial sum above ``limit``."""
-    if isinstance(family, str):
-        family = FAMILIES[family]
+    family = as_family(family)
     total = 0
     for vs, ws, us in _arities(family, d, m):
         _, sources, groups = _slots(family, d, vs, ws, us)
@@ -208,21 +206,14 @@ def _arities(family, d, m):
         return
     kmax = budget if family.nabla else 0
     for k in range(kmax + 1):
-        for us in _multisets_white(budget - k, m):
-            left = budget - k - sum(u - 1 for u in us)
-            for total_w in range(left + 1):
-                for ws in _multisets(total_w, k, 0):
-                    for vs in _compositions(left - total_w, d):
-                        yield vs, ws, us
-
-
-def _multisets_white(budget, m):
-    # white arities: m parts, each >= 2, sum(u-1) <= budget
-    if budget < 0:
-        return
-    for total in range(2 * m, budget + m + 1):
-        for us in _multisets(total, m, 2):
-            yield us
+        # white arities: m parts, each >= 2, sum(u - 1) <= budget - k
+        for total_u in range(2 * m, budget - k + m + 1):
+            for us in _multisets(total_u, m, 2):
+                left = budget - k - total_u + m
+                for total_w in range(left + 1):
+                    for ws in _multisets(total_w, k, 0):
+                        for vs in _compositions(left - total_w, d):
+                            yield vs, ws, us
 
 
 def _slots(family, d, vs, ws, us):
@@ -251,9 +242,6 @@ def _slots(family, d, vs, ws, us):
 
 def _wirings(family, d, vs, ws, us):
     verts, sources, groups = _slots(family, d, vs, ws, us)
-    total_slots = sum(g[2] for g in groups)
-    if total_slots != len(sources):
-        return
     # a connected graph with one edge per source has this many independent
     # cycles: 0 with an anchor (a tree), 1 without (one wheel)
     cycles = len(sources) - (len(verts) - 1) if family.connected else None
@@ -390,10 +378,7 @@ def delta_graph(g):
     if plan is None:
         plan = _PLANS[key] = _plan(*key)
     make = Graph.from_tuples
-    ins = [[] for _ in verts]
-    for src, e in enumerate(gout):
-        if e is not None:
-            ins[e[0]].append((src, e[1]))
+    ins = g.in_edges()
     for v, nbase, rows in plan:
         port = nbase  # the next symmetric input's boundary port
         into = []  # (source, boundary port) of the edges entering v
@@ -425,8 +410,7 @@ def delta_graph(g):
 
 def differential(x):
     """Differential of a formal sum; input must be degree-homogeneous."""
-    if isinstance(x, Graph):
-        x = FormalSum.of(x)
+    x = as_sum(x)
     degrees = {g.degree for g, _ in x}
     if len(degrees) > 1:
         raise ValueError("mixed-degree input to differential")
@@ -445,8 +429,7 @@ def d_squared_zero(family, d, degrees=(0, 1)):
 
     Each residue is added up in one dict straight from the cached
     differentials of G and of its terms."""
-    if isinstance(family, str):
-        family = FAMILIES[family]
+    family = as_family(family)
     failures = []
     checked = 0
     for m in degrees:
@@ -465,20 +448,3 @@ def d_squared_zero(family, d, degrees=(0, 1)):
                 failures.append((g, r))
     return D2Report(family.name, d, checked, failures)
 
-
-def nabla_bigrade_split(g):
-    """Split delta(G) by connection count: returns (same, minus_one).
-
-    Raises if any term changes the connection count by another amount.
-    """
-    k = g.count(CONNECTION)
-    same, less = FormalSum(), FormalSum()
-    for cg, c in delta_graph(g):
-        dk = cg.count(CONNECTION) - k
-        if dk == 0:
-            same.add_canonical(cg, c)
-        elif dk == -1:
-            less.add_canonical(cg, c)
-        else:
-            raise AssertionError("term changes connection count by %d" % dk)
-    return same, less

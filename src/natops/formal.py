@@ -7,6 +7,7 @@ sums compare equal whichever form a coefficient has.
 """
 
 from .canonical import ZERO, canonicalize, key_bytes
+from .graphs import Graph
 
 
 def _exact(c):
@@ -71,9 +72,6 @@ class FormalSum:
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("FormalSum is mutable during assembly; not hashable")
-
     def __add__(self, other):
         return combine(self, other, 1, 1)
 
@@ -118,3 +116,8 @@ def combine(a, b, alpha=1, beta=1):
     for g, c in b.terms.items():
         out.add_canonical(g, c * beta)
     return out
+
+
+def as_sum(x):
+    """``x`` as a formal sum: a :class:`Graph` is its own one-term sum."""
+    return FormalSum.of(x) if isinstance(x, Graph) else x

@@ -63,6 +63,11 @@ FAMILIES = {
 }
 
 
+def as_family(family):
+    """``family`` as a :class:`Family`: a name is looked up in FAMILIES."""
+    return FAMILIES[family] if isinstance(family, str) else family
+
+
 def vector(label, order=0):
     return Vertex(VECTOR, label, order)
 
@@ -151,9 +156,6 @@ class Graph:
             if e is not None:
                 ins[e[0]].append((src, e[1]))
         return tuple(map(tuple, ins))
-
-    def edge_count(self):
-        return sum(1 for e in self.out if e is not None)
 
     def labels(self):
         return sorted(v.label for v in self.vertices if v.kind == VECTOR)

@@ -15,13 +15,12 @@ differential is the space of natural operators of the family.
 from . import linalg
 from .canonical import key_bytes
 from .complexes import (
-    FAMILIES,
     delta_graph_cached,
     differential,
     enumerate_basis,
 )
 from .formal import FormalSum
-from .graphs import wheel_length
+from .graphs import as_family, wheel_length
 
 
 class BasisIncompleteError(RuntimeError):
@@ -36,16 +35,12 @@ class SparseMatrixQ:
         self.ncols = ncols
         self.rows = {}
 
-    def sparse_rows(self):
-        """The nonzero rows as {col: value} dicts (shared, not copies)."""
-        return list(self.rows.values())
-
     def triplets(self):
         return sorted((r, c, v) for r, row in self.rows.items()
                       for c, v in row.items())
 
     def rank(self):
-        return linalg.rank(self.sparse_rows())
+        return linalg.rank(self.rows.values())
 
     def __repr__(self):
         return "SparseMatrixQ(%dx%d, %d nonzero)" % (
@@ -54,8 +49,7 @@ class SparseMatrixQ:
 
 def delta_matrix(family, d, m, source=None, target=None):
     """Exact matrix of the differential from degree m to m+1."""
-    if isinstance(family, str):
-        family = FAMILIES[family]
+    family = as_family(family)
     src = source if source is not None else enumerate_basis(family, d, m)
     tgt = target if target is not None else enumerate_basis(family, d, m + 1)
     index = {g: i for i, g in enumerate(tgt.graphs)}
@@ -84,12 +78,10 @@ def kernel_basis(family, d):
 
     Every returned element is re-verified to have vanishing differential.
     """
-    if isinstance(family, str):
-        family = FAMILIES[family]
     src = enumerate_basis(family, d, 0)
     mat = delta_matrix(family, d, 0, source=src)
     out = []
-    for vec in linalg.nullspace(mat.sparse_rows(), mat.ncols):
+    for vec in linalg.nullspace(mat.rows.values(), mat.ncols):
         s = FormalSum()
         for j, c in vec.items():
             s.add_canonical(src.graphs[j], c)
@@ -123,8 +115,7 @@ def wheel_block_injective(family, d):
     For every wheel length the block of delta keeping that length must
     have full column rank; returns {wheel_length: (rank, ncols)}.
     """
-    if isinstance(family, str):
-        family = FAMILIES[family]
+    family = as_family(family)
     if family.anchored:
         raise ValueError("wheel blocks exist in anchor-free families only")
     src = enumerate_basis(family, d, 0)

@@ -133,10 +133,10 @@ def obj_to_graph(obj):
         if out[src] is not None:
             raise SchemaError("vertex %d has several outgoing edges" % src)
         out[src] = (_int(e.get("to"), "edge \"to\""), code)
-    order = tuple(_int(w, "whiteOrder entry") for w in
-                  _typed(obj.get("whiteOrder", []), list, "\"whiteOrder\""))
-    if not order:
-        order = None
+    order = None  # only a missing key takes the default order
+    if "whiteOrder" in obj:
+        order = tuple(_int(w, "whiteOrder entry") for w in
+                      _typed(obj["whiteOrder"], list, "\"whiteOrder\""))
     g = Graph(tuple(verts), tuple(out), order)
     bad = validate(g)
     if bad:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, cycles
-from .linalg import mat_inv
+from .linalg import add_into, mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +128,6 @@ def _reduce(polys, den):
                 return polys, den
     return ({name: {e: v // g for e, v in p.items()}
              for name, p in polys.items()}, den // g)
-
-
-def p_add_into(acc, p, c=1):
-    """``acc += c * p`` in place, dropping the terms that cancel."""
-    get = acc.get
-    for e, v in p.items():
-        w = get(e, 0) + v * c
-        if w:
-            acc[e] = w
-        else:
-            acc.pop(e, None)
-    return acc
 
 
 def _mul_into(out, a, bitems, limit):
@@ -218,7 +206,7 @@ class Substitution:
                     f = self.den ** (self.trunc - e // self.pk.one)
                     m = self.scaled[e] = {k: x * f
                                           for k, x in self.mono(e).items()}
-                p_add_into(out, m, v)
+                add_into(out, m, v)
         return out
 
 
@@ -247,7 +235,7 @@ def map_inverse(phi, trunc):
         for a in range(n):
             acc = nxt[a] = {e: v * s for e, v in lin[a].items()}
             for j, x in Ainv[a].items():
-                p_add_into(acc, corr[j], -x)
+                add_into(acc, corr[j], -x)
         psi, dpsi = _reduce(nxt, dA * s)
     return psi, dpsi
 
@@ -526,7 +514,7 @@ def _pull_back(data, phi):
         polys, den = _to_polys(arrays, pk, trunc)
         polys = _contract_index(polys, 0, Jt, n, limit)
         for key, p in (shift or {}).items():  # shift is over dF
-            p_add_into(polys.setdefault(key, {}), p, -den)
+            add_into(polys.setdefault(key, {}), p, -den)
         polys, den = _reduce(polys, den * dF)
         polys, den = _reduce({key: sub(p) for key, p in polys.items()},
                              den * sub.scale)
@@ -733,11 +721,9 @@ def realize(x, data, gens=None):
     bottom chain-map identity: realizing the differential of a degree-0
     sum against generators equals the flow derivative of its realization.
     """
-    from .formal import FormalSum
-    from .graphs import Graph
+    from .formal import as_sum
 
-    if isinstance(x, Graph):
-        x = FormalSum.of(x)
+    x = as_sum(x)
     anchored = None
     for g, _ in x:
         a = g.has_anchor()
@@ -758,8 +744,7 @@ def realize(x, data, gens=None):
 
 
 def apply_linear(A, vec):
-    return [sum((Fraction(A[a][j]) * vec[j] for j in range(len(vec))), Fraction(0))
-            for a in range(len(vec))]
+    return [sum(x * v for x, v in zip(row, vec)) for row in A]
 
 
 Counterexample = namedtuple("Counterexample", ["trial", "lhs", "rhs"])
@@ -785,15 +770,13 @@ def naturality_check(x, n, trials=20, seed=0):
 
     Returns None on pass, else the first counterexample.
     """
-    from .formal import FormalSum
-    from .graphs import Graph
+    from .formal import as_sum
 
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(x, Graph):
-        x = FormalSum.of(x)
+    x = as_sum(x)
     labels, order, conn_order = data_requirements(x)
     anchored = any(g.has_anchor() for g, _ in x)
     trunc = jet_order(order, conn_order)

@@ -11,7 +11,8 @@ and each row's pivot is its least nonzero column, so the pivot rows are
 the reduced row echelon form whatever the row order.  Batches are fed
 shortest row first to limit fill-in.  :func:`nullspace` returns kernel
 vectors in the same format, and :func:`mat_inv` reduces [A | I] on the
-same elimination.
+same elimination.  Its one sparse add, :func:`add_into`, also serves the
+jet law's polynomials and the oracle's Lagrange slope.
 """
 
 from fractions import Fraction
@@ -22,14 +23,15 @@ def _as_dict(row):
     return {c: x for c, x in row.items() if x}
 
 
-def _sub(dst, f, src):
-    """``dst -= f * src`` in place, dropping the zeros."""
-    for k, v in src.items():
-        x = dst.get(k, 0) - f * v
+def add_into(acc, row, c=1):
+    """``acc += c * row`` in place, dropping the entries that cancel."""
+    get = acc.get
+    for k, v in row.items():
+        x = get(k, 0) + v * c
         if x:
-            dst[k] = x
+            acc[k] = x
         else:
-            del dst[k]
+            acc.pop(k, None)
 
 
 class Echelon:
@@ -45,7 +47,7 @@ class Echelon:
         out = _as_dict(row)
         # pivot rows vanish on every other pivot column, so one pass suffices
         for c in [c for c in out if c in self.rows]:
-            _sub(out, out[c], self.rows[c])
+            add_into(out, self.rows[c], -out[c])
         return out
 
     def add(self, row):
@@ -59,7 +61,7 @@ class Echelon:
         for p in self.rows.values():
             f = p.get(lead)
             if f:
-                _sub(p, f, r)
+                add_into(p, r, -f)
         self.rows[lead] = r
 
 

@@ -24,7 +24,7 @@ covariant-derivative cocycle.
 import itertools
 import re
 
-from .formal import FormalSum, combine
+from .formal import FormalSum, as_sum, combine
 from .graphs import (
     ANCHOR,
     CONNECTION,
@@ -40,14 +40,10 @@ from .graphs import (
 )
 
 
-def _as_sum(x):
-    return FormalSum.of(x) if isinstance(x, Graph) else x
-
-
 def arity(x):
     """Common multilinearity of a degree-0 operad element."""
     ds = set()
-    for g, _ in _as_sum(x):
+    for g, _ in as_sum(x):
         labs = g.labels()
         d = len(labs)
         if labs != ["X%d" % i for i in range(1, d + 1)]:
@@ -126,7 +122,7 @@ def _monomial_compose(g1, i, g2):
 
 def compose(a, i, b):
     """Operadic insertion a o_i b, extended bilinearly."""
-    a, b = _as_sum(a), _as_sum(b)
+    a, b = as_sum(a), as_sum(b)
     if not (1 <= i <= arity(a)):
         raise ValueError("slot index out of range")
     arity(b)
@@ -143,7 +139,7 @@ def compose(a, i, b):
 def sigma_action(x, sigma):
     """Right action relabelling X_k to X_{sigma(k)}: the result evaluates
     the original element at arguments pulled back through sigma."""
-    x = _as_sum(x)
+    x = as_sum(x)
     if sorted(sigma) != list(range(1, arity(x) + 1)):
         raise ValueError("permutation size mismatch")
     mapping = {"X%d" % k: "X%d" % s for k, s in enumerate(sigma, 1)}
@@ -245,4 +241,4 @@ def trace_map(g):
 
 
 def trace_sum(x):
-    return _as_sum(x).map_graphs(trace_map)
+    return as_sum(x).map_graphs(trace_map)

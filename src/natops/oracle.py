@@ -38,12 +38,11 @@ from .jets import (
     _to_jets,
     _to_polys,
     jet_order,
-    p_add_into,
     random_jet_data,
     random_tensor,
     realize,
 )
-from .linalg import Echelon
+from .linalg import Echelon, add_into
 
 
 def random_sparse_tensor(rng, n, nfixed, nsym, entries):
@@ -123,7 +122,7 @@ def infinitesimal_action(gens, data):
         out = {}
         for w, (polys, d) in zip(weight, values):
             for key, p in polys.items():
-                p_add_into(out.setdefault(key, {}), p, w * (den // d))
+                add_into(out.setdefault(key, {}), p, w * (den // d))
         return out, den * L
 
     fields = {lab: slope([moved[lab] for moved, _ in stages])

@@ -17,7 +17,9 @@ rules are one closed form, :func:`_lie_derivative_rule`: the Leibniz
 expansion of the Lie derivative along a jet-group generator that vanishes
 to second order, with unit coefficients.  :mod:`natops.oracle` derives
 connection rules independently from the jet action; the tests compare the
-two, and no runtime path calls it.
+two, and no runtime path calls it.  The boundary-port and arity check of a
+template (``check_template``) lives in the tests too, which run it on
+every template a command can build.
 """
 
 import itertools
@@ -37,31 +39,6 @@ def _term(coeff, internals, ranks, iout, ports):
     return Term(int(coeff), tuple(internals), tuple(ranks), tuple(iout), tuple(ports))
 
 
-def check_template(t):
-    """Boundary-port and arity sanity of a template; raises on violation."""
-    nports = t.order + (2 if t.kind == CONNECTION else 0)
-    for term in t.terms:
-        outs = [k for k, tgt in enumerate(term.iout) if tgt == OUT]
-        assert len(outs) == 1, "template term must export exactly one output"
-        fill = {}
-        for j, v in enumerate(term.internals):
-            if v.kind == WHITE:
-                assert v.order >= 2
-            fill[j] = {"sym": 0, 0: 0, 1: 0}
-        for j, tgt in enumerate(term.iout):
-            if tgt != OUT:
-                dj, slot = tgt
-                fill[dj]["sym" if slot == SYM else slot] += 1
-        assert len(term.ports) == nports
-        for dj, slot in term.ports:
-            fill[dj]["sym" if slot == SYM else slot] += 1
-        for j, v in enumerate(term.internals):
-            assert fill[j]["sym"] == v.order, "unfilled symmetric slots"
-            if v.kind == CONNECTION:
-                assert fill[j][0] == 1 and fill[j][1] == 1, "unfilled base slot"
-    return t
-
-
 @lru_cache(maxsize=None)
 def replace_white(u):
     """Expansion of a white vertex of arity ``u`` into two-white trees.
@@ -79,8 +56,6 @@ def replace_white(u):
     ports_all = range(u)
     for t in range(2, u):
         s = u + 1 - t
-        if s < 2:
-            continue
         parent, child = white(s), white(t)
         for sub in itertools.combinations(ports_all, t):
             subset = set(sub)
@@ -90,7 +65,7 @@ def replace_white(u):
             terms.append(
                 _term(1, (parent, child), (1, 2), (OUT, (0, SYM)), ports)
             )
-    return check_template(RuleTemplate(WHITE, u, tuple(terms)))
+    return RuleTemplate(WHITE, u, tuple(terms))
 
 
 def _lie_derivative_rule(kind, k, vertex, nbase):
@@ -135,7 +110,7 @@ def _lie_derivative_rule(kind, k, vertex, nbase):
     if nbase:
         terms.append(_term(-1, (white(k + 2),), (1,), (OUT,),
                            ((0, SYM),) * (nbase + k)))
-    return check_template(RuleTemplate(kind, k, tuple(terms)))
+    return RuleTemplate(kind, k, tuple(terms))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
-reference canonical form, the reference differential, the reference
+reference canonical form, the reference differential, the connection-count
+split of the differential, the rule template check, the reference
 connectivity filter of wirings, a dense reference elimination, the derived
 connection rules, the realization state sum, the reference polynomial
 layer, the composition and identity of coordinate changes, the reference
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 from natops import io
 from natops.canonical import ZERO
+from natops.complexes import delta_graph
 from natops.formal import FormalSum
 from natops.graphs import (
     ANCHOR,
@@ -382,6 +384,53 @@ def reference_delta_graph(g):
             )
             out.add_graph(Graph(verts, outmap, spliced), eps * term.coeff)
     return out
+
+
+def nabla_bigrade_split(g):
+    """Split delta(G) by connection count: returns (same, minus_one).
+
+    Raises if any term changes the connection count by another amount.
+    """
+    k = g.count(CONNECTION)
+    same, less = FormalSum(), FormalSum()
+    for cg, c in delta_graph(g):
+        dk = cg.count(CONNECTION) - k
+        if dk == 0:
+            same.add_canonical(cg, c)
+        elif dk == -1:
+            less.add_canonical(cg, c)
+        else:
+            raise AssertionError("term changes connection count by %d" % dk)
+    return same, less
+
+
+# --- the template check ------------------------------------------------
+# Every rule template a command can build is checked by it in the tests.
+
+
+def check_template(t):
+    """Boundary-port and arity sanity of a template; raises on violation."""
+    nports = t.order + (2 if t.kind == CONNECTION else 0)
+    for term in t.terms:
+        outs = [k for k, tgt in enumerate(term.iout) if tgt == OUT]
+        assert len(outs) == 1, "template term must export exactly one output"
+        fill = {}
+        for j, v in enumerate(term.internals):
+            if v.kind == WHITE:
+                assert v.order >= 2
+            fill[j] = {"sym": 0, 0: 0, 1: 0}
+        for j, tgt in enumerate(term.iout):
+            if tgt != OUT:
+                dj, slot = tgt
+                fill[dj]["sym" if slot == SYM else slot] += 1
+        assert len(term.ports) == nports
+        for dj, slot in term.ports:
+            fill[dj]["sym" if slot == SYM else slot] += 1
+        for j, v in enumerate(term.internals):
+            assert fill[j]["sym"] == v.order, "unfilled symmetric slots"
+            if v.kind == CONNECTION:
+                assert fill[j][0] == 1 and fill[j][1] == 1, "unfilled base slot"
+    return t
 
 
 # --- the reference connectivity filter ---------------------------------

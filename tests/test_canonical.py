@@ -10,6 +10,7 @@ from natops import canonical, complexes
 from natops.canonical import ZERO, canonicalize, key_bytes, start_of
 from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
 from natops.graphs import (
+    FAMILIES,
     SYM,
     VECTOR,
     WHITE,
@@ -235,7 +236,7 @@ def _same_vertices():
     edges: the two wirings of _white_subtrees' vertices, and the wirings
     of the bullet d = 4 degree-1 arity multiset with the most of them."""
     groups = [[_white_subtrees(), _white_chain()]]
-    family = complexes.FAMILIES["bullet"]
+    family = FAMILIES["bullet"]
     best = []
     for vs, ws, us in complexes._arities(family, 4, 1):
         verts, sources, slot_groups = complexes._slots(family, 4, vs, ws, us)

@@ -7,7 +7,6 @@ import pytest
 
 from natops import cli, complexes, rules
 from natops.complexes import (
-    FAMILIES,
     _arities,
     _assignments,
     _slots,
@@ -16,13 +15,13 @@ from natops.complexes import (
     differential,
     enumerate_basis,
     member,
-    nabla_bigrade_split,
     wiring_count,
 )
 from natops.formal import FormalSum, combine
 from natops.graphs import (
     CONNECTION,
     EMPTY,
+    FAMILIES,
     Graph,
     disjoint_union,
     is_connected,
@@ -31,6 +30,7 @@ from natops.graphs import (
 from .helpers import (
     chain_xy,
     chain_yx,
+    nabla_bigrade_split,
     reference_connected,
     reference_delta_graph,
     shuffle_presentation,

@@ -125,7 +125,7 @@ def test_edge_count_law_anchored(family, d):
     for m in (0, 1):
         for g in enumerate_basis(family, d, m).graphs:
             for comp in components(g):
-                e = comp.edge_count()
+                e = sum(1 for x in comp.out if x is not None)
                 v = len(comp.vertices)
                 if comp.has_anchor():
                     assert e == v - 1
@@ -137,7 +137,7 @@ def test_edge_count_law_anchored(family, d):
 def test_edge_count_law_wheel():
     for g in enumerate_basis("bullet-wheel", 3, 1).graphs:
         assert is_connected(g)
-        assert g.edge_count() == len(g.vertices)
+        assert sum(1 for x in g.out if x is not None) == len(g.vertices)
         assert wheel_length(g) >= 1
 
 

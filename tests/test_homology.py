@@ -41,7 +41,7 @@ def test_nabla1_matrix_is_row_of_signs():
 def test_unit_matrix_is_empty():
     mat = delta_matrix("bullet", 1, 0)
     assert mat.ncols == 1
-    assert not mat.rows and not mat.sparse_rows() and not mat.triplets()
+    assert not mat.rows and not mat.rows.values() and not mat.triplets()
 
 
 def test_bullet2_matrix_rank():
@@ -75,7 +75,7 @@ def test_wheel_blocks_full_rank(d):
 def test_rank_plus_nullity():
     for fam, d in [("bullet", 3), ("bullet-nabla-1", 2), ("bullet-wheel", 3)]:
         mat = delta_matrix(fam, d, 0)
-        null = len(linalg.nullspace(mat.sparse_rows(), mat.ncols))
+        null = len(linalg.nullspace(mat.rows.values(), mat.ncols))
         assert mat.rank() + null == mat.ncols
 
 
@@ -93,7 +93,7 @@ def test_sparse_kernel_matches_dense_reference(fam, d):
     n = mat.ncols
     want = dense_nullspace(dense_matrix(mat), n)
     assert h0_dimension(fam, d) == len(want)
-    null = linalg.nullspace(mat.sparse_rows(), n)
+    null = linalg.nullspace(mat.rows.values(), n)
     assert [dense_vector(v, n) for v in null] == want
     assert all(x for v in null for x in v.values())
     src = enumerate_basis(fam, d, 0)

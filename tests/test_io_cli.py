@@ -30,7 +30,7 @@ from natops.cli import (
 )
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
-from natops.graphs import SYM, Graph, anchor, vector, white
+from natops.graphs import SYM, Graph, anchor, connection, vector, white
 from natops.operad import lie_expand
 from natops.rules import replace_connection
 
@@ -55,6 +55,32 @@ def test_bare_graph_accepted_as_sum():
     obj = io.graph_to_obj(chain_xy())
     x = io.obj_to_sum(obj)
     assert len(x) == 1
+
+
+def test_only_a_missing_white_order_takes_the_default(tmp_path):
+    # a given "whiteOrder", [] among them, must order the whites; only a
+    # missing key takes the default, the whites in id order
+    g = enumerate_basis("bullet", 3, 2).graphs[0]
+    whites = list(g.white_order)
+    assert len(whites) == 2
+    obj = io.graph_to_obj(g)
+    obj["whiteOrder"] = whites[::-1]
+    assert canonicalize(io.obj_to_graph(obj)) == (g, -1)
+    del obj["whiteOrder"]
+    assert io.obj_to_graph(obj).white_order == tuple(sorted(whites))
+    reason = "whiteOrder is not a permutation of the white vertices"
+    for given in ([], whites[:1]):
+        obj["whiteOrder"] = given
+        with pytest.raises(io.SchemaError, match=reason):
+            io.obj_to_graph(obj)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = _in_process(["export-dot", "--in", str(path)])
+        assert code == 2 and out == b"" and reason in err.decode()
+    # [] is the order of a graph without whites
+    degree0 = io.graph_to_obj(chain_xy())
+    assert degree0["whiteOrder"] == []
+    assert io.obj_to_graph(degree0) == chain_xy()
 
 
 def test_schema_errors():
@@ -572,6 +598,7 @@ def test_main_ends_by_os_exit_once_flushed(monkeypatch, sigpipe):
     # no profiler or tracer, even when the suite runs under one
     monkeypatch.setattr(sys, "getprofile", lambda: None)
     monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(cli, "_monitored", lambda: False)
     monkeypatch.setattr(cli, "run", _fake_run)
     exits = []
 
@@ -600,6 +627,24 @@ def test_main_exits_normally_under_a_profiler(monkeypatch, sigpipe, hook):
             cli.main()
     finally:
         setter(old)
+    assert e.value.code == 3
+
+
+@pytest.mark.skipif(not hasattr(sys, "monitoring"),
+                    reason="sys.monitoring is new in Python 3.12")
+def test_main_exits_normally_under_a_monitoring_tool(monkeypatch, sigpipe):
+    # cProfile registers through sys.monitoring from 3.12 on, with no
+    # profile function set, and writes its report at teardown
+    monkeypatch.setattr(cli, "run", _fake_run)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("_exit"))
+    monitoring = sys.monitoring
+    tool = next(i for i in range(6) if monitoring.get_tool(i) is None)
+    monitoring.use_tool_id(tool, "natops test")
+    try:
+        with pytest.raises(SystemExit) as e:
+            cli.main()
+    finally:
+        monitoring.free_tool_id(tool)
     assert e.value.code == 3
 
 
@@ -911,6 +956,70 @@ def test_cli_eval_data_reads_exact_numbers(tmp_path, capsys):
         code, out = _run(["eval", "--in", str(p), "--data", str(data)])
         assert code == 2 and out == "", entry
         assert "expected an integer or a" in capsys.readouterr().err
+
+
+def test_cli_eval_data_reads_connection_jets(tmp_path, capsys):
+    """Gamma(X1, X2) = Gamma^a_(bc) X1^b X2^c on written-out jets, worked
+    by hand, and the refusals of jet data that lacks what it needs."""
+    p = tmp_path / "nabla.json"
+    p.write_text(json.dumps(io.sum_to_obj(FormalSum.of(nabla_xy()))))
+    data = tmp_path / "data.json"
+    good = {"n": 2, "fields": {"X1": [[1, 2]], "X2": [[3, "-1/2"]]},
+            "connection": [[[[1, "2/3"], [0, -1]], [[5, 0], ["1/2", 2]]]]}
+    data.write_text(json.dumps(good))
+    code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+    # 3 - 1/3 + 0 + 1 = 11/3 and 15 + 0 + 3 - 2 = 16
+    assert code == 0 and json.loads(out)["vector"] == ["11/3", "16"]
+    no_conn = {k: v for k, v in good.items() if k != "connection"}
+    wide = json.loads(json.dumps(good))
+    wide["fields"]["X1"] = [[1, 2, 3]]
+    no_x2 = json.loads(json.dumps(good))
+    del no_x2["fields"]["X2"]
+    for obj, reason in [(no_conn, "jet data missing connection jets"),
+                        (wide, "jet array has wrong extent"),
+                        (no_x2, "jet data missing field X2 to order 0")]:
+        data.write_text(json.dumps(obj))
+        code, out = _run(["eval", "--in", str(p), "--data", str(data)])
+        assert code == 2 and out == ""
+        assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,size", [(1, 2), (2, 14)])
+def test_cli_wheel_kernel_elements_are_natural(tmp_path, d, size):
+    # anchor-free sums realize to scalars through the oracle
+    code, out = _run(["kerbasis", "--family", "bullet-nabla-wheel",
+                      "--d", str(d)])
+    basis = json.loads(out)["basis"]
+    assert code == 0 and len(basis) == size
+    p = tmp_path / "x.json"
+    for element in basis:
+        p.write_text(json.dumps(element))
+        code, out = _run(["natcheck", "--in", str(p), "--dim", "3"])
+        assert code == 0 and json.loads(out)["result"] == "pass"
+    code, out = _run(["eval", "--in", str(p), "--dim", "3"])
+    assert code == 0 and isinstance(json.loads(out)["scalar"], str)
+
+
+def test_cli_divergence_is_natural_and_its_terms_are_not(tmp_path):
+    # d_a X^a + Gamma^a_(ba) X^b, a scalar: X1's output feeds its own
+    # derivative slot, and the connection's its own base slot 1
+    div = FormalSum.of(Graph((vector("X1", 1),), ((0, SYM),)))
+    conn = FormalSum.of(Graph((vector("X1"), connection(0)),
+                              ((1, 0), (1, 1))))
+    p = tmp_path / "x.json"
+    for x, natural in [(div + conn, True), (div, False), (conn, False),
+                       (div - conn, False)]:
+        p.write_text(json.dumps(io.sum_to_obj(x)))
+        code, out = _run(["natcheck", "--in", str(p), "--dim", "3"])
+        obj = json.loads(out)
+        if natural:
+            assert code == 0 and obj["result"] == "pass"
+            continue
+        assert code == 1 and obj["result"] == "counterexample"
+        bad = jets.naturality_check(x, 3)
+        assert bad.lhs != bad.rhs
+        assert obj["transformed"] == io._frac_to_str(bad.lhs)
+        assert obj["expected"] == io._frac_to_str(bad.rhs)
 
 
 def test_cli_eval_data_must_be_symmetric(tmp_path, capsys):

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from natops import oracle
+from natops import cli, oracle
 from natops.complexes import differential
 from natops.graphs import CONNECTION, WHITE
 from natops.oracle import connection_probe, derive_connection_rule
@@ -17,7 +17,16 @@ from natops.rules import (
     replace_white,
 )
 
-from .helpers import derived_rule
+from .helpers import check_template, derived_rule
+
+
+@pytest.mark.parametrize("order", range(cli.MAX_RULE_ORDER + 1))
+def test_every_buildable_template_passes_the_check(order):
+    # every white, vector and connection template a command can build
+    if order >= 2:
+        check_template(replace_white(order))
+    check_template(replace_vectorfield(order))
+    check_template(replace_connection(order))
 
 
 def test_white_rule_small_cases():
