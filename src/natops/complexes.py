@@ -42,7 +42,7 @@ from collections import namedtuple
 from math import factorial
 
 from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
-from .formal import FormalSum, as_sum
+from .formal import FormalSum, add_into, as_sum
 from .graphs import (
     ANCHOR,
     CONNECTION,
@@ -368,10 +368,10 @@ def delta_graph(g):
     copied, the edges into v rewritten (v's own too when it loops), the
     internals' edges appended, and the term goes to :func:`canonicalize`
     with its plan's start, built by ``Graph.from_tuples``, and is added
-    straight into the result's ``terms``.
+    straight into the result by :meth:`FormalSum.add_canonical`.
     """
     out = FormalSum()
-    terms = out.terms
+    add = out.add_canonical
     verts, gout = g.vertices, g.out
     key = (verts, g.white_order)
     plan = _PLANS.get(key)
@@ -400,11 +400,7 @@ def delta_graph(g):
                 edges[v] = ports[loop]
             cg, sign = canonicalize(make(tverts, tuple(edges), whites), start)
             if cg is not ZERO:
-                x = terms.get(cg, 0) + sign * c
-                if x:
-                    terms[cg] = x
-                else:
-                    terms.pop(cg, None)
+                add(cg, sign * c)
     return out
 
 
@@ -416,8 +412,7 @@ def differential(x):
         raise ValueError("mixed-degree input to differential")
     out = FormalSum()
     for g, c in x:
-        for cg, coeff in delta_graph_cached(g):
-            out.add_canonical(cg, c * coeff)
+        add_into(out.terms, delta_graph_cached(g).terms, c)
     return out
 
 
@@ -437,12 +432,7 @@ def d_squared_zero(family, d, degrees=(0, 1)):
             r = FormalSum()
             acc = r.terms
             for h, c in delta_graph_cached(g):
-                for k, e in delta_graph_cached(h):
-                    x = acc.get(k, 0) + c * e
-                    if x:
-                        acc[k] = x
-                    else:
-                        del acc[k]
+                add_into(acc, delta_graph_cached(h).terms, c)
             checked += 1
             if r:
                 failures.append((g, r))

@@ -4,10 +4,27 @@ A coefficient is an exact rational: an ``int``, or a ``Fraction`` where a
 division made one.  Ints are never wrapped (the differential's
 coefficients are all ints), and ``1 == Fraction(1)`` with equal hashes, so
 sums compare equal whichever form a coefficient has.
+
+A sparse object never holds a zero: :func:`add_into`, the one add that
+drops what cancels, adds the terms of sums (:func:`combine`, the
+differential, the delta^2 residue) and the rows and polynomials of
+:mod:`natops.linalg`, the jet law and the rule oracle;
+:meth:`FormalSum.add_canonical` is its single-term form.
 """
 
 from .canonical import ZERO, canonicalize, key_bytes
 from .graphs import Graph
+
+
+def add_into(acc, row, c=1):
+    """``acc += c * row`` in place, dropping the entries that cancel."""
+    get = acc.get
+    for k, v in row.items():
+        x = get(k, 0) + v * c
+        if x:
+            acc[k] = x
+        else:
+            acc.pop(k, None)
 
 
 def _exact(c):
@@ -48,17 +65,14 @@ class FormalSum:
         self.add_canonical(cg, _exact(coeff) * sign)
 
     def add_canonical(self, cg, coeff):
-        if not coeff:
-            return
-        c = self.terms.get(cg)
-        if c is None:
-            self.terms[cg] = coeff
+        """Add ``coeff`` times the canonical graph ``cg``: :func:`add_into`
+        for a single term."""
+        terms = self.terms
+        x = terms.get(cg, 0) + coeff
+        if x:
+            terms[cg] = x
         else:
-            c = c + coeff
-            if c:
-                self.terms[cg] = c
-            else:
-                del self.terms[cg]
+            terms.pop(cg, None)
 
     def __iter__(self):
         return iter(self.terms.items())
@@ -109,12 +123,10 @@ class FormalSum:
 
 def combine(a, b, alpha=1, beta=1):
     """Exact alpha*a + beta*b; zero coefficients are dropped."""
-    alpha, beta = _exact(alpha), _exact(beta)
-    out = FormalSum()
-    if alpha:
-        out.terms = {g: c * alpha for g, c in a.terms.items()}
-    for g, c in b.terms.items():
-        out.add_canonical(g, c * beta)
+    out = a.scale(alpha)
+    beta = _exact(beta)
+    if beta:
+        add_into(out.terms, b.terms, beta)
     return out
 
 

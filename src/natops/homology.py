@@ -82,9 +82,9 @@ def kernel_basis(family, d):
     mat = delta_matrix(family, d, 0, source=src)
     out = []
     for vec in linalg.nullspace(mat.rows.values(), mat.ncols):
+        # nonzeros on distinct basis graphs: the sum's terms as they are
         s = FormalSum()
-        for j, c in vec.items():
-            s.add_canonical(src.graphs[j], c)
+        s.terms = {src.graphs[j]: c for j, c in vec.items()}
         if differential(s):
             raise AssertionError("kernel element fails differential re-check")
         out.append(s)

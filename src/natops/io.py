@@ -333,6 +333,11 @@ def dump(obj, fh):
     flush()
 
 
+#: Escapes that keep any vector label one quoted DOT string on one line.
+_DOT_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def to_dot(g, name="G"):
     """Graphviz rendering; labels encode kind and arity."""
     lines = ["digraph %s {" % name]
@@ -345,7 +350,8 @@ def to_dot(g, name="G"):
             label, shape = "o(u=%d)" % v.order, "doublecircle"
         else:
             label, shape = "out", "square"
-        lines.append('  v%d [label="%s", shape=%s];' % (i, label, shape))
+        lines.append('  v%d [label="%s", shape=%s];'
+                     % (i, label.translate(_DOT_ESCAPES), shape))
     for src, e in enumerate(g.out):
         if e is None:
             continue

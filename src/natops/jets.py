@@ -54,8 +54,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
+from .formal import add_into, as_sum
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, cycles
-from .linalg import add_into, mat_inv
+from .linalg import mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +722,6 @@ def realize(x, data, gens=None):
     bottom chain-map identity: realizing the differential of a degree-0
     sum against generators equals the flow derivative of its realization.
     """
-    from .formal import as_sum
-
     x = as_sum(x)
     anchored = None
     for g, _ in x:
@@ -770,8 +769,6 @@ def naturality_check(x, n, trials=20, seed=0):
 
     Returns None on pass, else the first counterexample.
     """
-    from .formal import as_sum
-
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if trials < 1:

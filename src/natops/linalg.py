@@ -11,27 +11,19 @@ and each row's pivot is its least nonzero column, so the pivot rows are
 the reduced row echelon form whatever the row order.  Batches are fed
 shortest row first to limit fill-in.  :func:`nullspace` returns kernel
 vectors in the same format, and :func:`mat_inv` reduces [A | I] on the
-same elimination.  Its one sparse add, :func:`add_into`, also serves the
-jet law's polynomials and the oracle's Lagrange slope.
+same elimination.  Rows are added with :func:`natops.formal.add_into`,
+the one cancel-dropping add, which the formal sums, the jet law's
+polynomials and the oracle's Lagrange slope use as well.
 """
 
 from fractions import Fraction
+
+from .formal import add_into
 
 
 def _as_dict(row):
     """A {col: value} mapping as a new sparse row without its zeros."""
     return {c: x for c, x in row.items() if x}
-
-
-def add_into(acc, row, c=1):
-    """``acc += c * row`` in place, dropping the entries that cancel."""
-    get = acc.get
-    for k, v in row.items():
-        x = get(k, 0) + v * c
-        if x:
-            acc[k] = x
-        else:
-            acc.pop(k, None)
 
 
 class Echelon:

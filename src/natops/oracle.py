@@ -17,7 +17,7 @@ from math import comb, lcm
 
 from .canonical import canonicalize
 from .complexes import _wirings
-from .formal import FormalSum
+from .formal import FormalSum, add_into
 from .graphs import (
     BULLET_NABLA1,
     SYM,
@@ -42,7 +42,7 @@ from .jets import (
     random_tensor,
     realize,
 )
-from .linalg import Echelon, add_into
+from .linalg import Echelon
 
 
 def random_sparse_tensor(rng, n, nfixed, nsym, entries):
@@ -219,7 +219,7 @@ def derive_connection_rule(w, n):
         if coeff.denominator != 1:
             raise ArithmeticError(
                 "non-integer connection-rule coefficient %s" % (coeff,))
-        rule = rule + orbit.scale(coeff)
+        add_into(rule.terms, orbit.terms, coeff)
     nv = min(n, max(w + 2, 3), 5)
     rng = random.Random(repr(("connrule-verify", w, n)))
     gens = {s: random_tensor(rng, nv, 1, s) for s in arities}

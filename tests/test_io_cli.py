@@ -3,6 +3,7 @@
 import io as _io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -30,7 +31,15 @@ from natops.cli import (
 )
 from natops.complexes import enumerate_basis, wiring_count
 from natops.formal import FormalSum, combine
-from natops.graphs import SYM, Graph, anchor, connection, vector, white
+from natops.graphs import (
+    SYM,
+    Graph,
+    anchor,
+    connection,
+    relabel,
+    vector,
+    white,
+)
 from natops.operad import lie_expand
 from natops.rules import replace_connection
 
@@ -213,8 +222,21 @@ def test_template_export_marks_boundary():
 
 
 def test_dot_output_mentions_kinds():
-    text = io.to_dot(nabla_xy())
-    assert "nabla(w=0)" in text and "X1(v=0)" in text and "digraph" in text
+    # every vertex line holds one quoted DOT string, whatever the vector
+    # label: a quote, a backslash and a newline in it are escaped
+    quoted = re.compile(r'  v\d+ \[label="((?:[^"\\\n]|\\.)*)", shape=\w+\];')
+    for label in ["X1", 'X"1\\\n}']:
+        g = relabel(nabla_xy(), {"X1": label})
+        text = io.to_dot(g)
+        assert "nabla(w=0)" in text and text.count("digraph") == 1
+        lines = text.splitlines()
+        assert lines[-1] == "}" and lines.count("}") == 1
+        vertex = [quoted.fullmatch(line)
+                  for line in lines[1:1 + len(g.vertices)]]
+        assert all(vertex), lines
+        read = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1],
+                      vertex[0][1])
+        assert read == label + "(v=0)"
 
 
 def _run(args, stdin_obj=None):
@@ -716,6 +738,7 @@ def test_commands_load_only_their_layers(tmp_path):
              "jets"),
             (["h0"] + fam, "slices"), (["kerbasis"] + fam, "slices"),
             (["d2check"] + fam, "slices"),
+            (["basis"] + fam + ["--degree", "1"], "slices"),
             (["rule", "--kind", "connection", "--order", "2"], "misc"),
             (["genfun", "--upto", "3"], "misc")]:
         loaded, std = _loaded(_LOADED, *argv, "--out", out)
@@ -723,8 +746,12 @@ def test_commands_load_only_their_layers(tmp_path):
         # json, and a command that makes no rational needs no fractions
         assert not std & {"argparse", "__future__"}, argv[0]
         assert ("json" in std) == (group == "jets"), argv[0]
-        if argv[0] in ("d2check", "rule"):
+        if argv[0] in ("d2check", "basis", "rule"):
             assert "fractions" not in std, argv[0]
+        # the cancel-dropping add lives in formal, so sums add without the
+        # elimination
+        if argv[0] in ("d2check", "basis"):
+            assert "linalg" not in loaded, argv[0]
         # its own group of commands, and never the rule oracle
         assert {m for m in loaded if m.startswith("commands")} == {
             "commands", "commands." + group}, argv[0]
