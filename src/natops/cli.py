@@ -97,11 +97,16 @@ MAX_WIRINGS = 1_000_000
 #: Most wirings the degree-0 or the degree-1 slice of ``h0`` and
 #: ``kerbasis`` may build, the two commands that eliminate over Q.  On a
 #: 2-core host the slowest slices it admits, bullet-nabla d = 4 (10 396
-#: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 1.2-2.0 s
-#: for ``h0`` and 1.5-3.9 s for ``kerbasis``; bullet d = 6 (46 656 at
-#: degree 0) takes 116 s for ``h0``, and bullet-nabla-wheel d = 4
-#: (77 996), bullet-nabla-trace d = 4 (648 800) and bullet-nabla-1 d = 5
-#: (729 605) ran for more than 150 s, the last for more than 29 minutes.
+#: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 0.4-0.6 s
+#: for ``h0`` and 0.6-2.7 s for ``kerbasis``.  Past it, ``h0_dimension``
+#: in-process builds and ranks bullet-nabla-wheel d = 4 (77 996 wirings
+#: at degree 0) in 2.9 s, bullet-nabla-trace d = 4 (648 800) in 6.2 s,
+#: bullet-nabla-1 d = 5 (729 605) in 12 s at 78 MB and bullet d = 6
+#: (46 656) in 10 s at 190 MB.  The value stays: bullet-nabla d = 5 has
+#: the same wiring counts as bullet-nabla-1 d = 5 (729 605 and 368 886)
+#: but builds without connectivity pruning and has never been timed, so
+#: a wiring-count bound cannot admit the one without the other, and
+#: ``kerbasis`` at d = 5 would print about 670 MB of JSON.
 MAX_ELIMINATION_WIRINGS = 20_000
 
 

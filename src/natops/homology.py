@@ -5,11 +5,14 @@ holding the coordinates of its differential in the degree-(m+1) basis; a
 differential term missing from the target basis is a fatal completeness
 error.  Everything here is in the one row format of :mod:`natops.linalg`,
 sparse {col: value} dicts holding nonzeros only: the matrix is stored as
-its rows, with the differential's int coefficients kept as ints until the
-elimination divides; kernel vectors come back as {col: Fraction} and
-coordinates as {index: coeff}.  The one sparse exact elimination gives
-ranks, reduced kernel bases and span tests.  The kernel of the degree-0
-differential is the space of natural operators of the family.
+its rows, with the differential's int coefficients.  The one sparse exact
+elimination, fraction-free with the least-used column as each row's
+pivot, gives ranks and span tests on ints alone, so :func:`h0_dimension`
+never makes a Fraction.  Only :func:`kernel_basis` back-substitutes and
+divides: its vectors come back in the reduced form the least-column
+elimination gives, as {col: value} on ints unless one of a vector's
+values is not an integer, and coordinates as {index: coeff}.  The kernel of the
+degree-0 differential is the space of natural operators of the family.
 """
 
 from . import linalg
@@ -105,8 +108,8 @@ def coordinates(x, basis_slice):
 
 def spans(vectors, others):
     """Do ``vectors`` span every vector in ``others`` (exact)?"""
-    echelon = linalg.Echelon(vectors)
-    return not any(echelon.reduce(o) for o in others)
+    elimination = linalg.Elimination(vectors)
+    return not any(elimination.reduce(o) for o in others)
 
 
 def wheel_block_injective(family, d):

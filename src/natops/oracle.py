@@ -42,7 +42,7 @@ from .jets import (
     random_tensor,
     realize,
 )
-from .linalg import Echelon
+from .linalg import Elimination
 
 
 def random_sparse_tensor(rng, n, nfixed, nsym, entries):
@@ -184,10 +184,11 @@ def derive_connection_rule(w, n):
 
     # one row per output index a: the orbit realizations, then the action
     # in the augmented column norb, which turns pivot when no rule matches
+    # (the pivots go in column order, and norb is the last)
     rng = random.Random(repr(("connrule", w, n)))
-    echelon = Echelon()
+    echelon = Elimination(key=int)
     for k in range(40):
-        if len(echelon.rows) == norb or norb in echelon.rows:
+        if len(echelon.pivots) == norb or norb in echelon.cols:
             break
         # sparse draws pin few orbits, and acting on a draw costs more than
         # realizing the orbits at one pick: read each at norb/2 + 1 picks
@@ -207,15 +208,16 @@ def derive_connection_rule(w, n):
                 row = {j: col[a] for j, col in enumerate(cols) if col[a]}
                 row[norb] = delta.get((a,) + ports[:2], ports[2:])
                 echelon.add(row)
-    if norb in echelon.rows:
+    if norb in echelon.cols:
         raise ArithmeticError(
             "no order-%d connection rule matches the jet action" % w)
-    if len(echelon.rows) < norb:
+    if len(echelon.pivots) < norb:
         raise ArithmeticError(
             "singular rule-matching system for w=%d (rule-basis bug)" % w)
+    solution = echelon.reduced()
     rule = FormalSum()
     for j, orbit in enumerate(orbits):
-        coeff = echelon.rows[j].get(norb, 0)
+        coeff = Fraction(solution[j].get(norb, 0), solution[j][j])
         if coeff.denominator != 1:
             raise ArithmeticError(
                 "non-integer connection-rule coefficient %s" % (coeff,))

@@ -1,13 +1,15 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, the reference differential, the connection-count
 split of the differential, the rule template check, the reference
-connectivity filter of wirings, a dense reference elimination, the derived
-connection rules, the realization state sum, the reference polynomial
-layer, the composition and identity of coordinate changes, the reference
-jet transformation law, the dual-number flow derivative, the reference
-series solver, the reference basis-slice encoder and graph keys, the
-reference operad insertion and trace, the reference components and cycles
-of a graph, and the reference initial partition of a vertex tuple."""
+connectivity filter of wirings, the reference sparse elimination (the
+least-column Gauss-Jordan Fraction elimination natops.linalg replaced)
+and a dense one, the derived connection rules, the realization state
+sum, the reference polynomial layer, the composition and identity of
+coordinate changes, the reference jet transformation law, the
+dual-number flow derivative, the reference series solver, the reference
+basis-slice encoder and graph keys, the reference operad insertion and
+trace, the reference components and cycles of a graph, and the reference
+initial partition of a vertex tuple."""
 
 import itertools
 from fractions import Fraction
@@ -16,7 +18,7 @@ from functools import lru_cache
 from natops import io
 from natops.canonical import ZERO
 from natops.complexes import delta_graph
-from natops.formal import FormalSum
+from natops.formal import FormalSum, add_into
 from natops.graphs import (
     ANCHOR,
     CONNECTION,
@@ -455,6 +457,74 @@ def reference_connected(out):
             parent[a] = b
             merged += 1
     return merged >= len(out) - 1
+
+
+def _as_dict(row):
+    """A {col: value} mapping as a new sparse row without its zeros."""
+    return {c: x for c, x in row.items() if x}
+
+
+class Echelon:
+    """Fully reduced sparse pivot rows over Q, keyed by pivot column."""
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in sorted(map(_as_dict, rows), key=len):
+            self.add(row)
+
+    def reduce(self, row):
+        """``row`` minus its components along the pivot rows (a new dict)."""
+        out = _as_dict(row)
+        # pivot rows vanish on every other pivot column, so one pass suffices
+        for c in [c for c in out if c in self.rows]:
+            add_into(out, self.rows[c], -out[c])
+        return out
+
+    def add(self, row):
+        """Reduce ``row`` in; it adds a pivot row unless it reduces to 0."""
+        r = self.reduce(row)
+        if not r:
+            return
+        lead = min(r)
+        inv = 1 / Fraction(r[lead])
+        r = {k: v * inv for k, v in r.items()}
+        for p in self.rows.values():
+            f = p.get(lead)
+            if f:
+                add_into(p, r, -f)
+        self.rows[lead] = r
+
+
+def reference_nullspace(rows, ncols):
+    """Reduced basis of the right kernel of sparse rows over ``ncols``
+    columns, read off :class:`Echelon`: one sparse vector {col: Fraction}
+    per free column, in column order, holding its nonzeros in column order.
+
+    A pivot row c is zero left of c and on every other pivot column, so
+    its entries past c sit on free columns f > c and give the entry -r[f]
+    of f's vector at c; walking the columns in order writes each vector's
+    pivot entries, then its own 1.
+    """
+    pivots = Echelon(rows).rows
+    basis = {f: {} for f in range(ncols) if f not in pivots}
+    for c in range(ncols):
+        if c in basis:
+            basis[c][c] = Fraction(1)
+            continue
+        for f, x in pivots[c].items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())
+
+
+def assert_same_kernel(got, want):
+    """``got`` is the kernel basis ``want`` of :func:`reference_nullspace`
+    vector for vector, with its key order and values, each vector on ints
+    when all its values are integers and on Fractions otherwise."""
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    for v, w in zip(got, want):
+        kind = int if all(y.denominator == 1 for y in w.values()) else Fraction
+        assert all(type(x) is kind for x in v.values())
 
 
 def dense_rref(rows, ncols):

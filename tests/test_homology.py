@@ -20,6 +20,8 @@ from natops.complexes import differential
 from natops import linalg
 
 from .helpers import (
+    Echelon,
+    assert_same_kernel,
     chain_xy,
     chain_yx,
     dense_coordinates,
@@ -27,6 +29,7 @@ from .helpers import (
     dense_nullspace,
     dense_vector,
     nabla_xy,
+    reference_nullspace,
 )
 
 
@@ -65,6 +68,12 @@ def test_h0_wheel_vanishes(d):
     assert h0_dimension("bullet-wheel", d) == 0
 
 
+def test_h0_nabla_trace_4():
+    # 17 291 x 16 796, rank 11 476: 1.3-2.0 s of elimination on a 2-core
+    # host, where the least-column Fraction elimination took minutes
+    assert h0_dimension("bullet-nabla-trace", 4) == 5320
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_wheel_blocks_full_rank(d):
     report = wheel_block_injective("bullet-wheel", d)
@@ -101,6 +110,38 @@ def test_sparse_kernel_matches_dense_reference(fam, d):
     assert [dense_coordinates(x, src) for x in kb] == want
     coords = [coordinates(x, src) for x in kb]
     assert coords == null
+
+
+def _matches_reference(fam, d):
+    """The elimination's rank and kernel equal the reference elimination's
+    on the degree-0 differential of (fam, d); returns whether the two
+    chose different free columns."""
+    mat = delta_matrix(fam, d, 0)
+    rows, n = mat.rows.values(), mat.ncols
+    ref = Echelon(rows).rows
+    want = reference_nullspace(rows, n)
+    assert linalg.rank(rows) == len(ref) == n - len(want)
+    assert_same_kernel(linalg.nullspace(rows, n), want)
+    return set(linalg.Elimination(rows).cols) != set(ref)
+
+
+_RANKED_SLICES = (
+    [("bullet", d) for d in (1, 2, 3, 4, 5)]
+    + [("bullet-connected", d) for d in (1, 2, 3, 4)]
+    + [("bullet-wheel", d) for d in (1, 2, 3, 4)]
+    + [("bullet-nabla-1", d) for d in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("fam,d", _RANKED_SLICES)
+def test_elimination_matches_reference(fam, d):
+    _matches_reference(fam, d)
+
+
+def test_least_used_pivots_leave_other_free_columns():
+    # the reduced basis is then the kernel vectors' reduced form with the
+    # columns reversed, not the vectors the pivots give
+    assert _matches_reference("bullet-nabla", 4)
 
 
 def test_kernel_bullet2_is_bracket_line():

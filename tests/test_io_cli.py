@@ -737,17 +737,20 @@ def test_commands_load_only_their_layers(tmp_path):
             (["natcheck", "--in", str(p), "--dim", "2", "--trials", "1"],
              "jets"),
             (["h0"] + fam, "slices"), (["kerbasis"] + fam, "slices"),
+            (["matrix"] + fam + ["--degree", "0"], "slices"),
             (["d2check"] + fam, "slices"),
             (["basis"] + fam + ["--degree", "1"], "slices"),
             (["rule", "--kind", "connection", "--order", "2"], "misc"),
             (["genfun", "--upto", "3"], "misc")]:
         loaded, std = _loaded(_LOADED, *argv, "--out", out)
         # a plain command line needs no argparse, only a JSON input needs
-        # json, and a command that makes no rational needs no fractions
+        # json, and a command that makes no rational needs no fractions:
+        # the rank of h0 stays on ints, and the kernel of bullet d = 2 is
+        # integral
         assert not std & {"argparse", "__future__"}, argv[0]
         assert ("json" in std) == (group == "jets"), argv[0]
-        if argv[0] in ("d2check", "basis", "rule"):
-            assert "fractions" not in std, argv[0]
+        if argv[0] in ("h0", "kerbasis", "matrix", "d2check", "basis", "rule"):
+            assert not std & {"fractions", "decimal"}, argv[0]
         # the cancel-dropping add lives in formal, so sums add without the
         # elimination
         if argv[0] in ("d2check", "basis"):
@@ -1145,7 +1148,8 @@ _REFUSED_ELIMINATIONS = [("bullet-nabla-wheel", 4), ("bullet-nabla-trace", 4),
 @pytest.mark.parametrize("command", ["h0", "kerbasis"])
 @pytest.mark.parametrize("family,d", _REFUSED_ELIMINATIONS)
 def test_cli_elimination_budget(capsys, command, family, d):
-    """Each slice ran for minutes to hours in its exact elimination."""
+    """Each slice is above the budget, which the comment on
+    ``MAX_ELIMINATION_WIRINGS`` explains, and is refused at once."""
     start = time.perf_counter()
     code, out = _run([command, "--family", family, "--d", str(d)])
     assert time.perf_counter() - start < 1
