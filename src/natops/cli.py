@@ -32,7 +32,6 @@ and ``rule`` never do).
 """
 
 import os
-import signal
 import sys
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -84,13 +83,16 @@ MAX_WORD_LEAVES = 7
 #: take 0.43 s on a 2-core host; a trial of a larger graph costs far more.
 MAX_TRIALS = 1000
 
-#: Largest number of wirings one basis slice may build and canonicalize
-#: (``complexes.wiring_count``, counted before any is built).  The largest
-#: slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605 wirings, 89 185
-#: of them connected, 22 165 graphs), takes about 6 s for ``basis`` on a
-#: 2-core host (8.6 s through json's own encoder), 2.6 s of it
-#: enumeration and most of the rest JSON encoding; its degree 1 (368 886
-#: wirings) takes 4.1 s (6.9 s).  d = 6 has 77 689 746 wirings at degree 0.
+#: Largest number of wirings one basis slice may have
+#: (``complexes.wiring_count``, counted before any is dealt).  The count is
+#: an upper bound on what the slice deals and canonicalizes: the
+#: enumeration deals only the wirings whose runs of equal vertices are in
+#: key order, and in a connected family only the connected ones.  The
+#: largest slice it admits, bullet-nabla-1 d = 5 degree 0 (729 605
+#: wirings, 22 165 of them dealt, one per graph), takes 1.6 s for
+#: ``basis`` on a 2-core host, 0.4 s of it enumeration and most of the rest
+#: JSON encoding; its degree 1 (368 886 wirings, 21 356 dealt) takes 1.5 s.
+#: d = 6 has 77 689 746 wirings at degree 0.
 MAX_WIRINGS = 1_000_000
 
 
@@ -100,12 +102,13 @@ MAX_WIRINGS = 1_000_000
 #: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 0.4-0.6 s
 #: for ``h0`` and 0.6-2.7 s for ``kerbasis``.  Past it, ``h0_dimension``
 #: in-process builds and ranks bullet-nabla-wheel d = 4 (77 996 wirings
-#: at degree 0) in 2.9 s, bullet-nabla-trace d = 4 (648 800) in 6.2 s,
-#: bullet-nabla-1 d = 5 (729 605) in 12 s at 78 MB and bullet d = 6
-#: (46 656) in 10 s at 190 MB.  The value stays: bullet-nabla d = 5 has
+#: at degree 0) in 1.1 s, bullet-nabla-trace d = 4 (648 800) in 2.3 s,
+#: bullet-nabla-1 d = 5 (729 605) in 6.6 s at 78 MB and bullet d = 6
+#: (46 656) in 5.8 s at 190 MB.  The value stays: bullet-nabla d = 5 has
 #: the same wiring counts as bullet-nabla-1 d = 5 (729 605 and 368 886)
-#: but builds without connectivity pruning and has never been timed, so
-#: a wiring-count bound cannot admit the one without the other, and
+#: but builds without connectivity pruning (it deals 160 385 and 163 926
+#: wirings, in 2.4 and 2.2 s) and its elimination has never been timed,
+#: so a wiring-count bound cannot admit the one without the other, and
 #: ``kerbasis`` at d = 5 would print about 670 MB of JSON.
 MAX_ELIMINATION_WIRINGS = 20_000
 
@@ -345,8 +348,12 @@ def main():
     ``sys.settrace``, or, from Python 3.12 on, any tool registered with
     ``sys.monitoring``, through which cProfile profiles there.
     """
-    if hasattr(signal, "SIGPIPE"):
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # _signal, the C module that signal wraps: building signal's enum
+    # classes would cost every process about 0.65 ms
+    import _signal
+
+    if hasattr(_signal, "SIGPIPE"):
+        _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
     code = run()
     if (sys.getprofile() is not None or sys.gettrace() is not None
             or _monitored()):

@@ -29,16 +29,32 @@ vertex's id and n, so they are worked out once per such triple
 (``_PLACED``) and shared by every plan; their edges are the shared pairs
 of :mod:`natops.canonical`.
 
-A basis slice is dealt out as wirings, one source per input slot.  In a
-connected family a partial wiring is dropped as soon as its edges close
-more cycles than a connected graph of the slice holds: with one edge per
-source, that is ``#sources - (#vertices - 1)``, 0 for an anchored slice (a
-tree) and 1 for an anchor-free one (one wheel).  Every wiring that is dealt
-in full is then connected, and no disconnected one is built.
+A basis slice is dealt out as wirings, one source per input slot, slot
+group by slot group in vertex order.  Equal vertices sit at consecutive
+ids: the connections of one order and the whites of one arity each form a
+*run*.  A run member's key is a tuple over its slot groups, in order: the
+sorted sources dealt into each, with every run member written as its
+run's first id.  Only wirings whose run keys do not decrease are dealt,
+and a partial wiring is dropped as soon as a member's last group is
+filled with a key below the previous member's.  No graph is lost:
+swapping two members of a run gives the same graph (up to the sign of
+the white order), permutes their two keys and leaves every other key as
+it was, so the swaps that sort the keys of any wiring reach a dealt one.
+
+In a connected family a partial wiring is also dropped as soon as its
+edges close more cycles than a connected graph of the slice holds: with
+one edge per source, that is ``#sources - (#vertices - 1)``, 0 for an
+anchored slice (a tree) and 1 for an anchor-free one (one wheel).  The
+edge from source s into a slot of v closes a cycle when the walk from v
+along the dealt out-edges ends at s; an edge that closes one is left out
+of the walks, so they run in a forest and end at a root.  Every wiring
+that is dealt in full is then connected, and no disconnected one is
+built.  Swaps keep connectivity and the number of cycles, so the two
+prunings drop no graph between them.
 """
 
-import itertools
 from collections import namedtuple
+from itertools import combinations
 from math import factorial
 
 from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
@@ -116,46 +132,81 @@ def _multisets(total, parts, minimum):
             yield (first,) + tuple(first + c for c in rest)
 
 
-def _assignments(groups, sources, n, cycles=None):
-    """Fill slot groups with distinct sources, one source per slot.
+def _assignments(groups, sources, verts, cycles=None):
+    """Deal the sources out to the slot groups, one source per slot.
 
-    ``groups`` is a list of (owner, slotcode, size); symmetric groups take
-    unordered source subsets.  Yields the out-arrays (length ``n``, None
-    where no source sits) of the wirings, as tuples.  With ``cycles`` set,
-    only the wirings of connected graphs with that many independent
-    cycles: a partial wiring is dropped as soon as its edges close more.
+    ``groups`` is a list of (owner, slotcode, size) in vertex order;
+    symmetric groups take unordered source subsets.  Yields the out-arrays
+    (length ``len(verts)``, None where no source sits) of the wirings
+    whose run keys do not decrease, as tuples (see the module docstring).
+    With ``cycles`` set, only the wirings of connected graphs with that
+    many independent cycles: a partial wiring is dropped as soon as its
+    edges close more.
     """
-    comp = None if cycles is None else list(range(n))
-    yield from _fill(groups, sources, [None] * n, comp, cycles)
-
-
-def _fill(groups, sources, out, comp, spare):
-    # every leaf has dealt out all sources, so ``out`` is overwritten
-    # along each path and never needs resetting.  ``comp`` labels the
-    # components of the edges dealt so far (None: no pruning), and
-    # ``spare`` is the number of cycles they may still close; ``comp`` is
-    # replaced, never mutated, so siblings share their parent's.
+    n = len(verts)
     if not groups:
-        yield tuple(out)
+        yield (None,) * n
         return
-    (owner, code, size), rest = groups[0], groups[1:]
-    tgt = (owner, code)
-    for chosen in itertools.combinations(sources, size):
-        sub, left = comp, spare
-        if comp is not None:
-            root = comp[owner]
+    first = list(range(n))  # the first id of each vertex's run
+    for i in range(1, n):
+        if verts[i] == verts[i - 1]:
+            first[i] = first[i - 1]
+    runs = {r for i, r in enumerate(first) if r != i}
+    # per slot group: its target, owner and size; for a run member the
+    # index of its first group (else None), whether this group is its
+    # last, and whether the previous member's key bounds its own there
+    steps = []
+    for k, (owner, code, size) in enumerate(groups):
+        if first[owner] not in runs:
+            lo = None
+        else:
+            lo = k
+            while lo and groups[lo - 1][0] == owner:
+                lo -= 1
+        last = k + 1 == len(groups) or groups[k + 1][0] != owner
+        steps.append(((owner, code), owner, size, lo,
+                      last and lo is not None, last and first[owner] != owner))
+    out = [None] * n
+    to = [-1] * n  # the edges dealt so far that close no cycle
+    parts = [None] * len(groups)
+    keys = [None] * n
+    end = len(steps) - 1
+
+    def fill(k, sources, spare):
+        tgt, owner, size, lo, done, check = steps[k]
+        for chosen in combinations(sources, size):
+            if lo is not None:
+                parts[k] = tuple([first[s] for s in chosen])
+                if done:
+                    key = keys[owner] = tuple(parts[lo:k + 1])
+                    if check and key < keys[owner - 1]:
+                        continue
+            left = spare
+            if cycles is not None:
+                for s in chosen:
+                    x = owner
+                    while to[x] >= 0:
+                        x = to[x]
+                    if x == s:
+                        left -= 1
+                    else:
+                        to[s] = owner
+                if left < 0:
+                    for s in chosen:
+                        to[s] = -1
+                    continue
             for s in chosen:
-                c = sub[s]
-                if c == root:
-                    left -= 1
-                else:
-                    sub = [root if x == c else x for x in sub]
-            if left < 0:
-                continue
-        for s in chosen:
-            out[s] = tgt
-        remaining = tuple(s for s in sources if s not in chosen)
-        yield from _fill(rest, remaining, out, sub, left)
+                out[s] = tgt
+            if k == end:
+                yield tuple(out)
+            else:
+                yield from fill(k + 1, [s for s in sources if s not in chosen],
+                                left)
+            if cycles is not None:
+                for s in chosen:
+                    to[s] = -1
+
+    yield from fill(0, list(sources), cycles)
 
 
 def enumerate_basis(family, d, m):
@@ -248,7 +299,7 @@ def _wirings(family, d, vs, ws, us):
     verts = tuple(verts)
     whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
     start = start_of(verts)
-    for out in _assignments(groups, sources, len(verts), cycles):
+    for out in _assignments(groups, sources, verts, cycles):
         cg, _ = canonicalize(Graph.from_tuples(verts, out, whites), start)
         if cg is ZERO:
             continue
@@ -328,7 +379,8 @@ def _plan(verts, order):
     (:func:`natops.canonical.start_of`).  Equal vertex tuples and white
     orders of one plan are one object each."""
     plan = []
-    shared = {}
+    tuples = {}
+    orders = {}
     n = len(verts)
     for v, vv in enumerate(verts):
         if vv.kind == ANCHOR:
@@ -346,10 +398,13 @@ def _plan(verts, order):
         rows = []
         for internal, rest, new, coeff, ports, own in _placed(tpl, v, n):
             tverts = head + (internal,) + tail + rest
-            tverts = shared.setdefault(tverts, tverts)
+            # one lookup per row finds the shared tuple and its start
+            entry = tuples.setdefault(tverts, [])
+            if not entry:
+                entry += (tverts, start_of(tverts))
             whites = before + new + after
-            rows.append((tverts, shared.setdefault(whites, whites),
-                         eps * coeff, ports, own, start_of(tverts)))
+            rows.append((entry[0], orders.setdefault(whites, whites),
+                         eps * coeff, ports, own, entry[1]))
         plan.append((v, 2 if vv.kind == CONNECTION else 0, tuple(rows)))
     return tuple(plan)
 

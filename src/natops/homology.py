@@ -13,9 +13,10 @@ divides: its vectors come back in the reduced form the least-column
 elimination gives, as {col: value} on ints unless one of a vector's
 values is not an integer, and coordinates as {index: coeff}.  The kernel of the
 degree-0 differential is the space of natural operators of the family.
+Only the functions that eliminate import :mod:`natops.linalg`, so
+``natops matrix``, which writes the differential, never compiles it.
 """
 
-from . import linalg
 from .canonical import key_bytes
 from .complexes import (
     delta_graph_cached,
@@ -43,7 +44,9 @@ class SparseMatrixQ:
                       for c, v in row.items())
 
     def rank(self):
-        return linalg.rank(self.rows.values())
+        from .linalg import rank
+
+        return rank(self.rows.values())
 
     def __repr__(self):
         return "SparseMatrixQ(%dx%d, %d nonzero)" % (
@@ -81,10 +84,12 @@ def kernel_basis(family, d):
 
     Every returned element is re-verified to have vanishing differential.
     """
+    from .linalg import nullspace
+
     src = enumerate_basis(family, d, 0)
     mat = delta_matrix(family, d, 0, source=src)
     out = []
-    for vec in linalg.nullspace(mat.rows.values(), mat.ncols):
+    for vec in nullspace(mat.rows.values(), mat.ncols):
         # nonzeros on distinct basis graphs: the sum's terms as they are
         s = FormalSum()
         s.terms = {src.graphs[j]: c for j, c in vec.items()}
@@ -108,7 +113,9 @@ def coordinates(x, basis_slice):
 
 def spans(vectors, others):
     """Do ``vectors`` span every vector in ``others`` (exact)?"""
-    elimination = linalg.Elimination(vectors)
+    from .linalg import Elimination
+
+    elimination = Elimination(vectors)
     return not any(elimination.reduce(o) for o in others)
 
 
@@ -118,6 +125,8 @@ def wheel_block_injective(family, d):
     For every wheel length the block of delta keeping that length must
     have full column rank; returns {wheel_length: (rank, ncols)}.
     """
+    from .linalg import rank
+
     family = as_family(family)
     if family.anchored:
         raise ValueError("wheel blocks exist in anchor-free families only")
@@ -133,9 +142,9 @@ def wheel_block_injective(family, d):
                 blocks[src_len[j]].setdefault(i, {})[j] = coeff
     report = {}
     for wlen, rows in sorted(blocks.items()):
-        rank, cols = linalg.rank(rows.values()), src_len.count(wlen)
-        report[wlen] = (rank, cols)
-        if rank != cols:
+        r, cols = rank(rows.values()), src_len.count(wlen)
+        report[wlen] = (r, cols)
+        if r != cols:
             raise AssertionError(
                 "wheel-length-%d block of (%s, d=%d) not injective"
                 % (wlen, family.name, d))

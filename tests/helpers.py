@@ -1,33 +1,35 @@
 """Shared test helpers: canonical small graphs, presentation shuffles, the
 reference canonical form, the reference differential, the connection-count
-split of the differential, the rule template check, the reference
-connectivity filter of wirings, the reference sparse elimination (the
-least-column Gauss-Jordan Fraction elimination natops.linalg replaced)
-and a dense one, the derived connection rules, the realization state
-sum, the reference polynomial layer, the composition and identity of
-coordinate changes, the reference jet transformation law, the
-dual-number flow derivative, the reference series solver, the reference
-basis-slice encoder and graph keys, the reference operad insertion and
-trace, the reference components and cycles of a graph, and the reference
-initial partition of a vertex tuple."""
+split of the differential, the rule template check, the reference dealer
+of wirings with its basis, run keys and connectivity filter, the
+reference sparse elimination (the least-column Gauss-Jordan Fraction
+elimination natops.linalg replaced) and a dense one, the derived
+connection rules, the realization state sum, the reference polynomial
+layer, the composition and identity of coordinate changes, the reference
+jet transformation law, the dual-number flow derivative, the reference
+series solver, the reference basis-slice encoder and graph keys, the
+reference operad insertion and trace, the reference components and cycles
+of a graph, and the reference initial partition of a vertex tuple."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from natops import io
-from natops.canonical import ZERO
-from natops.complexes import delta_graph
+from natops.canonical import ZERO, canonicalize, key_bytes
+from natops.complexes import _arities, _slots, delta_graph
 from natops.formal import FormalSum, add_into
 from natops.graphs import (
     ANCHOR,
     CONNECTION,
+    EMPTY,
     SYM,
     VECTOR,
     WHITE,
     Graph,
     Vertex,
     anchor,
+    as_family,
     connection,
     vector,
 )
@@ -435,9 +437,83 @@ def check_template(t):
     return t
 
 
-# --- the reference connectivity filter ---------------------------------
-# natops.complexes._assignments with a cycle bound is checked against the
-# unpruned fill followed by this filter.
+# --- the reference dealer and connectivity filter ----------------------
+# The dealer natops.complexes._assignments replaced: every wiring, with no
+# swap of equal vertices left out, pruned by a component-label list copied
+# at each merge.  Its cycle bound is checked against the unpruned fill
+# followed by the filter below.
+
+
+def reference_assignments(groups, sources, n, cycles=None):
+    """Fill slot groups with distinct sources, one source per slot.
+
+    ``groups`` is a list of (owner, slotcode, size); symmetric groups take
+    unordered source subsets.  Yields the out-arrays (length ``n``, None
+    where no source sits) of the wirings, as tuples.  With ``cycles`` set,
+    only the wirings of connected graphs with that many independent
+    cycles: a partial wiring is dropped as soon as its edges close more.
+    """
+    comp = None if cycles is None else list(range(n))
+    yield from _reference_fill(groups, sources, [None] * n, comp, cycles)
+
+
+def _reference_fill(groups, sources, out, comp, spare):
+    # every leaf has dealt out all sources, so ``out`` is overwritten
+    # along each path and never needs resetting.  ``comp`` labels the
+    # components of the edges dealt so far (None: no pruning), and
+    # ``spare`` is the number of cycles they may still close; ``comp`` is
+    # replaced, never mutated, so siblings share their parent's.
+    if not groups:
+        yield tuple(out)
+        return
+    (owner, code, size), rest = groups[0], groups[1:]
+    tgt = (owner, code)
+    for chosen in itertools.combinations(sources, size):
+        sub, left = comp, spare
+        if comp is not None:
+            root = comp[owner]
+            for s in chosen:
+                c = sub[s]
+                if c == root:
+                    left -= 1
+                else:
+                    sub = [root if x == c else x for x in sub]
+            if left < 0:
+                continue
+        for s in chosen:
+            out[s] = tgt
+        remaining = tuple(s for s in sources if s not in chosen)
+        yield from _reference_fill(rest, remaining, out, sub, left)
+
+
+def reference_basis(family, d, m):
+    """The graphs of ``enumerate_basis(family, d, m)`` as the reference
+    dealer builds them: every wiring (every connected one in a connected
+    family) canonicalized, deduplicated and sorted by key."""
+    family = as_family(family)
+    found = {EMPTY} if not family.anchored and d == m == 0 else set()
+    for vs, ws, us in _arities(family, d, m):
+        verts, sources, groups = _slots(family, d, vs, ws, us)
+        cycles = len(sources) - (len(verts) - 1) if family.connected else None
+        whites = tuple(i for i, v in enumerate(verts) if v.kind == WHITE)
+        for out in reference_assignments(groups, sources, len(verts), cycles):
+            found.add(canonicalize(Graph(verts, out, whites))[0])
+    found.discard(ZERO)
+    return tuple(sorted(found, key=key_bytes))
+
+
+def run_keys_rise(verts, groups, out):
+    """Do the run keys of the wiring ``out`` not decrease?  A run is a
+    stretch of equal vertices; a member's key is, per slot group in
+    ``groups`` order, the sorted sources dealt into it, each written as
+    the first vertex equal to it."""
+    first = [verts.index(v) for v in verts]
+    keys = {}
+    for owner, code, _ in groups:
+        dealt = sorted(first[s] for s, e in enumerate(out)
+                       if e == (owner, code))
+        keys.setdefault(owner, []).append(dealt)
+    return all(keys[i - 1] <= keys[i] for i in keys if first[i] != i)
 
 
 def reference_connected(out):

@@ -18,10 +18,12 @@ from natops.complexes import (
     wiring_count,
 )
 from natops.formal import FormalSum, combine
+from natops.canonical import canonicalize
 from natops.graphs import (
     CONNECTION,
     EMPTY,
     FAMILIES,
+    WHITE,
     Graph,
     disjoint_union,
     is_connected,
@@ -31,8 +33,11 @@ from .helpers import (
     chain_xy,
     chain_yx,
     nabla_bigrade_split,
+    reference_assignments,
+    reference_basis,
     reference_connected,
     reference_delta_graph,
+    run_keys_rise,
     shuffle_presentation,
     unit,
 )
@@ -225,7 +230,8 @@ def test_wiring_count_counts_the_wirings_built(family, d):
         for vs, ws, us in _arities(fam, d, m):
             verts, sources, groups = _slots(fam, d, vs, ws, us)
             assert sum(size for _, _, size in groups) == len(sources)
-            built += sum(1 for _ in _assignments(groups, sources, len(verts)))
+            built += sum(1 for _ in reference_assignments(groups, sources,
+                                                          len(verts)))
         assert wiring_count(fam, d, m) == built
         if built:
             half = built // 2
@@ -263,7 +269,7 @@ def test_raw_connectivity_matches_is_connected(family, d):
     for m in range(d + 1):
         for vs, ws, us in _arities(fam, d, m):
             verts, sources, groups = _slots(fam, d, vs, ws, us)
-            for out in _assignments(groups, sources, len(verts)):
+            for out in reference_assignments(groups, sources, len(verts)):
                 want = is_connected(Graph(verts, out))
                 assert reference_connected(out) == want
                 seen[want] += 1
@@ -287,12 +293,80 @@ def test_pruned_fill_deals_the_connected_wirings(family, dmax):
                 if sum(size for _, _, size in groups) != len(sources):
                     continue
                 n = len(verts)
-                every = set(_assignments(groups, sources, n))
+                every = set(reference_assignments(groups, sources, n))
                 want = {out for out in every if reference_connected(out)}
                 cycles = len(sources) - (n - 1)
-                got = list(_assignments(groups, sources, n, cycles))
+                got = list(reference_assignments(groups, sources, n, cycles))
                 assert len(got) == len(set(got))
                 assert set(got) == want
                 kept += len(want)
                 dropped += len(every) - len(want)
     assert kept and dropped
+
+def _dealings(fam, d, m):
+    """Per arity multiset of the slice: its vertices, sources, slot
+    groups and the cycle bound of a connected family."""
+    for vs, ws, us in _arities(fam, d, m):
+        verts, sources, groups = _slots(fam, d, vs, ws, us)
+        cycles = len(sources) - (len(verts) - 1) if fam.connected else None
+        yield tuple(verts), sources, groups, cycles
+
+
+# the slices some test of the suite enumerates in-process besides those
+# of SLICES at degrees 0-2, as (d, degree)
+BEYOND = {"bullet": [(3, 3), (4, 3), (4, 4), (5, 0), (5, 1)],
+          "bullet-connected": [(5, 0)],
+          "bullet-wheel": [(3, 3), (4, 3), (4, 4), (5, 0)],
+          "bullet-nabla": [(4, 0), (4, 1)],
+          "bullet-nabla-1": [(4, 0), (4, 1)],
+          "bullet-nabla-wheel": [(3, 3), (4, 0), (4, 1)],
+          "bullet-nabla-trace": [(4, 0), (4, 1)]}
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_basis_matches_reference_dealer(family, dmax):
+    # every slice the suite enumerates, against every wiring of the
+    # reference dealer canonicalized, deduplicated and sorted by key
+    slices = [(d, m) for d in range(dmax + 1) for m in (0, 1, 2)]
+    for d, m in slices + BEYOND[family]:
+        want = reference_basis(family, d, m)
+        assert enumerate_basis(family, d, m).graphs == want, (d, m)
+
+
+@pytest.mark.parametrize("family,dmax", SLICES)
+def test_dealer_keeps_the_wirings_whose_run_keys_rise(family, dmax):
+    # of the reference dealer's wirings, each once, exactly those whose
+    # run keys do not decrease, and between them every canonical graph
+    fam = FAMILIES[family]
+    kept = dropped = 0
+    for d in range(dmax + 1):
+        for m in (0, 1, 2):
+            for verts, sources, groups, cycles in _dealings(fam, d, m):
+                every = set(reference_assignments(groups, sources,
+                                                  len(verts), cycles))
+                got = list(_assignments(groups, sources, verts, cycles))
+                assert len(got) == len(set(got))
+                assert set(got) == {out for out in every
+                                    if run_keys_rise(verts, groups, out)}
+                whites = tuple(i for i, v in enumerate(verts)
+                               if v.kind == WHITE)
+                graphs = [{canonicalize(Graph(verts, out, whites))[0]
+                           for out in outs} for outs in (got, every)]
+                assert graphs[0] == graphs[1]
+                kept += len(got)
+                dropped += len(every) - len(got)
+    assert kept and dropped
+
+
+@pytest.mark.parametrize("family,dealt,every", [("bullet-nabla-1", 844, 1684),
+                                                ("bullet-nabla", 4756, 10396)])
+def test_dealt_wiring_counts(family, dealt, every):
+    # degree 0 at d = 4: the dealer against the reference, which deals
+    # each swap of two equal connections or whites again
+    got = want = 0
+    for verts, sources, groups, cycles in _dealings(FAMILIES[family], 4, 0):
+        got += sum(1 for _ in _assignments(groups, sources, verts, cycles))
+        want += sum(1 for _ in reference_assignments(groups, sources,
+                                                     len(verts), cycles))
+    assert (got, want) == (dealt, every)
+
