@@ -18,23 +18,23 @@ process.  A caller that already holds it passes it in (``start``): the
 differential keeps it in each row of its plans and the basis enumeration
 looks it up once per arity multiset, so neither hashes a vertex tuple per
 graph.  When the initial colours are already distinct, the positions are
-their ranks and nothing is refined.  Each round collects the in-edges of
-the tied vertices it keys on in one pass over the out-map, read as
-colours, so the first round needs no other set-up; most graphs are
-discrete after it, and its colours are then the positions.  That first
-round is tried alone first: it keys each tied vertex by its out-edge and
-collects in-edges only when two out-edges of one cell key alike (for
-the differentials a ``d2check`` of bullet d = 4 or bullet-connected d = 5
-canonicalizes, about one tied cell in three).  Only a tie that survives
-it goes on to the full rounds and the search.  Twin leaves, order-0
-vector vertices without inputs that share a cell and an out-edge, are
-swapped by an automorphism that fixes every white vertex and commutes
-with the refinement, so the search branches on one of them per out-edge:
-k fields feeding one white cost k refinements instead of k! leaves.
-Discrete starts, the memoized partitions, the lone first round, the
-cell-wise rounds and the pruning change how much work is done, never the
-result: the representatives, their vertex order and the signs are those
-of the unpruned search over globally re-ranked colours.
+their ranks and nothing is refined.  Each round keys a tied vertex by
+its out-edge, read as a colour, and only in a cell where two out-edges
+key alike also by its in-edges, which the round collects in one pass
+over the out-map when the first such cell needs them (5 280 of the
+14 418 tied presentations that ``d2check`` canonicalizes for
+bullet-connected d = 5, bullet-wheel d = 4 and bullet d = 4).  So the
+first round needs no other set-up; most graphs are discrete after it,
+and its colours are then the positions.  Only a tie that survives goes
+on to the later rounds and the search.  Twin leaves, order-0 vector
+vertices without inputs that share a cell and an out-edge, are swapped
+by an automorphism that fixes every white vertex and commutes with the
+refinement, so the search branches on one of them per out-edge: k fields
+feeding one white cost k refinements instead of k! leaves.  Discrete
+starts, the memoized partitions, the cell-wise rounds, the in-edges
+read only where out-edges tie, and the pruning change how much work is
+done, never the result: the representatives, their vertex order and the
+signs are those of the unpruned search over globally re-ranked colours.
 
 The input is a presentation: any graph, read through its three fields
 ``vertices``, ``out`` and ``white_order`` only.  The differential and the
@@ -115,62 +115,72 @@ def _pairs(n):
     return _PAIRS
 
 
+#: Slots per vertex: an out-edge ``(target, slot)`` read as colours is the
+#: one int ``colour * _SLOTS + slot``, -1 for none.
+_SLOTS = SYM + 1
+
+
 def _refine(out, colors, cells):
     """Split the tied ``cells`` until the colouring is stable.
 
-    ``colors[i]`` is the position of vertex i's cell, a list the rounds
-    overwrite; ``cells`` lists the cells with more than one member in colour
-    order, each ascending.  A round collects the in-edges of the tied
-    vertices as ``(slot, colour of the source)`` in one pass over the
-    out-map, keys every tied vertex by its colour's out-edge and its sorted
-    in-edges, all read from the previous round, and splits its cell in key
-    order.  Returns the new colours and tied cells.
+    ``colors[i]`` is the position of vertex i's cell; each round reads
+    the last colours and writes a new list.  ``cells`` lists the cells
+    with more than one member in colour order, each ascending.  A round
+    keys every tied vertex by its colour's out-edge and, in a cell where
+    two out-edges key alike, also by its sorted in-edges ``(slot, colour
+    of the source)``, all read from the previous round, and splits its
+    cell in key order.  The in-edges of the tied vertices are collected
+    in one pass over the out-map, at the first cell that needs them.
+    Returns the new colours and tied cells.
     """
     while cells:
-        ins = [None] * len(colors)
-        for cell in cells:
-            for i in cell:
-                ins[i] = []
-        for src, e in enumerate(out):
-            if e is not None:
-                into = ins[e[0]]
-                if into is not None:
-                    into.append((e[1], colors[src]))
+        ins = None
+        new = list(colors)
         tied = []
-        moves = []
+        split = False
         for cell in cells:
             keyed = []
             for i in cell:
                 e = out[i]
-                into = ins[i]
-                into.sort()
-                keyed.append((
-                    (colors[e[0]], e[1]) if e is not None else None, into, i))
-            keyed.sort()
-            first, last = keyed[0], keyed[-1]
-            if first[0] == last[0] and first[1] == last[1]:
-                tied.append(cell)
-                continue
+                keyed.append((colors[e[0]] * _SLOTS + e[1]
+                              if e is not None else -1, i))
             start = colors[cell[0]]
-            run = [first[2]]
+            if len({key for key, _ in keyed}) == len(keyed):
+                keyed.sort()
+                for off, (_, i) in enumerate(keyed):
+                    new[i] = start + off
+                split = True
+                continue
+            if ins is None:
+                ins = [None] * len(colors)
+                for c in cells:
+                    for i in c:
+                        ins[i] = []
+                for src, e in enumerate(out):
+                    if e is not None:
+                        into = ins[e[0]]
+                        if into is not None:
+                            into.append((e[1], colors[src]))
+            keyed = sorted([((key, sorted(ins[i])), i) for key, i in keyed])
+            run = [keyed[0][1]]
             for off in range(1, len(keyed)):
-                cur, prev = keyed[off], keyed[off - 1]
-                if cur[0] != prev[0] or cur[1] != prev[1]:
-                    moves.append((run, start))
+                key, i = keyed[off]
+                if key != keyed[off - 1][0]:
+                    split = True
+                    for j in run:
+                        new[j] = start
                     if len(run) > 1:
                         tied.append(run)
                     start += len(run)
                     run = []
-                run.append(cur[2])
-            moves.append((run, start))
+                run.append(i)
+            for j in run:
+                new[j] = start
             if len(run) > 1:
                 tied.append(run)
-        if not moves:
+        if not split:
             break
-        for run, start in moves:
-            for i in run:
-                colors[i] = start
-        cells = tied
+        colors, cells = new, tied
     return colors, cells
 
 
@@ -197,7 +207,7 @@ def _search(out, twin, colors, cells, leaves):
             if out[v] in tried:
                 continue
             tried.add(out[v])
-        branch = colors[:]
+        branch = list(colors)
         rest = []
         for u in target:
             if u != v:
@@ -228,62 +238,13 @@ def _parity(seq):
     return swaps & 1
 
 
-def _tied(keyed, k):
-    """Do two neighbours in the sorted list ``keyed`` share their first
-    ``k`` entries?"""
-    for a in range(1, len(keyed)):
-        if keyed[a][:k] == keyed[a - 1][:k]:
-            return True
-    return False
-
-
-def _split(out, colors, cells):
-    """The colours after the first round of :func:`_refine` from the
-    initial ``colors`` and tied ``cells``, when that round leaves no tie;
-    else None.  A tied vertex is keyed by its out-edge, then by its
-    in-edges, which are only collected once two out-edges of one cell key
-    alike."""
-    pos = list(colors)
-    ins = None
-    for cell in cells:
-        keyed = []
-        for i in cell:
-            e = out[i]
-            if e is None:  # an anchor's key, left to _refine
-                return None
-            keyed.append((colors[e[0]], e[1], i))
-        keyed.sort()
-        if _tied(keyed, 2):
-            if ins is None:
-                ins = [None] * len(out)
-                for c in cells:
-                    for i in c:
-                        ins[i] = []
-                for src, e in enumerate(out):
-                    if e is not None:
-                        into = ins[e[0]]
-                        if into is not None:
-                            into.append((e[1], colors[src]))
-            keyed = sorted([(c, s, sorted(ins[i]), i) for c, s, i in keyed])
-            if _tied(keyed, 3):
-                return None
-        start = colors[cell[0]]
-        for key in keyed:
-            pos[key[-1]] = start
-            start += 1
-    return pos
-
-
 def _leaf(g, colors, cells):
     """Positions of the first minimal leaf of a graph with tied initial
     ``colors`` and ``cells``, or None when two minimal leaves disagree on
     the parity of the white order.  The first round usually leaves no tie,
-    and its colours are the positions (:func:`_split`)."""
+    and its colours are the positions."""
     out = g.out
-    pos = _split(out, colors, cells)
-    if pos is not None:
-        return pos
-    colors, cells = _refine(out, list(colors), cells)
+    colors, cells = _refine(out, colors, cells)
     if not cells:
         return colors
     fed = {e[0] for e in out if e is not None}

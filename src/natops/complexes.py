@@ -398,10 +398,9 @@ def _plan(verts, order):
         rows = []
         for internal, rest, new, coeff, ports, own in _placed(tpl, v, n):
             tverts = head + (internal,) + tail + rest
-            # one lookup per row finds the shared tuple and its start
-            entry = tuples.setdefault(tverts, [])
-            if not entry:
-                entry += (tverts, start_of(tverts))
+            entry = tuples.get(tverts)
+            if entry is None:
+                entry = tuples[tverts] = (tverts, start_of(tverts))
             whites = before + new + after
             rows.append((entry[0], orders.setdefault(whites, whites),
                          eps * coeff, ports, own, entry[1]))

@@ -116,46 +116,6 @@ def test_canonicalize_matches_reference(monkeypatch, family, dmax):
     _matches_reference(basis, gs)
 
 
-def _first_round_ties(out, colors, cells):
-    """Does one refinement round of the initial ``colors`` leave two
-    vertices of a cell with the same out-edge and in-edges, read as
-    colours?"""
-    for cell in cells:
-        keys = [((colors[out[i][0]], out[i][1]) if out[i] else None,
-                 sorted((e[1], colors[src]) for src, e in enumerate(out)
-                        if e and e[0] == i))
-                for i in cell]
-        if any(keys.count(k) > 1 for k in keys):
-            return True
-    return False
-
-
-@pytest.mark.parametrize("family,dmax", SLICES)
-def test_lone_first_round_matches_refine(monkeypatch, family, dmax):
-    # the first round alone, on every tied presentation the reference
-    # comparison above canonicalizes: the colours of the full refinement
-    # when that round leaves no tie, else None
-    rng = random.Random(family)
-    basis, raw = _presentations(monkeypatch, family, dmax)
-    gs = basis + raw
-    gs += [shuffle_presentation(g, rng)[0] for g in gs]
-    gs += [_all_x(g) for g in gs]
-    seen = {True: 0, False: 0}
-    for g in gs:
-        colors, cells, pos, _ = canonical._start(g.vertices)
-        if pos is not None:
-            continue
-        got = canonical._split(g.out, colors, cells)
-        ties = _first_round_ties(g.out, colors, cells)
-        if got is None:
-            assert ties
-        else:
-            assert not ties
-            assert canonical._refine(g.out, list(colors), cells) == (got, [])
-        seen[ties] += 1
-    assert seen[True] and seen[False]
-
-
 # the d = 5 degree-0 slices of the families without connections, and the
 # raw presentations of their differentials' terms: 47 604 presentations
 D5_BASIS = {"bullet": 3125, "bullet-connected": 625, "bullet-wheel": 1569}

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from natops import cli, complexes, rules
+from natops.canonical import canonicalize
 from natops.complexes import (
     _arities,
     _assignments,
@@ -18,7 +19,6 @@ from natops.complexes import (
     wiring_count,
 )
 from natops.formal import FormalSum, combine
-from natops.canonical import canonicalize
 from natops.graphs import (
     CONNECTION,
     EMPTY,
@@ -303,6 +303,7 @@ def test_pruned_fill_deals_the_connected_wirings(family, dmax):
                 dropped += len(every) - len(want)
     assert kept and dropped
 
+
 def _dealings(fam, d, m):
     """Per arity multiset of the slice: its vertices, sources, slot
     groups and the cycle bound of a connected family."""
@@ -369,4 +370,3 @@ def test_dealt_wiring_counts(family, dealt, every):
         want += sum(1 for _ in reference_assignments(groups, sources,
                                                      len(verts), cycles))
     assert (got, want) == (dealt, every)
-
