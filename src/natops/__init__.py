@@ -49,7 +49,6 @@ _EXPORTS = {
         "delta_matrix",
         "h0_dimension",
         "kernel_basis",
-        "wheel_block_injective",
     ),
     "jets": (
         "CoordinateChange",
@@ -70,7 +69,6 @@ _EXPORTS = {
         "trace_sum",
         "unit_graph",
     ),
-    "oracle": ("derive_connection_rule", "infinitesimal_action"),
     "rules": (
         "replace_connection",
         "replace_vectorfield",

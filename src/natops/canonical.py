@@ -87,11 +87,6 @@ _SHARED = {}
 #: Its entries are tuples, which nothing mutates.
 _STARTS = {}
 
-#: The colour key ``(kind, order, label or "")`` of every vertex
-#: :func:`_start` has met, kept as long as the process: one tuple per
-#: distinct vertex, shared by every vertex tuple it appears in.
-_INIT_KEYS = {}
-
 #: ``_PAIRS[p][s]`` is the shared edge ``(p, s)`` into position p, slot s.
 _PAIRS = []
 
@@ -275,14 +270,7 @@ def _start(verts):
     tuple, or None when a cell holds unequal vertices (an unlabelled and an
     empty-labelled field), whose order only the leaf decides."""
     n = len(verts)
-    keys = _INIT_KEYS
-    try:
-        init = [keys[v] for v in verts]
-    except KeyError:
-        for v in verts:
-            if v not in keys:
-                keys[v] = (v.kind, v.order, v.label or "")
-        init = [keys[v] for v in verts]
+    init = [(v.kind, v.order, v.label or "") for v in verts]
     inv = sorted(range(n), key=init.__getitem__)
     colors = [0] * n
     cells = []

@@ -158,6 +158,8 @@ def _read_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise io.SchemaError(str(e))
+    except RecursionError:
+        raise io.SchemaError("JSON input nests too deeply") from None
 
 
 def _unwritable(out, reason):

@@ -327,11 +327,6 @@ def disjoint_union(a, b):
     return Graph(verts, outs, order)
 
 
-def wheel_length(g):
-    """Number of vertices on the unique wheel of an anchor-free graph."""
-    return sum(map(len, cycles(g)))
-
-
 def relabel(g, mapping):
     """Return g with vector labels replaced through ``mapping`` (a dict)."""
     verts = tuple(

@@ -1,9 +1,10 @@
 """Exact rational linear algebra on graded basis slices.
 
 The differential matrix of a slice has one column per degree-m basis graph
-holding the coordinates of its differential in the degree-(m+1) basis; a
-differential term missing from the target basis is a fatal completeness
-error.  Everything here is in the one row format of :mod:`natops.linalg`,
+holding the coordinates of its differential in the degree-(m+1) basis.
+The target is always the enumerated degree-(m+1) slice, so a differential
+term missing from it means the enumeration lost a graph: a fatal
+completeness error.  Everything here is in the one row format of :mod:`natops.linalg`,
 sparse {col: value} dicts holding nonzeros only: the matrix is stored as
 its rows, with the differential's int coefficients.  The one sparse exact
 elimination, fraction-free with the least-used column as each row's
@@ -24,7 +25,7 @@ from .complexes import (
     enumerate_basis,
 )
 from .formal import FormalSum
-from .graphs import as_family, wheel_length
+from .graphs import as_family
 
 
 class BasisIncompleteError(RuntimeError):
@@ -53,11 +54,13 @@ class SparseMatrixQ:
             self.nrows, self.ncols, sum(map(len, self.rows.values())))
 
 
-def delta_matrix(family, d, m, source=None, target=None):
-    """Exact matrix of the differential from degree m to m+1."""
+def delta_matrix(family, d, m, source=None):
+    """Exact matrix of the differential from degree m to m+1, on the
+    degree-m slice ``source`` (enumerated when None) and the enumerated
+    degree-(m+1) slice."""
     family = as_family(family)
     src = source if source is not None else enumerate_basis(family, d, m)
-    tgt = target if target is not None else enumerate_basis(family, d, m + 1)
+    tgt = enumerate_basis(family, d, m + 1)
     index = {g: i for i, g in enumerate(tgt.graphs)}
     mat = SparseMatrixQ(len(tgt.graphs), len(src.graphs))
     rows = mat.rows
@@ -117,35 +120,3 @@ def spans(vectors, others):
 
     elimination = Elimination(vectors)
     return not any(elimination.reduce(o) for o in others)
-
-
-def wheel_block_injective(family, d):
-    """Check the wheel-length-preserving degree-0 differential blockwise.
-
-    For every wheel length the block of delta keeping that length must
-    have full column rank; returns {wheel_length: (rank, ncols)}.
-    """
-    from .linalg import rank
-
-    family = as_family(family)
-    if family.anchored:
-        raise ValueError("wheel blocks exist in anchor-free families only")
-    src = enumerate_basis(family, d, 0)
-    tgt = enumerate_basis(family, d, 1)
-    mat = delta_matrix(family, d, 0, source=src, target=tgt)
-    src_len = [wheel_length(g) for g in src.graphs]
-    tgt_len = [wheel_length(g) for g in tgt.graphs]
-    blocks = {wlen: {} for wlen in src_len}
-    for i, row in mat.rows.items():
-        for j, coeff in row.items():
-            if tgt_len[i] == src_len[j]:
-                blocks[src_len[j]].setdefault(i, {})[j] = coeff
-    report = {}
-    for wlen, rows in sorted(blocks.items()):
-        r, cols = rank(rows.values()), src_len.count(wlen)
-        report[wlen] = (r, cols)
-        if r != cols:
-            raise AssertionError(
-                "wheel-length-%d block of (%s, d=%d) not injective"
-                % (wlen, family.name, d))
-    return report

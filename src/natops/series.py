@@ -87,16 +87,6 @@ class Series:
             out[k] = s / k
         return Series(out)
 
-    def compose(self, inner):
-        """self(inner(t)); inner must kill the constant term."""
-        if inner.coeffs[0]:
-            raise ValueError("composition needs inner constant term zero")
-        n = min(self.order, inner.order)
-        acc = Series([self[n]], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner + Series([self[k]], n)
-        return Series(acc.coeffs, n)
-
     def __repr__(self):
         bits = ["%s t^%d" % (c, k) for k, c in enumerate(self.coeffs) if c]
         return "Series(" + (" + ".join(bits) if bits else "0") + ")"

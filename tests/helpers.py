@@ -7,15 +7,19 @@ elimination natops.linalg replaced) and a dense one, the derived
 connection rules, the realization state sum, the reference polynomial
 layer, the composition and identity of coordinate changes, the reference
 jet transformation law, the dual-number flow derivative, the reference
-series solver, the reference basis-slice encoder and graph keys, the
-reference operad insertion and trace, the reference components and cycles
-of a graph, and the reference initial partition of a vertex tuple."""
+series solver, the generating-function cross-checks (the rooted-tree
+recursion, series composition and the quadratic-dual identity), the
+reference basis-slice encoder and graph keys, the reference operad
+insertion and trace, the reference components and cycles of a graph, the
+wheel-length block check of the differential, and the reference initial
+partition of a vertex tuple."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from natops import io
+from natops import homology, io
 from natops.canonical import ZERO, canonicalize, key_bytes
 from natops.complexes import _arities, _slots, delta_graph
 from natops.formal import FormalSum, add_into
@@ -31,6 +35,7 @@ from natops.graphs import (
     anchor,
     as_family,
     connection,
+    cycles,
     vector,
 )
 from natops.jets import (
@@ -42,7 +47,7 @@ from natops.jets import (
     _fact_of_exps,
     jet_order,
 )
-from natops.linalg import mat_inv
+from natops.linalg import mat_inv, rank
 from natops.operad import arity
 from natops.oracle import derive_connection_rule
 from natops.rules import OUT, rule_for
@@ -1062,6 +1067,72 @@ def reference_solve_fixed_coefficients(residual_fn, order):
     return f
 
 
+def g_recursion(N):
+    """g_1..g_N by the direct recursion (seeded with g_1 = 1), a route to
+    the dimension sequence independent of natops.genfun's functional
+    equation.
+
+    g_{n+1}/(n+1)! collects rooted-tree contributions: compositions of n
+    weighted 1/s!, plus compositions of n+1 weighted (s(s-1)-1)/s! for
+    s >= 2, each composition contributing the product of g_i/i! over its
+    parts.  The sum over compositions of m into s parts is built up one
+    first part at a time and kept, so the whole sequence costs O(N^3)
+    products.  Asserts integrality of every term of the sequence.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    a = {1: Fraction(1)}  # a[i] = g_i / i!
+    # comp[s, m]: sum over compositions of m into s parts of prod a[part]
+    comp = {(1, 1): a[1]}
+    for n in range(1, N):
+        m = n + 1
+        # parts of m into s >= 2 pieces are at most n, so a[1..n] suffice
+        for s in range(2, m + 1):
+            comp[s, m] = sum((a[i] * comp[s - 1, m - i]
+                              for i in range(1, m - s + 2)), Fraction(0))
+        total = sum((comp[s, n] / factorial(s) for s in range(1, n + 1)),
+                    Fraction(0))
+        total += sum((comp[s, m] * (s * (s - 1) - 1) / factorial(s)
+                      for s in range(2, m + 1)), Fraction(0))
+        a[m] = comp[1, m] = total
+    out = []
+    for d in range(1, N + 1):
+        g = a[d] * factorial(d)
+        if g.denominator != 1:
+            raise ArithmeticError("non-integer dimension g_%d = %s" % (d, g))
+        out.append(int(g))
+    return out
+
+
+def series_compose(outer, inner):
+    """outer(inner(t)) by Horner's rule; inner must kill the constant
+    term."""
+    if inner.coeffs[0]:
+        raise ValueError("composition needs inner constant term zero")
+    n = min(outer.order, inner.order)
+    acc = Series([outer[n]], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + Series([outer[k]], n)
+    return Series(acc.coeffs, n)
+
+
+def q_series(N):
+    """The quadratic-dual series exp(t) - 1 + t^2."""
+    t = Series.t(N)
+    return t.exp() - Series([1], N) + t * t
+
+
+def dual_consistency(g):
+    """Check q(-g(t)) + t = 0 through the order of the solved series ``g``
+    (natops.genfun.g_series); returns True or raises."""
+    N = g.order
+    t = Series.t(N)
+    r = series_compose(q_series(N), -g) + t
+    if not r.is_zero():
+        raise ArithmeticError("quadratic-dual identity fails: %r" % r)
+    return True
+
+
 def reference_slice_to_obj(bs):
     """The JSON object tree of a whole basis slice, every graph's dict
     built before any is written.  natops.io.slice_to_obj, which io.dump
@@ -1284,3 +1355,41 @@ def reference_cycles(g):
         left -= set(cycle)
         cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def wheel_length(g):
+    """Number of vertices on the unique wheel of an anchor-free graph."""
+    return sum(map(len, cycles(g)))
+
+
+def wheel_block_injective(family, d):
+    """Check the wheel-length-preserving degree-0 differential blockwise.
+
+    For every wheel length the block of delta keeping that length must
+    have full column rank; returns {wheel_length: (rank, ncols)}.  Both
+    slices come from ``homology.enumerate_basis``, the one
+    ``homology.delta_matrix`` reads, so a test that truncates it there
+    truncates the matrix's target too.
+    """
+    family = as_family(family)
+    if family.anchored:
+        raise ValueError("wheel blocks exist in anchor-free families only")
+    src = homology.enumerate_basis(family, d, 0)
+    tgt = homology.enumerate_basis(family, d, 1)
+    mat = homology.delta_matrix(family, d, 0, source=src)
+    src_len = [wheel_length(g) for g in src.graphs]
+    tgt_len = [wheel_length(g) for g in tgt.graphs]
+    blocks = {wlen: {} for wlen in src_len}
+    for i, row in mat.rows.items():
+        for j, coeff in row.items():
+            if tgt_len[i] == src_len[j]:
+                blocks[src_len[j]].setdefault(i, {})[j] = coeff
+    report = {}
+    for wlen, rows in sorted(blocks.items()):
+        r, cols = rank(rows.values()), src_len.count(wlen)
+        report[wlen] = (r, cols)
+        if r != cols:
+            raise AssertionError(
+                "wheel-length-%d block of (%s, d=%d) not injective"
+                % (wlen, family.name, d))
+    return report

@@ -14,14 +14,13 @@ from natops.complexes import (
     enumerate_basis,
 )
 from natops.formal import FormalSum, combine
-from natops.genfun import dual_consistency, g_functional, g_recursion, g_series
+from natops.genfun import g_functional, g_series
 from natops.graphs import CONNECTION
 from natops.homology import (
     coordinates,
     h0_dimension,
     kernel_basis,
     spans,
-    wheel_block_injective,
 )
 from natops.jets import naturality_check, random_jet_data, realize
 from natops.operad import (
@@ -35,7 +34,16 @@ from natops.operad import (
 )
 from natops.oracle import connection_probe
 
-from .helpers import chain_xy, chain_yx, derived_rule, nabla_xy, trace_pair
+from .helpers import (
+    chain_xy,
+    chain_yx,
+    derived_rule,
+    dual_consistency,
+    g_recursion,
+    nabla_xy,
+    trace_pair,
+    wheel_block_injective,
+)
 
 
 def _report(num, ok, text):

@@ -300,12 +300,11 @@ def test_key_bytes_matches_reference(family, dmax):
 
 
 def test_start_of_matches_reference(monkeypatch):
-    # fresh starts, vertex keys and plans, so that every entry is made here:
+    # fresh starts and plans, so that every entry is made here:
     # the vertex tuples of every basis graph of SLICES at degrees 0-2, and
     # those of the plan rows of their differentials
     monkeypatch.setattr(complexes, "_PLANS", {})
     monkeypatch.setattr(canonical, "_STARTS", {})
-    monkeypatch.setattr(canonical, "_INIT_KEYS", {})
     tuples = set()
     for family, dmax in SLICES:
         for g in basis_graphs(family, dmax):
@@ -321,8 +320,6 @@ def test_start_of_matches_reference(monkeypatch):
     every = tuples | rows | odd
     for verts in every:
         assert start_of(verts) == reference_start(verts)
-    # one key per distinct vertex, shared by every tuple it appears in
-    assert len(canonical._INIT_KEYS) == len({v for t in every for v in t})
 
 
 def test_plan_rows_hold_the_start_of_their_vertex_tuple(monkeypatch):

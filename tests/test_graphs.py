@@ -21,7 +21,6 @@ from natops.graphs import (
     validate,
     vector,
     white,
-    wheel_length,
 )
 
 from .helpers import (
@@ -32,6 +31,7 @@ from .helpers import (
     reference_wheel_vertices,
     shuffle_presentation,
     unit,
+    wheel_length,
 )
 
 

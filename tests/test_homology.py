@@ -14,7 +14,6 @@ from natops.homology import (
     kernel_basis,
     spans,
     coordinates,
-    wheel_block_injective,
 )
 from natops.complexes import differential
 from natops import linalg
@@ -30,6 +29,7 @@ from .helpers import (
     dense_vector,
     nabla_xy,
     reference_nullspace,
+    wheel_block_injective,
 )
 
 
@@ -179,16 +179,8 @@ def test_disconnected_classes_contribute_nothing(d):
     assert h0_dimension("bullet", d) == h0_dimension("bullet-connected", d)
 
 
-def test_incomplete_basis_is_fatal():
-    src = enumerate_basis("bullet", 2, 0)
-    broken = enumerate_basis("bullet", 2, 1)._replace(
-        graphs=enumerate_basis("bullet", 2, 1).graphs[:1]
-    )
-    with pytest.raises(BasisIncompleteError):
-        delta_matrix("bullet", 2, 0, source=src, target=broken)
-
-
-def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
+def _truncate_degree_one(monkeypatch):
+    """Cut every degree-1 slice homology enumerates to its first graph."""
     from natops import homology
 
     def truncated(family, d, m):
@@ -196,5 +188,15 @@ def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
         return bs._replace(graphs=bs.graphs[:1]) if m == 1 else bs
 
     monkeypatch.setattr(homology, "enumerate_basis", truncated)
+
+
+def test_incomplete_basis_is_fatal(monkeypatch):
+    _truncate_degree_one(monkeypatch)
+    with pytest.raises(BasisIncompleteError):
+        delta_matrix("bullet", 2, 0)
+
+
+def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
+    _truncate_degree_one(monkeypatch)
     with pytest.raises(BasisIncompleteError):
         wheel_block_injective("bullet-wheel", 2)

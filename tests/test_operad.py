@@ -26,7 +26,11 @@ from natops.operad import (
     unit_graph,
 )
 
-from .helpers import reference_monomial_compose, reference_trace_map
+from .helpers import (
+    reference_monomial_compose,
+    reference_trace_map,
+    wheel_length,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -307,8 +311,6 @@ def test_trace_through_connection_slot():
     t = trace_map(g)
     assert t.count("connection") == 1
     assert not t.has_anchor()
-    from natops.graphs import wheel_length
-
     assert wheel_length(t) == 1
 
 
