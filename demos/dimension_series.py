@@ -2,8 +2,9 @@
 """Dimension series two ways: functional equation and homology.
 
 The sequence 1, 3, 26, 376, ... counts independent operators built from
-covariant derivatives and brackets.  A coefficient-by-coefficient solution
-of exp(g)(1 - t - g^2) = 1 gives it as plain integers, and its first four
+covariant derivatives and brackets.  It is g_d = d! [t^d] g for the
+power series g solving exp(g)(1 - t - g^2) = 1, and an integer recurrence
+for these coefficients gives it with no fractions.  Its first four
 values must equal the degree-0 kernel dimensions of the bullet-nabla-1
 graph complex, computed by exact linear algebra: the check that the
 series counts the operators.

@@ -67,10 +67,19 @@ MAX_JET_WORK = 20_000_000
 #: ``MAX_JET_WORK`` are admitted and run for hours.
 MAX_NATCHECK_WORK = 25 * MAX_JET_WORK
 
-#: Largest ``genfun --upto``.  The series grows like N^4 in exact rational
-#: products: --upto 40 prints in about 0.35 s, 60 in 1.2 s and 100 in 4.6 s.
-#: Its cross-checks, the recursion and the dual identity, run in the tests
-#: up to this cap, not on every run.
+#: Most monomials one ``compose`` may build (``operad.monomial_count``,
+#: counted before any is built).  X1 of order 7 fed by X2..X8, composed in
+#: slot 1 with X1 of order 4 fed by X2..X5, builds 5^7 = 78 125 of them:
+#: the command takes 13 s and peaks at 650 MB on a 2-core host, 2.2 s of
+#: it in ``operad.compose`` and most of the rest encoding the output.
+#: Order 8 would build five times as many.  The largest compose of the
+#: tests, at the ``lie-expand`` leaf cap, builds 5 040.
+MAX_COMPOSE_MONOMIALS = 100_000
+
+#: Largest ``genfun --upto``.  The integer recurrence takes under 1 ms at
+#: 40; the cap stays because the cross-checks of its values, the
+#: rooted-tree recursion and the dual identity, run in the tests up to it,
+#: not on every run.
 MAX_UPTO = 40
 
 #: Most leaves of a ``lie-expand`` word.  Each further letter multiplies

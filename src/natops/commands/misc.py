@@ -11,7 +11,7 @@ def cmd_genfun(args):
     if args.upto > cli.MAX_UPTO:
         raise ValueError("--upto must be <= %d (the series cost grows like "
                          "N^4)" % cli.MAX_UPTO)
-    rows = genfun.table(genfun.g_series(args.upto))
+    rows = genfun.table(genfun.g_functional(args.upto))
     cli._write({"schema": io.SCHEMA,
                 "rows": [{"d": d, "g": g, "lie": lie} for d, g, lie in rows]},
                args.out)

@@ -6,6 +6,12 @@ from .. import cli, io, operad
 def cmd_compose(args):
     a = io.obj_to_sum(cli._read_json(args.infile))
     b = io.obj_to_sum(cli._read_json(args.withfile))
+    count = operad.monomial_count(a, args.slot, b)
+    if count > cli.MAX_COMPOSE_MONOMIALS:
+        raise ValueError("compose would build %d monomials, more than %d "
+                         "(r**k per pair of terms for r receivers and k "
+                         "inputs of the slot)"
+                         % (count, cli.MAX_COMPOSE_MONOMIALS))
     cli._write(io.sum_to_obj(operad.compose(a, args.slot, b)), args.out)
     return 0
 

@@ -25,9 +25,8 @@ the term's vertex tuple, white order and coefficient, where each boundary
 port enters, the internals' own edges, and the canonical start of the
 vertex tuple, which is handed to :func:`canonicalize` with every term.
 The port maps and internal edges depend only on the rule, the replaced
-vertex's id and n, so they are worked out once per such triple
-(``_PLACED``) and shared by every plan; their edges are the shared pairs
-of :mod:`natops.canonical`.
+vertex's id and n (:func:`_placed`); :func:`canonicalize` maps every edge
+to its shared pair when it builds the output.
 
 A basis slice is dealt out as wirings, one source per input slot, slot
 group by slot group in vertex order.  Equal vertices sit at consecutive
@@ -57,7 +56,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import factorial
 
-from .canonical import ZERO, _pairs, canonicalize, key_bytes, start_of
+from .canonical import ZERO, canonicalize, key_bytes, start_of
 from .formal import FormalSum, add_into, as_sum
 from .graphs import (
     ANCHOR,
@@ -323,13 +322,6 @@ def delta_graph_cached(g):
     return hit
 
 
-#: The terms of each rule template placed at vertex v of an n-vertex
-#: graph (see :func:`_placed`), keyed by ``(id(template), v, n)`` beside
-#: the template itself, which keeps that id from being reused; kept as
-#: long as the process, as the plans are.
-_PLACED = {}
-
-
 def _placed(tpl, v, n):
     """Per term of the rule template ``tpl`` replacing vertex v of a graph
     of n vertices: ``(internal, rest, new whites, coeff, ports, own)``.
@@ -338,27 +330,21 @@ def _placed(tpl, v, n):
     their order in the term.  ``new whites`` are the ids of the internal
     whites in rank order; ``ports`` gives, per boundary port of v, the
     ``(id, slot)`` it enters and ``own`` the out-edges of the rest, in id
-    order, all as shared pairs of ``canonical._PAIRS``."""
-    hit = _PLACED.get((id(tpl), v, n))
-    if hit is not None:
-        return hit[1]
+    order."""
     terms = []
     for term in tpl.terms:
         iout = term.iout
         jout = iout.index(OUT)
         ids = [v if j == jout else n + j - (j > jout)
                for j in range(len(iout))]
-        pairs = _pairs(n + len(iout) - 1)
         internals = term.internals
         ranked = sorted((r, ids[j]) for j, r in enumerate(term.ranks)
                         if r is not None)
         terms.append((
             internals[jout], internals[:jout] + internals[jout + 1:],
             tuple(w for _, w in ranked), term.coeff,
-            tuple(pairs[ids[j]][s] for j, s in term.ports),
-            tuple(pairs[ids[t[0]]][t[1]] for t in iout if t != OUT)))
-    terms = tuple(terms)
-    _PLACED[id(tpl), v, n] = (tpl, terms)
+            tuple((ids[j], s) for j, s in term.ports),
+            tuple((ids[t[0]], t[1]) for t in iout if t != OUT)))
     return terms
 
 
@@ -374,13 +360,9 @@ def _plan(verts, order):
     ports, own, start)``: the term's vertex tuple; its white order, the
     internal whites in rank order spliced where v stood, or ahead of all
     for a non-white v; per boundary port of v, the ``(id, slot)`` it
-    enters, and the out-edges of the other internals, as shared pairs of
-    ``canonical._PAIRS``; and the canonical start of the vertex tuple
-    (:func:`natops.canonical.start_of`).  Equal vertex tuples and white
-    orders of one plan are one object each."""
+    enters, and the out-edges of the other internals; and the canonical
+    start of the vertex tuple (:func:`natops.canonical.start_of`)."""
     plan = []
-    tuples = {}
-    orders = {}
     n = len(verts)
     for v, vv in enumerate(verts):
         if vv.kind == ANCHOR:
@@ -398,12 +380,8 @@ def _plan(verts, order):
         rows = []
         for internal, rest, new, coeff, ports, own in _placed(tpl, v, n):
             tverts = head + (internal,) + tail + rest
-            entry = tuples.get(tverts)
-            if entry is None:
-                entry = tuples[tverts] = (tverts, start_of(tverts))
-            whites = before + new + after
-            rows.append((entry[0], orders.setdefault(whites, whites),
-                         eps * coeff, ports, own, entry[1]))
+            rows.append((tverts, before + new + after, eps * coeff, ports,
+                         own, start_of(tverts)))
         plan.append((v, 2 if vv.kind == CONNECTION else 0, tuple(rows)))
     return tuple(plan)
 

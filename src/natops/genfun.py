@@ -1,59 +1,48 @@
 """Generating-function arithmetic for operator-space dimensions.
 
-The dimension sequence of the connection-and-vector-field operator spaces
-comes from one route: a coefficient-by-coefficient solution of the
-functional equation  exp(g) * (1 - t - g^2) = 1, reported as plain
-integers.  The same machinery yields the factorial dimensions (d-1)! of
-the bracket-only operators.  The tests check the solved series against a
-direct rooted-tree recursion and the quadratic-dual identity
-q(-g(t)) = -t with q(t) = exp(t) - 1 + t^2, and against the degree-0
-kernel dimensions of the graph complex.
+The dimension g_d of the connection-and-vector-field operator space of
+multilinearity d is d! [t^d] g for the EGF g solving
+exp(g) * (1 - t - g^2) = 1, and the factorial dimensions (d-1)! of the
+bracket-only operators come likewise from l solving exp(l) * (1 - t) = 1.
+Both come from one integer recurrence for the coefficients
+f_n = n! [t^n] f: with e_n = n! [t^n] exp(-f), e_0 = 1, differentiating
+gives  (exp(-f))' = -f' exp(-f), so
+
+    f_n = -e_n - sum_{k=0}^{n-2} C(n-1, k) f_{k+1} e_{n-1-k},
+
+and each equation fixes e_n from f_1 .. f_{n-1}.  The values are
+integers by construction.  The tests check g against a direct
+rooted-tree recursion, the functional equation's residual, the
+quadratic-dual identity q(-g(t)) = -t with q(t) = exp(t) - 1 + t^2, and
+the degree-0 kernel dimensions of the graph complex.
 """
 
-from math import factorial
-
-from .series import Series, solve_fixed_coefficients
+from math import comb, factorial
 
 
-def g_series(N):
-    """EGF solution of exp(g) (1 - t - g^2) = 1 truncated at t^N."""
-    t = Series.t(N)
-
-    def residual(f):
-        # exp(-g) + g^2 + t - 1 vanishes iff the functional equation holds
-        return (-f).exp() + f * f + t - Series([1], N)
-
-    return solve_fixed_coefficients(residual, N)
+def _solve(N, known):
+    """f_1..f_N of the EGF f, where ``known(f, n)`` gives
+    e_n = n! [t^n] exp(-f) from the list f = [0, f_1, .., f_{n-1}]."""
+    f, e = [0], [1]
+    for n in range(1, N + 1):
+        e.append(known(f, n))
+        f.append(-e[n] - sum(comb(n - 1, k) * f[k + 1] * e[n - 1 - k]
+                             for k in range(n - 1)))
+    return f[1:]
 
 
 def g_functional(N):
-    """g_1..g_N from the functional equation; exact, integer-checked."""
-    return _dimensions(g_series(N))
-
-
-def _dimensions(f):
-    """d! times the t^d coefficient of the EGF ``f`` for d = 1..its order."""
-    out = []
-    for d in range(1, f.order + 1):
-        v = f[d] * factorial(d)
-        if v.denominator != 1:
-            raise ArithmeticError("non-integer dimension at d=%d" % d)
-        out.append(int(v))
-    return out
+    """g_1..g_N: exp(-g) = 1 - t - g^2."""
+    return _solve(N, lambda g, n: -(n == 1) - sum(
+        comb(n, k) * g[k] * g[n - k] for k in range(1, n)))
 
 
 def lie_dimensions(N):
     """Dimensions of the bracket-only operator spaces via the dual of the
-    one-commutative-product equation: exp(-l) - 1 + t = 0."""
-    t = Series.t(N)
-
-    def residual(f):
-        return (-f).exp() - Series([1], N) + t
-
-    return _dimensions(solve_fixed_coefficients(residual, N))
+    one-commutative-product equation: exp(-l) = 1 - t."""
+    return _solve(N, lambda f, n: -(n == 1))
 
 
 def table(g):
-    """Rows (d, g_d, (d-1)!) for the CLI, from the solved series ``g``."""
-    return [(d, gd, factorial(d - 1))
-            for d, gd in enumerate(_dimensions(g), 1)]
+    """Rows (d, g_d, (d-1)!) for the CLI, from the list g_1, g_2, ..."""
+    return [(d, gd, factorial(d - 1)) for d, gd in enumerate(g, 1)]

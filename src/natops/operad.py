@@ -23,6 +23,7 @@ covariant-derivative cocycle.
 
 import itertools
 import re
+from collections import Counter
 
 from .formal import FormalSum, as_sum, combine
 from .graphs import (
@@ -44,9 +45,9 @@ def arity(x):
     """Common multilinearity of a degree-0 operad element."""
     ds = set()
     for g, _ in as_sum(x):
-        labs = g.labels()
+        labs = g.labels()  # sorted as strings: X1, X10, X2, ...
         d = len(labs)
-        if labs != ["X%d" % i for i in range(1, d + 1)]:
+        if labs != sorted("X%d" % i for i in range(1, d + 1)):
             raise ValueError("operad elements carry labels X1..Xd")
         ds.add(d)
     if len(ds) != 1:
@@ -85,13 +86,33 @@ def covariant_element():
     return combine(FormalSum.of(nabla_graph()), FormalSum.of(p_graph()), 1, 1)
 
 
+def _slot_inputs(g1, i):
+    """The vertex labelled X_i of g1 (None if there is none) and the
+    sources of its inputs."""
+    slot = next((k for k, x in enumerate(g1.vertices)
+                 if x.kind == VECTOR and x.label == "X%d" % i), None)
+    return slot, [k for k, e in enumerate(g1.out)
+                  if e is not None and e[0] == slot]
+
+
+def _receivers(g2):
+    return [k for k, x in enumerate(g2.vertices)
+            if x.kind in (VECTOR, CONNECTION)]
+
+
+def monomial_count(a, i, b):
+    """How many monomials :func:`compose` builds for a o_i b, counted
+    without building one: per pair of terms, r**k for the r receivers of
+    the inserted graph and the k inputs of slot i."""
+    ks = Counter(len(_slot_inputs(g1, i)[1]) for g1, _ in as_sum(a))
+    rs = Counter(len(_receivers(g2)) for g2, _ in as_sum(b))
+    return sum(m * n * r ** k for k, m in ks.items() for r, n in rs.items())
+
+
 def _monomial_compose(g1, i, g2):
     """All monomials of g1 composed with g2 in slot i (labels rewritten)."""
     u, v = g1.count(VECTOR), g2.count(VECTOR)
-    slot = next(
-        k for k, x in enumerate(g1.vertices)
-        if x.kind == VECTOR and x.label == "X%d" % i
-    )
+    slot, ins = _slot_inputs(g1, i)
     off = len(g1.vertices)
     root = next(
         k for k, e in enumerate(g2.out)
@@ -99,11 +120,7 @@ def _monomial_compose(g1, i, g2):
     )
     anchor2 = off + g2.out[root][0]
     root += off
-    receivers = [
-        off + k for k, x in enumerate(g2.vertices)
-        if x.kind in (VECTOR, CONNECTION)
-    ]
-    ins = [k for k, e in enumerate(g1.out) if e is not None and e[0] == slot]
+    receivers = [off + k for k in _receivers(g2)]
     outer = {"X%d" % j: "X%d" % (j + v - 1) for j in range(i + 1, u + 1)}
     inner = {"X%d" % k: "X%d" % (i + k - 1) for k in range(1, v + 1)}
     both = disjoint_union(relabel(g1, outer), relabel(g2, inner))

@@ -6,9 +6,10 @@ reference sparse elimination (the least-column Gauss-Jordan Fraction
 elimination natops.linalg replaced) and a dense one, the derived
 connection rules, the realization state sum, the reference polynomial
 layer, the composition and identity of coordinate changes, the reference
-jet transformation law, the dual-number flow derivative, the reference
-series solver, the generating-function cross-checks (the rooted-tree
-recursion, series composition and the quadratic-dual identity), the
+jet transformation law, the dual-number flow derivative, the truncated
+power series over Q with the EGF of natops.genfun's sequence, the
+generating-function cross-checks (the rooted-tree recursion, series
+composition and the quadratic-dual identity), the
 reference basis-slice encoder and graph keys, the reference operad
 insertion and trace, the reference components and cycles of a graph, the
 wheel-length block check of the differential, and the reference initial
@@ -23,6 +24,7 @@ from natops import homology, io
 from natops.canonical import ZERO, canonicalize, key_bytes
 from natops.complexes import _arities, _slots, delta_graph
 from natops.formal import FormalSum, add_into
+from natops.genfun import g_functional
 from natops.graphs import (
     ANCHOR,
     CONNECTION,
@@ -51,7 +53,6 @@ from natops.linalg import mat_inv, rank
 from natops.operad import arity
 from natops.oracle import derive_connection_rule
 from natops.rules import OUT, rule_for
-from natops.series import Series
 
 
 @lru_cache(maxsize=None)
@@ -1052,25 +1053,103 @@ def reference_infinitesimal_action(gens, data):
                    data.conn_order)
 
 
-def reference_solve_fixed_coefficients(residual_fn, order):
-    """The series solver evaluating the full-order residual at every step;
-    natops.series.solve_fixed_coefficients is checked against it."""
-    f = Series.zero(order)
-    for k in range(1, order + 1):
-        r = residual_fn(f)
-        coeffs = list(f.coeffs)
-        coeffs[k] += r[k]
-        f = Series(coeffs)
-    r = residual_fn(f)
-    if not r.is_zero():
-        raise ArithmeticError("functional equation residual is nonzero")
-    return f
+class Series:
+    """Truncated series c0 + c1 t + ... + cN t^N with rational coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs, order=None):
+        coeffs = [Fraction(c) for c in coeffs]
+        if order is not None:
+            coeffs = (coeffs + [Fraction(0)] * (order + 1))[: order + 1]
+        self.coeffs = coeffs
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def zero(cls, order):
+        return cls([0], order)
+
+    @classmethod
+    def t(cls, order):
+        return cls([0, 1], order)
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if k <= self.order else Fraction(0)
+
+    def __eq__(self, other):
+        return isinstance(other, Series) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = min(self.order, other.order)
+        return Series([self[k] + other[k] for k in range(n + 1)])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        n = min(self.order, other.order)
+        return Series([self[k] - other[k] for k in range(n + 1)])
+
+    def __neg__(self):
+        return Series([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Series([c * other for c in self.coeffs])
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if not a:
+                continue
+            for j in range(n + 1 - i):
+                b = other[j]
+                if b:
+                    out[i + j] += a * b
+        return Series(out)
+
+    __rmul__ = __mul__
+
+    def _coerce(self, other):
+        if isinstance(other, Series):
+            return other
+        return Series([other], self.order)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def exp(self):
+        """exp of a series with zero constant term."""
+        if self.coeffs[0]:
+            raise ValueError("exp needs zero constant term")
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        out[0] = Fraction(1)
+        for k in range(1, n + 1):
+            s = Fraction(0)
+            for j in range(1, k + 1):
+                s += j * self[j] * out[k - j]
+            out[k] = s / k
+        return Series(out)
+
+    def __repr__(self):
+        bits = ["%s t^%d" % (c, k) for k, c in enumerate(self.coeffs) if c]
+        return "Series(" + (" + ".join(bits) if bits else "0") + ")"
+
+
+def g_egf(N):
+    """The EGF sum g_d t^d / d! through t^N, from natops.genfun's
+    integer recurrence, as a Series for the residual and dual-identity
+    checks."""
+    return Series([0] + [Fraction(g, factorial(d))
+                         for d, g in enumerate(g_functional(N), 1)])
 
 
 def g_recursion(N):
     """g_1..g_N by the direct recursion (seeded with g_1 = 1), a route to
-    the dimension sequence independent of natops.genfun's functional
-    equation.
+    the dimension sequence independent of natops.genfun's recurrence for
+    the functional equation.
 
     g_{n+1}/(n+1)! collects rooted-tree contributions: compositions of n
     weighted 1/s!, plus compositions of n+1 weighted (s(s-1)-1)/s! for
@@ -1123,8 +1202,8 @@ def q_series(N):
 
 
 def dual_consistency(g):
-    """Check q(-g(t)) + t = 0 through the order of the solved series ``g``
-    (natops.genfun.g_series); returns True or raises."""
+    """Check q(-g(t)) + t = 0 through the order of the EGF ``g``
+    (:func:`g_egf`); returns True or raises."""
     N = g.order
     t = Series.t(N)
     r = series_compose(q_series(N), -g) + t

@@ -14,7 +14,7 @@ from natops.complexes import (
     enumerate_basis,
 )
 from natops.formal import FormalSum, combine
-from natops.genfun import g_functional, g_series
+from natops.genfun import g_functional
 from natops.graphs import CONNECTION
 from natops.homology import (
     coordinates,
@@ -39,6 +39,7 @@ from .helpers import (
     chain_yx,
     derived_rule,
     dual_consistency,
+    g_egf,
     g_recursion,
     nabla_xy,
     trace_pair,
@@ -120,7 +121,7 @@ def test_criterion_07_generating_functions():
     rec = g_recursion(12)
     fun = g_functional(12)
     ok = rec == fun
-    ok = ok and dual_consistency(g_series(12))
+    ok = ok and dual_consistency(g_egf(12))
     dims = [h0_dimension("bullet-nabla-1", d) for d in (1, 2, 3, 4)]
     ok = ok and rec[:4] == dims
     _report(7, ok, "recursion = functional to N=12; dual identity; g1..g4 = %s"

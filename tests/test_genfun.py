@@ -2,17 +2,15 @@
 
 from math import factorial
 
-import pytest
-
-from natops import genfun
-from natops.genfun import g_functional, g_series, lie_dimensions, table
-from natops.series import Series
+from natops.cli import MAX_UPTO
+from natops.genfun import g_functional, lie_dimensions, table
 
 from .helpers import (
+    Series,
     dual_consistency,
+    g_egf,
     g_recursion,
     q_series,
-    reference_solve_fixed_coefficients,
     series_compose,
 )
 
@@ -34,7 +32,7 @@ def test_dimensions_positive_integers():
 
 def test_functional_equation_residual_zero():
     N = 10
-    g = g_series(N)
+    g = g_egf(N)
     t = Series.t(N)
     residual = g.exp() * (Series([1], N) - t - g * g) - Series([1], N)
     assert residual.is_zero()
@@ -42,18 +40,16 @@ def test_functional_equation_residual_zero():
 
 def test_cross_checks_hold_at_the_cli_cap():
     """The recursion and the dual identity, which live in the tests, agree
-    with the solved series over the whole range the CLI admits."""
-    from natops.cli import MAX_UPTO
-
-    g = g_series(MAX_UPTO)
+    with the recurrence's g over the whole range the CLI admits."""
+    g = g_functional(MAX_UPTO)
     assert [row[1] for row in table(g)] == g_recursion(MAX_UPTO)
-    assert dual_consistency(g)
+    assert dual_consistency(g_egf(MAX_UPTO))
 
 
 def test_dual_consistency():
-    assert dual_consistency(g_series(12))
-    assert dual_consistency(g_series(1))
-    assert dual_consistency(g_series(8))
+    assert dual_consistency(g_egf(12))
+    assert dual_consistency(g_egf(1))
+    assert dual_consistency(g_egf(8))
 
 
 def test_q_series_values():
@@ -67,11 +63,12 @@ def test_q_series_values():
 
 
 def test_lie_dimensions_are_factorials():
-    assert lie_dimensions(5) == [factorial(d - 1) for d in range(1, 6)]
+    for N in (1, 5, MAX_UPTO):
+        assert lie_dimensions(N) == [factorial(d - 1) for d in range(1, N + 1)]
 
 
 def test_table_rows():
-    rows = table(g_series(3))
+    rows = table(g_functional(3))
     assert rows == [(1, 1, 1), (2, 3, 1), (3, 26, 2)]
 
 
@@ -82,12 +79,3 @@ def test_series_compose_and_exp():
     inner = t * 2
     assert series_compose(t.exp(), inner) == (inner).exp()
 
-
-@pytest.mark.parametrize("N", [1, 2, 3, 40])
-def test_truncated_solver_matches_reference(monkeypatch, N):
-    # the t^k coefficient of either solution does not depend on N, so
-    # order 40 compares every coefficient of the orders 1..40
-    got = g_series(N), lie_dimensions(N)
-    monkeypatch.setattr(genfun, "solve_fixed_coefficients",
-                        reference_solve_fixed_coefficients)
-    assert got == (g_series(N), lie_dimensions(N))

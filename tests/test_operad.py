@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
+from natops import operad
 from natops.canonical import canonicalize, key_bytes
+from natops.cli import MAX_COMPOSE_MONOMIALS, MAX_WORD_LEAVES
 from natops.complexes import differential, enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.graphs import SYM, Graph, anchor, vector
@@ -18,6 +20,7 @@ from natops.operad import (
     compose,
     covariant_element,
     lie_expand,
+    monomial_count,
     p_graph,
     parse_word,
     sigma_action,
@@ -84,6 +87,85 @@ def test_monomial_count_random_pairs():
         )
         blacks = sum(1 for v in g2.vertices if v.kind == "vector")
         assert len(_monomial_compose(g1, i, g2)) == blacks ** inserted.order
+
+
+def test_monomial_count_is_what_compose_builds():
+    """The budget of ``natops compose`` counts, without building one, the
+    monomials of every pair of terms."""
+    from natops.operad import _monomial_compose
+
+    rng = random.Random(5)
+    pools = {d: enumerate_basis("bullet-nabla-1", d, 0).graphs
+             for d in (1, 2, 3)}
+    for _ in range(20):
+        a, b = FormalSum(), FormalSum()
+        da, db = rng.choice((2, 3)), rng.choice((1, 2))
+        for x, d in ((a, da), (b, db)):
+            for g in rng.sample(pools[d], min(2, len(pools[d]))):
+                x.add_graph(g, rng.randint(1, 3))
+        i = rng.randint(1, da)
+        assert monomial_count(a, i, b) == sum(
+            len(_monomial_compose(g1, i, g2)) for g1, _ in a for g2, _ in b)
+
+
+def test_compose_budget_admits_every_compose_of_the_suite(monkeypatch):
+    """``natops compose`` refuses more than MAX_COMPOSE_MONOMIALS
+    monomials; every compose the tests run stays below it.  lie_expand of
+    the words the tests expand is counted as it runs, the largest at the
+    leaf cap.  Every pair of the reference pools is counted.  The operad
+    laws pair bullet elements up to d = 3 with one another and with their
+    compositions; a count grows with the receivers of the inserted element
+    and the inputs of the slot, so the widest inserted element and the
+    slot of most inputs bound the compositions on either side."""
+    counts = []
+    real = operad.compose
+
+    def counted(a, i, b):
+        counts.append(monomial_count(a, i, b))
+        return real(a, i, b)
+
+    monkeypatch.setattr(operad, "compose", counted)
+    word = "X%d" % MAX_WORD_LEAVES
+    for k in range(MAX_WORD_LEAVES - 1, 0, -1):
+        word = "(b X%d %s)" % (k, word)
+    lie_expand(word)
+    for d in (2, 3, 4):
+        for w in _all_words(d):
+            lie_expand(w)
+    # the right-nested 7-leaf word ends in a compose of 5040 monomials
+    assert max(counts) == 5040
+    for family, dmax in (("bullet", 3), ("bullet-nabla-1", 2)):
+        pool = [g for d in range(1, dmax + 1)
+                for g in enumerate_basis(family, d, 0).graphs]
+        counts += [monomial_count(a, i, b) for a in pool
+                   for i in range(1, arity(a) + 1) for b in pool]
+    pool = _pool(None)
+    slots = [(a, i) for a in pool for i in range(1, arity(a) + 1)]
+    widest = max(pool, key=lambda c: monomial_count(p_graph(), 1, c))
+    deepest = max(slots, key=lambda s: monomial_count(*s, p_graph()))
+    for a, i in slots:
+        for b in pool:
+            ab = real(a, i, b)
+            counts += [monomial_count(ab, j, widest)
+                       for j in range(1, arity(ab) + 1)]
+            counts.append(monomial_count(*deepest, ab))
+    assert len(counts) > 10_000
+    assert max(counts) <= MAX_COMPOSE_MONOMIALS
+
+
+def test_ten_fields_compose_with_the_unit():
+    # labels sort as strings, X1, X10, X2, ...; arity once compared them
+    # with X1..X10 in numeric order and refused every such element
+    x = FormalSum.of(Graph(
+        (vector("X1", 9),) + tuple(vector("X%d" % k) for k in range(2, 11))
+        + (anchor,), ((10, SYM),) + ((0, SYM),) * 9 + (None,)))
+    assert arity(x) == 10
+    for i in range(1, 11):
+        assert compose(x, i, unit_graph()) == x
+    assert compose(unit_graph(), 1, x) == x
+    sigma = (10,) + tuple(range(1, 10))
+    back = tuple(range(2, 11)) + (1,)
+    assert sigma_action(sigma_action(x, sigma), back) == x
 
 
 @pytest.mark.parametrize("family", ["bullet", "bullet-nabla-1"])
