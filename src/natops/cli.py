@@ -105,20 +105,18 @@ MAX_TRIALS = 1000
 MAX_WIRINGS = 1_000_000
 
 
-#: Most wirings the degree-0 or the degree-1 slice of ``h0`` and
-#: ``kerbasis`` may build, the two commands that eliminate over Q.  On a
-#: 2-core host the slowest slices it admits, bullet-nabla d = 4 (10 396
-#: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 0.4-0.6 s
-#: for ``h0`` and 0.6-2.7 s for ``kerbasis``.  Past it, ``h0_dimension``
-#: in-process builds and ranks bullet-nabla-wheel d = 4 (77 996 wirings
-#: at degree 0) in 1.1 s, bullet-nabla-trace d = 4 (648 800) in 2.3 s,
-#: bullet-nabla-1 d = 5 (729 605) in 6.6 s at 78 MB and bullet d = 6
-#: (46 656) in 5.8 s at 190 MB.  The value stays: bullet-nabla d = 5 has
-#: the same wiring counts as bullet-nabla-1 d = 5 (729 605 and 368 886)
-#: but builds without connectivity pruning (it deals 160 385 and 163 926
-#: wirings, in 2.4 and 2.2 s) and its elimination has never been timed,
-#: so a wiring-count bound cannot admit the one without the other, and
-#: ``kerbasis`` at d = 5 would print about 670 MB of JSON.
+#: Most wirings the degree-0 or the degree-1 slice of ``kerbasis`` may
+#: build.  ``h0`` has only ``MAX_WIRINGS``, and on a 2-core host it runs
+#: every slice that admits: bullet-nabla d = 5 (h0 = 50 514) in about 26 s
+#: at 347 MB, bullet-nabla-1 d = 5 (7 614) in 9 s at 78 MB, bullet d = 6
+#: (120) in 7 s at 192 MB, bullet-wheel d = 6 (0) in 5 s at 120 MB,
+#: bullet-nabla-trace d = 4 (5 320) in 3 s at 53 MB, bullet-connected d = 6
+#: (120) in 3 s at 45 MB and bullet-nabla-wheel d = 4 (3 020) in 2 s at
+#: 35 MB.  ``kerbasis`` also back-substitutes and prints one vector per
+#: dimension of h0, one whole graph object per term: 7.95 MB of JSON for
+#: the 376 vectors of bullet-nabla-1 d = 4, and about 670 MB for the 7 614
+#: at d = 5.  The slowest slices this admits, bullet-nabla d = 4 (10 396
+#: and 5 005 wirings) and bullet d = 5 (3 125 and 9 156), take 0.6-2.7 s.
 MAX_ELIMINATION_WIRINGS = 20_000
 
 
@@ -143,19 +141,23 @@ def _slice_family(args, degrees):
 
 
 def _eliminated_family(args):
-    """The family of ``args`` for ``h0`` and ``kerbasis``, once its
-    degree-0 and degree-1 slices are known to build at most
-    ``MAX_WIRINGS`` and then ``MAX_ELIMINATION_WIRINGS`` wirings each."""
+    """The family of ``args`` for ``kerbasis``, once its degree-0 and
+    degree-1 slices are known to build at most ``MAX_ELIMINATION_WIRINGS``
+    wirings each."""
     from .complexes import wiring_count
 
-    family = _slice_family(args, (0, 1))
+    family = FAMILIES[args.family]
     for m in (0, 1):
-        count = wiring_count(family, args.d, m, limit=MAX_ELIMINATION_WIRINGS)
-        if count > MAX_ELIMINATION_WIRINGS:
+        try:
+            count = wiring_count(family, args.d, m,
+                                 limit=MAX_ELIMINATION_WIRINGS)
+        except RecursionError:  # far too large, as in _slice_family
+            count = None
+        if count is None or count > MAX_ELIMINATION_WIRINGS:
             raise ValueError(
                 "%s d=%d degree %d has more than %d wirings, too many to "
-                "eliminate over Q" % (family.name, args.d, m,
-                                      MAX_ELIMINATION_WIRINGS))
+                "eliminate and print as a kernel basis"
+                % (family.name, args.d, m, MAX_ELIMINATION_WIRINGS))
     return family
 
 

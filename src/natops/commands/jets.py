@@ -13,7 +13,6 @@ def _jetdata_from_obj(obj, need):
                              % cli.MAX_DIM)
 
     def tensor(nested, nfixed, nsym, name):
-        t = jets.Tensor(n, nfixed, nsym)
         first = {}  # sorted entry -> (the first index read for it, value)
 
         def walk(node, idx):
@@ -27,8 +26,6 @@ def _jetdata_from_obj(obj, need):
                         "entry %s is %s but entry %s is %s"
                         % (name, list(idx), io._frac_to_str(v), list(idx0),
                            io._frac_to_str(v0)))
-                if v:
-                    t.set(idx[:nfixed], idx[nfixed:], v)
                 return
             if not isinstance(node, list) or len(node) != n:
                 raise io.SchemaError("jet array has wrong extent")
@@ -36,7 +33,8 @@ def _jetdata_from_obj(obj, need):
                 walk(sub, idx + (i,))
 
         walk(nested, ())
-        return t
+        return jets.Tensor.from_values(
+            n, nfixed, nsym, {key: v for key, (_, v) in first.items()})
 
     given = obj.get("fields", {})
     fields = {}

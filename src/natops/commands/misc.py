@@ -9,8 +9,8 @@ def cmd_genfun(args):
     if args.upto < 1:
         raise ValueError("--upto must be >= 1")
     if args.upto > cli.MAX_UPTO:
-        raise ValueError("--upto must be <= %d (the series cost grows like "
-                         "N^4)" % cli.MAX_UPTO)
+        raise ValueError("--upto must be <= %d (the tests cross-check the "
+                         "values up to it)" % cli.MAX_UPTO)
     rows = genfun.table(genfun.g_functional(args.upto))
     cli._write({"schema": io.SCHEMA,
                 "rows": [{"d": d, "g": g, "lie": lie} for d, g, lie in rows]},

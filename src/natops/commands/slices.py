@@ -59,7 +59,7 @@ def cmd_d2check(args):
 def cmd_h0(args):
     from ..homology import h0_dimension
 
-    fam = cli._eliminated_family(args)
+    fam = cli._slice_family(args, (0, 1))
     n = h0_dimension(fam, args.d)
     cli._write({"schema": io.SCHEMA, "family": args.family, "d": args.d,
                 "h0": n}, args.out)

@@ -20,14 +20,15 @@ monomial product is one int addition and a truncation test one
 comparison.  B = 2^bits exceeds the largest degree entering a call, so no
 exponent digit of a kept monomial can carry into the next.
 
-Realization is on integers too.  Each jet array is read once as integer
-numerators over one denominator (:meth:`Tensor.cleared`), a graph
-contracts its arrays by int multiply-adds, and each entry of its value is
-divided by the product of their denominators once, at the end.  So
-Fractions appear only where jet arrays and realized values are read and
-written and where a coordinate change is made.  Arrays keep their tuple
-keys and exact values; a coordinate change is packed once, as it is made
-(:class:`CoordinateChange`), and the law reads that form only.
+Realization is on integers too.  A jet array holds its entries once, as
+integer numerators over one denominator (:class:`Tensor`), the form the
+law writes and realization reads; a coordinate change keeps its
+components and the inverse of its linear part the same way
+(:class:`CoordinateChange`).  A graph contracts its arrays by int
+multiply-adds and divides each entry of its value by the product of their
+denominators once, at the end.  So Fractions appear only where arrays are
+built from or read back as rationals, where a coordinate change is made
+from exact components, and where a realized value is written.
 
 Conventions (fixed by the integer-coefficient replacement rules, which
 :func:`natops.oracle.derive_connection_rule` rederives from the flow
@@ -52,11 +53,11 @@ import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from .formal import add_into, as_sum
 from .graphs import ANCHOR, CONNECTION, SYM, VECTOR, WHITE, cycles
-from .linalg import mat_inv
+from .linalg import Elimination
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def _reduce(polys, den):
 
 def _mul_into(out, a, bitems, limit):
     """``out += a * b`` below ``limit``, b given as its items sorted by
-    packed exponent, hence by degree."""
+    packed exponent, hence by degree.  Terms that cancel stay, as zeros."""
     get = out.get
     for ea, va in a.items():
         room = limit - ea
@@ -143,12 +144,6 @@ def _mul_into(out, a, bitems, limit):
             e = ea + eb
             out[e] = get(e, 0) + va * vb
     return out
-
-
-def p_mul(a, b, limit):
-    """``a * b`` without the monomials packed at or above ``limit``.
-    Terms that cancel stay, as zeros."""
-    return _mul_into({}, a, sorted(b.items()), limit)
 
 
 def p_diff(a, j, pk):
@@ -194,8 +189,9 @@ class Substitution:
         m = self.monos.get(e)
         if m is None:
             j = self.pk.first_variable(e)
-            m = self.monos[e] = p_mul(self.mono(e - self.pk.var[j]),
-                                      self.comps[j], self.limit)
+            m = self.monos[e] = _mul_into({}, self.mono(e - self.pk.var[j]),
+                                          sorted(self.comps[j].items()),
+                                          self.limit)
         return m
 
     def __call__(self, a):
@@ -221,8 +217,7 @@ def map_inverse(phi, trunc):
     """
     F, den, pk = phi.comps, phi.den, phi.pk
     n, var = pk.n, pk.var
-    Ainv, dA = _clear({a: dict(enumerate(row))
-                       for a, row in enumerate(phi.linear_inverse)})
+    Ainv, dA = phi.inverse, phi.inverse_den
     lin = {a: {var[j]: x for j, x in row.items()} for a, row in Ainv.items()}
     linear = set(var)
     high = [{e: v for e, v in F[a].items() if e not in linear}
@@ -247,66 +242,67 @@ def map_inverse(phi, trunc):
 
 
 class Tensor:
-    """Array with some leading fixed indices and a trailing symmetric block.
+    """Array with some leading fixed indices and a trailing symmetric block,
+    built whole from ``entries`` {key: numerator} over ``den`` (or by
+    :meth:`from_values`) and not changed after.
 
-    Entries are stored under sorted symmetric indices only.  Realization
-    reads the entries once, as integer numerators (:meth:`cleared`), and
-    keeps that reading until :meth:`set` changes an entry: once an array
-    has been realized, write to it through :meth:`set` only.
+    The nonzero entries, keyed by sorted symmetric indices, are held once:
+    ``rows`` {indices after the first: [(first index, numerator), ...]}
+    over ``den``, with their common factor divided out.  :meth:`get` and
+    ``data`` read entries back as rationals.
     """
 
-    __slots__ = ("n", "nfixed", "nsym", "data", "_cleared")
+    __slots__ = ("n", "nfixed", "nsym", "rows", "den")
 
-    def __init__(self, n, nfixed, nsym, data=None):
+    def __init__(self, n, nfixed, nsym, entries=None, den=1):
         self.n = n
         self.nfixed = nfixed
         self.nsym = nsym
-        self.data = data if data is not None else {}
-        self._cleared = None
+        entries = entries or {}
+        g = gcd(den, *entries.values())
+        self.rows = rows = {}
+        for key, c in entries.items():
+            if c:
+                rows.setdefault(key[1:], []).append((key[0], c // g))
+        self.den = den // g
+
+    @classmethod
+    def from_values(cls, n, nfixed, nsym, values):
+        """The array of the exact entries ``values`` {key: value}."""
+        nums, den = _clear({0: values})
+        return cls(n, nfixed, nsym, nums[0], den)
 
     def get(self, fixed, sym=()):
         key = tuple(fixed) + tuple(sorted(sym))
-        return self.data.get(key, 0)
+        for first, c in self.rows.get(key[1:], ()):
+            if first == key[0]:
+                return Fraction(c, self.den)
+        return 0
 
-    def set(self, fixed, sym, value):
-        key = tuple(fixed) + tuple(sorted(sym))
-        self._cleared = None
-        if value:
-            self.data[key] = value
-        else:
-            self.data.pop(key, None)
-
-    def cleared(self):
-        """The nonzero entries as integer numerators over one denominator,
-        grouped by their indices after the first: ({rest: [(first,
-        numerator), ...]}, den).  Worked out on the first call."""
-        if self._cleared is None:
-            nums, den = _clear({0: self.data})
-            rows = {}
-            for key, c in nums[0].items():
-                rows.setdefault(key[1:], []).append((key[0], c))
-            self._cleared = rows, den
-        return self._cleared
+    @property
+    def data(self):
+        """The nonzero entries as a fresh dict {key: Fraction}."""
+        return {(first,) + rest: Fraction(c, self.den)
+                for rest, row in self.rows.items() for first, c in row}
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        if (self.n, self.nfixed, self.nsym) != (other.n, other.nfixed, other.nsym):
-            return False
-        keys = set(self.data) | set(other.data)
-        return all(self.data.get(k, 0) == other.data.get(k, 0) for k in keys)
+        return ((self.n, self.nfixed, self.nsym, self.data)
+                == (other.n, other.nfixed, other.nsym, other.data))
 
     def __repr__(self):
-        return "Tensor(n=%d, fixed=%d, sym=%d, %d entries)" % (
-            self.n, self.nfixed, self.nsym, len(self.data))
+        return "Tensor(n=%d, fixed=%d, sym=%d, den=%d)" % (
+            self.n, self.nfixed, self.nsym, self.den)
 
 
 def random_tensor(rng, n, nfixed, nsym):
-    t = Tensor(n, nfixed, nsym)
+    """Entries a/b, a in -4..4 drawn before b in 1..3, as a * 6/b over 6."""
+    entries = {}
     for fixed in itertools.product(range(n), repeat=nfixed):
         for sym in itertools.combinations_with_replacement(range(n), nsym):
-            t.data[fixed + sym] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return t
+            entries[fixed + sym] = rng.randint(-4, 4) * (6 // rng.randint(1, 3))
+    return Tensor(n, nfixed, nsym, entries, 6)
 
 
 JetData = namedtuple("JetData", ["n", "order", "fields", "conn", "conn_order"])
@@ -339,9 +335,10 @@ class CoordinateChange:
     It is given as n tuple-keyed components {exponents: exact value} and
     kept in the one form the law reads: ``comps`` {a: polynomial}, packed
     by ``pk = Packing(n, trunc)``, as integer numerators over one ``den``.
-    ``linear`` is the linear part and ``linear_inverse`` its inverse, both
-    exact matrices.  A nonzero constant term or a monomial above ``trunc``
-    raises ValueError; a singular linear part raises ZeroDivisionError.
+    The inverse of the linear part is kept as ``inverse`` {a: {j:
+    numerator}} over one ``inverse_den``.  A nonzero constant term or a
+    monomial above ``trunc`` raises ValueError; a singular linear part
+    raises ZeroDivisionError.
     """
 
     def __init__(self, n, trunc, comps):
@@ -355,9 +352,17 @@ class CoordinateChange:
                                  " has degree at most its trunc")
             packed[a] = {pk.pack(e): v for e, v in c.items() if v}
         self.comps, self.den = _clear(packed)
-        self.linear = [[Fraction(self.comps[a].get(pk.var[j], 0), self.den)
-                        for j in range(n)] for a in range(n)]
-        self.linear_inverse = mat_inv(self.linear)  # singular -> raise
+        # [A | I] reduced in column order, A the linear part's numerators:
+        # row c ends in pivot c times row c of A^-1, unless A is singular
+        back = Elimination([{**{j: p[pk.var[j]] for j in range(n)
+                                if pk.var[j] in p}, n + a: 1}
+                            for a, p in self.comps.items()], key=int).reduced()
+        if any(c >= n for c in back):
+            raise ZeroDivisionError("singular linear part")
+        m = lcm(*(back[c][c] for c in range(n)))
+        self.inverse, self.inverse_den = _reduce(
+            {c: {j - n: x * (m // back[c][c]) * self.den
+                 for j, x in back[c].items() if j >= n} for c in range(n)}, m)
 
     @classmethod
     def random(cls, rng, n, trunc):
@@ -400,33 +405,32 @@ def _to_polys(arrays, pk, trunc):
     their fixed indices, as numerators over one denominator: the entry at
     sorted derivative indices s is the coefficient of x^e times e!, e the
     exponents of s.  Returns (polynomials, den)."""
-    terms = []
-    den = 1
-    seen = {}  # derivative indices -> (packed exponent, e!)
-    for arr in arrays[:trunc + 1]:
-        nfixed = arr.nfixed
-        for key, val in arr.data.items():
-            if val:
-                sym = key[nfixed:]
-                ef = seen.get(sym)
-                if ef is None:
-                    ef = seen[sym] = (sum(pk.var[i] for i in sym),
-                                      _fact_of_exps(_exps_of(sym, pk.n)))
-                terms.append((key[:nfixed], ef, val))
-                den = lcm(den, val.denominator * ef[1])
+    arrays = arrays[:trunc + 1]
+    # e! divides v! for the order-v array
+    den = lcm(*(arr.den * factorial(arr.nsym) for arr in arrays))
     polys = {}
-    for fixed, (e, f), val in terms:
-        polys.setdefault(fixed, {})[e] = (val.numerator
-                                          * (den // (val.denominator * f)))
+    seen = {}  # derivative indices -> (packed exponent, e!)
+    for arr in arrays:
+        scale = den // arr.den
+        nfixed = arr.nfixed
+        for rest, row in arr.rows.items():
+            sym = rest[nfixed - 1:]
+            ef = seen.get(sym)
+            if ef is None:
+                ef = seen[sym] = (sum(pk.var[i] for i in sym),
+                                  _fact_of_exps(_exps_of(sym, pk.n)))
+            e, m = ef[0], scale // ef[1]
+            for first, c in row:
+                polys.setdefault((first,) + rest[:nfixed - 1], {})[e] = c * m
     return polys, den
 
 
 def _to_arrays(polys, den, pk, nfixed, order):
     """The jet arrays of orders 0..order of fixed-index-keyed polynomials
     over ``den``: the entry of x^e is its coefficient times e!."""
-    arrays = [Tensor(pk.n, nfixed, v) for v in range(order + 1)]
+    entries = [{} for _ in range(order + 1)]
     limit = pk.limit(order)
-    seen = {}  # packed exponent -> (array data, derivative indices, e!)
+    seen = {}  # packed exponent -> (order's entries, derivative indices, e!)
     for fixed, p in polys.items():
         for e, c in p.items():
             if c and e < limit:
@@ -434,11 +438,12 @@ def _to_arrays(polys, den, pk, nfixed, order):
                 if got is None:
                     exps = pk.exponents(e)
                     sym = tuple(i for i, k in enumerate(exps) for _ in range(k))
-                    got = seen[e] = (arrays[len(sym)].data, sym,
+                    got = seen[e] = (entries[len(sym)], sym,
                                      _fact_of_exps(exps))
                 table, sym, f = got
-                table[fixed + sym] = Fraction(c * f, den)
-    return arrays
+                table[fixed + sym] = c * f
+    return [Tensor(pk.n, nfixed, v, table, den)
+            for v, table in enumerate(entries)]
 
 
 def _contract_index(polys, pos, M, n, limit):
@@ -477,16 +482,15 @@ def jet_transform(data, phi):
     is carried to W + 1, so psi is computed to max(K, W + 1), K and W the
     field and connection orders.  phi must carry ``jet_order(K, W)`` orders.
 
-    The arithmetic is on integers.  Each family of polynomials (phi, psi,
-    the arrays of one field or of the connection) is integer numerators
-    over one denominator, cleared where the arrays are read and restored
-    as Fractions where they are written; every stage multiplies the
-    denominators and divides the gcd back out.  Exponents are packed into
-    one int (:class:`Packing`), so a monomial product is one addition.
-    The law packs by ``phi.pk``, the packing phi was made with: its base
-    depends only on n and ``phi.trunc``, which bounds every degree entering
-    the call, phi's own monomials included, so no exponent digit of a kept
-    monomial can carry.
+    The arithmetic is on integers, in the form the arrays and phi hold
+    (:class:`Tensor`, :class:`CoordinateChange`): each family of
+    polynomials (phi, psi, the arrays of one field or of the connection)
+    is integer numerators over one denominator, and every stage
+    multiplies the denominators and divides the gcd back out.  Exponents
+    are packed by ``phi.pk`` (:class:`Packing`), whose base depends only
+    on n and ``phi.trunc``; that bounds every degree entering the call,
+    phi's own monomials included, so no exponent digit of a kept monomial
+    can carry.
     """
     return _to_jets(data, *_pull_back(data, phi), phi.pk)
 
@@ -592,7 +596,7 @@ def _plan(g):
 
 
 def _contract(rows, n, inputs):
-    """Contract one cleared vertex array against its inputs, in integers.
+    """Contract one vertex array's rows against its inputs, in integers.
 
     ``inputs`` lists (slot, entries) per in-edge, entries being the nonzero
     (index, numerator) pairs of the vector the edge carries, or None for
@@ -654,44 +658,40 @@ def realize_graph(g, data, gens=None):
     in-edges, cycles and anchor (the graph's plan) are worked out on its
     first realization and kept (:func:`_plan`).
 
-    The arithmetic is on integers.  Each array is read as integer
-    numerators over its own denominator (:meth:`Tensor.cleared`, worked
-    out once per array and shared by every graph and sum that reads it).
+    The arithmetic is on integers.  Each array is read in the form it
+    holds, integer numerators over its own denominator (:class:`Tensor`).
     The value is multilinear in the arrays, so every multiply-add stays in
     ints, and the graph's denominator, the product of those of the arrays
     it reads, is divided out once per entry of the result.
     """
     n = data.n
-    rows = [None if arr is None else arr.cleared()
-            for arr in _vertex_arrays(g, data, gens)]
-    den = 1
-    for got in rows:
-        if got is not None:
-            den *= got[1]
+    arrays = _vertex_arrays(g, data, gens)
+    rows = [None if arr is None else arr.rows for arr in arrays]
+    den = prod(arr.den for arr in arrays if arr is not None)
     ins, cycles, anchor = _plan(g)
 
     def entries(src):
         if not ins[src]:
             # a leaf is an order-0 field: its entries are its array's
-            return rows[src][0].get((), [])
+            return rows[src].get((), [])
         return [(i, x) for i, x in enumerate(vector(src)) if x]
 
     def vector(v):
-        return _contract(rows[v][0], n, [(slot, entries(src))
-                                         for src, slot in ins[v]])
+        return _contract(rows[v], n, [(slot, entries(src))
+                                      for src, slot in ins[v]])
 
     scalar = 1
     for cycle in cycles:
         # walking against the edges, each matrix takes the previous one's
         # output index as its open input
-        prod = None
+        mat = None
         for pos, v in enumerate(cycle):
             pred = cycle[pos - 1]
-            m = _contract(rows[v][0], n, [
+            m = _contract(rows[v], n, [
                 (slot, None if src == pred else entries(src))
                 for src, slot in ins[v]])
-            prod = m if prod is None else _mat_mul(m, prod, n)
-        scalar = scalar * sum(prod[i][i] for i in range(n))
+            mat = m if mat is None else _mat_mul(m, mat, n)
+        scalar = scalar * sum(mat[i][i] for i in range(n))
     if anchor is not None:
         zero = Fraction(0)
         return [Fraction(x * scalar, den) if x else zero
@@ -742,10 +742,6 @@ def realize(x, data, gens=None):
     return acc
 
 
-def apply_linear(A, vec):
-    return [sum(x * v for x, v in zip(row, vec)) for row in A]
-
-
 Counterexample = namedtuple("Counterexample", ["trial", "lhs", "rhs"])
 
 
@@ -782,8 +778,11 @@ def naturality_check(x, n, trials=20, seed=0):
         data = random_jet_data(rng, n, labels, order, conn_order)
         phi = CoordinateChange.random(rng, n, trunc)
         lhs = realize(x, jet_transform(data, phi))
-        base = realize(x, data)
-        rhs = apply_linear(phi.linear, base) if anchored else base
+        rhs = realize(x, data)
+        if anchored:  # moved by the linear part of phi
+            F, var = phi.comps, phi.pk.var
+            rhs = [sum(F[a].get(var[j], 0) * v for j, v in enumerate(rhs))
+                   / phi.den for a in range(n)]
         if lhs != rhs:
             return Counterexample(t, lhs, rhs)
     return None

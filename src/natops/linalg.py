@@ -4,11 +4,12 @@ derivation and the jet oracle.
 Everything is exact; no floating point.  There is one row format: a
 sparse row is a mapping ``{col: value}`` holding its nonzeros, with int or
 Fraction values.  One sparse elimination (:class:`Elimination`) serves
-rank, kernels, span tests, matrix inverses and the linear system of the
-connection-rule derivation.  It is fraction-free: a row with Fraction
-entries is scaled to ints by the lcm of its denominators, a row is
-cleared of a pivot column as r <- a*r - b*p with a and b the two pivot
-entries over their gcd, and each new pivot row is divided by its content.
+rank, kernels, span tests, the inverse of a coordinate change's linear
+part and the linear system of the connection-rule derivation.  It is
+fraction-free: a row with Fraction entries is scaled to ints by the lcm
+of its denominators, a row is cleared of a pivot column as
+r <- a*r - b*p with a and b the two pivot entries over their gcd, and
+each new pivot row is divided by its content.
 Rows go in shortest first.  A row's pivot is its least column under the
 elimination's column order; by default that is the column with the
 fewest nonzeros in the input, ties to the lowest index, which keeps the
@@ -19,10 +20,11 @@ The forward pass is all that :func:`rank` and the span test run, so a
 rank over int rows (the differential's) never makes a Fraction, and a
 kernel does only where a division leaves one.
 :meth:`Elimination.reduced` back-substitutes, youngest pivot first and
-still over ints.  :func:`nullspace`, :func:`mat_inv` and the rule solver
-divide each of its rows by its pivot entry, which gives them the reduced
-row echelon form; the last two eliminate in plain column order
-(``key=int``).  Rows are added with
+still over ints.  :func:`nullspace` and the rule solver divide each of
+its rows by its pivot entry, which gives them the reduced row echelon
+form; the rule solver and the jet oracle's inverse of a linear part
+(:class:`natops.jets.CoordinateChange`, which keeps the rows over ints)
+eliminate in plain column order (``key=int``).  Rows are added with
 :func:`natops.formal.add_into`, the one cancel-dropping add, which the
 formal sums, the jet law's polynomials and the oracle's Lagrange slope
 use as well.  :mod:`fractions` is imported only where a Fraction is made.
@@ -164,19 +166,3 @@ def nullspace(rows, ncols):
             out.append({j: Fraction(v, d) for j, v in sorted(r.items())})
     return out
 
-
-def mat_inv(rows):
-    """Inverse of a square matrix over Q, read off the reduced echelon form
-    of [A | I] in column order: A is invertible exactly when each of its n
-    columns holds a pivot, and pivot row c then ends in row c of A^-1.
-    Raises ZeroDivisionError when the matrix is singular.
-    """
-    from fractions import Fraction
-
-    n = len(rows)
-    pivots = Elimination([{**dict(enumerate(row)), n + i: 1}
-                          for i, row in enumerate(rows)], key=int).reduced()
-    if any(c not in pivots for c in range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return [[Fraction(pivots[c].get(n + j, 0), pivots[c][c])
-             for j in range(n)] for c in range(n)]

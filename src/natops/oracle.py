@@ -46,13 +46,15 @@ from .linalg import Elimination
 
 
 def random_sparse_tensor(rng, n, nfixed, nsym, entries):
-    """Array with at most ``entries`` random nonzero entries."""
-    t = Tensor(n, nfixed, nsym)
+    """Array with at most ``entries`` random nonzero entries, each a/b, a
+    in 1..4 and b in 1..2 drawn in that order, stored as a * 2/b over 2;
+    a later draw at the same indices replaces an earlier one."""
+    values = {}
     for _ in range(entries):
         fixed = tuple(rng.randrange(n) for _ in range(nfixed))
         sym = tuple(sorted(rng.randrange(n) for _ in range(nsym)))
-        t.set(fixed, sym, Fraction(rng.randint(1, 4), rng.randint(1, 2)))
-    return t
+        values[fixed + sym] = rng.randint(1, 4) * (2 // rng.randint(1, 2))
+    return Tensor(n, nfixed, nsym, values, 2)
 
 
 def infinitesimal_action(gens, data):

@@ -3,10 +3,11 @@ reference canonical form, the reference differential, the connection-count
 split of the differential, the rule template check, the reference dealer
 of wirings with its basis, run keys and connectivity filter, the
 reference sparse elimination (the least-column Gauss-Jordan Fraction
-elimination natops.linalg replaced) and a dense one, the derived
-connection rules, the realization state sum, the reference polynomial
-layer, the composition and identity of coordinate changes, the reference
-jet transformation law, the dual-number flow derivative, the truncated
+elimination natops.linalg replaced), a dense one and the matrix inverse
+over Q, the derived connection rules, the realization state sum, the
+reference polynomial layer, the composition and identity of coordinate
+changes, the reference jet transformation law, the dual-number flow
+derivative, the truncated
 power series over Q with the EGF of natops.genfun's sequence, the
 generating-function cross-checks (the rooted-tree recursion, series
 composition and the quadratic-dual identity), the
@@ -49,7 +50,7 @@ from natops.jets import (
     _fact_of_exps,
     jet_order,
 )
-from natops.linalg import mat_inv, rank
+from natops.linalg import Elimination, rank
 from natops.operad import arity
 from natops.oracle import derive_connection_rule
 from natops.rules import OUT, rule_for
@@ -690,7 +691,7 @@ def state_sum(g, data, gens=None):
             arr, base = data.conn[v.order], (into[0][0], into[1][0])
         elif v.kind == WHITE:
             arr, base = gens[v.order], ()
-        plan.append((arr, (edge_of_src[i],) + base, into[SYM]))
+        plan.append((arr.data, (edge_of_src[i],) + base, into[SYM]))
     free = [k for k in range(len(edges)) if k != anchor_edge]
 
     def total(out_index):
@@ -700,9 +701,10 @@ def state_sum(g, data, gens=None):
             for k, i in zip(free, assign):
                 idx[k] = i
             term = Fraction(1)
-            for arr, fixed, syms in plan:
-                term = term * arr.get([idx[k] for k in fixed],
-                                      [idx[k] for k in syms])
+            for values, fixed, syms in plan:
+                key = (tuple(idx[k] for k in fixed)
+                       + tuple(sorted(idx[k] for k in syms)))
+                term = term * values.get(key, 0)
                 if not term:
                     break
             acc += term
@@ -769,6 +771,21 @@ def p_diff(a, j):
             e2[j] -= 1
             out[tuple(e2)] = v * e[j]
     return out
+
+
+def mat_inv(rows):
+    """Inverse of a square matrix over Q, read off the reduced echelon form
+    of [A | I] in column order: A is invertible exactly when each of its n
+    columns holds a pivot, and pivot row c then ends in row c of A^-1.
+    Raises ZeroDivisionError when the matrix is singular.
+    """
+    n = len(rows)
+    pivots = Elimination([{**dict(enumerate(row)), n + i: 1}
+                          for i, row in enumerate(rows)], key=int).reduced()
+    if any(c not in pivots for c in range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [[Fraction(pivots[c].get(n + j, 0), pivots[c][c])
+             for j in range(n)] for c in range(n)]
 
 
 class Substitution:
@@ -883,16 +900,18 @@ def _conn_polys(arrays, n, trunc):
     return polys
 
 
-def _polys_arrays(polys, n, nfixed, order):
-    arrays = [Tensor(n, nfixed, v) for v in range(order + 1)]
+def _polys_arrays(polys, n, nfixed, order, tensor):
+    """The arrays of orders 0..order, each made by ``tensor(n, nfixed,
+    v, values)`` from its entries {key: value}."""
+    values = [{} for _ in range(order + 1)]
     for fixed, p in polys.items():
         for e, c in p.items():
             v = sum(e)
             if v > order:
                 continue
             sym = tuple(sorted(sum(([i] * k for i, k in enumerate(e)), [])))
-            arrays[v].set(fixed, sym, c * _fact_of_exps(e))
-    return arrays
+            values[v][fixed + sym] = c * _fact_of_exps(e)
+    return [tensor(n, nfixed, v, vals) for v, vals in enumerate(values)]
 
 
 def _poly_mat_inverse(M, n, trunc):
@@ -934,11 +953,12 @@ def _poly_mat_inverse(M, n, trunc):
     return out
 
 
-def reference_jet_transform(data, F):
+def reference_jet_transform(data, F, tensor=Tensor.from_values):
     """X'(y) = Dphi(x) X(x) and G'(y) = Dphi G(Dphi^-1, Dphi^-1) -
     D2phi(Dphi^-1, Dphi^-1), both at x = phi^-1(y), with Dphi^-1 inverted
     as a polynomial matrix in x before the composition; phi is given by
-    its tuple-keyed components F (:func:`components`)."""
+    its tuple-keyed components F (:func:`components`).  Each moved array
+    is ``tensor(n, nfixed, nsym, values)`` of its entries {key: value}."""
     n, K = data.n, data.order
     subK = Substitution(map_inverse(F, n, max(K, 1)), n, K)
     J = [[p_diff(F[a], j) for j in range(n)] for a in range(n)]
@@ -953,7 +973,7 @@ def reference_jet_transform(data, F):
                 if Jaj and P[j]:
                     p_add_into(acc, p_mul(Jaj, P[j], K))
             out[(a,)] = subK(acc)
-        fields[lab] = _polys_arrays(out, n, 1, K)
+        fields[lab] = _polys_arrays(out, n, 1, K, tensor)
     conn = None
     if data.conn is not None:
         W = data.conn_order
@@ -989,7 +1009,7 @@ def reference_jet_transform(data, F):
                             p_add_into(acc, p_mul(Jinv[k][c], Bb[k], W))
                     if acc:
                         out[(a, b, c)] = subW(acc)
-        conn = _polys_arrays(out, n, 3, W)
+        conn = _polys_arrays(out, n, 3, W, tensor)
     return JetData(n, K, fields, conn, data.conn_order)
 
 
@@ -1039,18 +1059,13 @@ def reference_infinitesimal_action(gens, data):
             e = _exps_of(key[1:], n)
             p_add_into(comps[key[0]], {e: Dual(0, Fraction(val)
                                                / _fact_of_exps(e))})
-    moved = reference_jet_transform(data, comps)
 
-    def eps(t):
-        return Tensor(t.n, t.nfixed, t.nsym,
-                      {k: v.b for k, v in t.data.items()
-                       if isinstance(v, Dual) and v.b})
+    def eps(n, nfixed, nsym, values):
+        return Tensor.from_values(n, nfixed, nsym,
+                                  {k: v.b for k, v in values.items()
+                                   if isinstance(v, Dual)})
 
-    return JetData(n, data.order,
-                   {lab: [eps(t) for t in arrs]
-                    for lab, arrs in moved.fields.items()},
-                   None if moved.conn is None else [eps(t) for t in moved.conn],
-                   data.conn_order)
+    return reference_jet_transform(data, comps, eps)
 
 
 class Series:

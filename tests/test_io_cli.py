@@ -940,7 +940,9 @@ def test_cli_jet_commands_reject_bad_ranges(tmp_path, capsys, args, reason):
     (["rule", "--kind", "vector", "--order", "-1"], "order must be >= 0"),
     (["genfun", "--upto", "0"], "--upto must be >= 1"),
     (["genfun", "--upto", "-1"], "--upto must be >= 1"),
-    (["genfun", "--upto", str(MAX_UPTO + 1)], "--upto must be <= %d" % MAX_UPTO),
+    (["genfun", "--upto", str(MAX_UPTO + 1)],
+     "--upto must be <= %d (the tests cross-check the values up to it)"
+     % MAX_UPTO),
 ])
 def test_cli_rejects_negative_orders_and_ranges(capsys, args, reason):
     code, out = _run(args)
@@ -1145,7 +1147,9 @@ def test_cli_wiring_budget(capsys, command, d):
     code, out = _run([command, "--family", "bullet-nabla-1", "--d", str(d)])
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "more than %d wirings" % MAX_WIRINGS in capsys.readouterr().err
+    # kerbasis has the lower budget only
+    budget = MAX_ELIMINATION_WIRINGS if command == "kerbasis" else MAX_WIRINGS
+    assert "more than %d wirings" % budget in capsys.readouterr().err
 
 
 def test_wiring_budget_admits_the_tabulated_slices():
@@ -1171,11 +1175,11 @@ _REFUSED_ELIMINATIONS = [("bullet-nabla-wheel", 4), ("bullet-nabla-trace", 4),
                          ("bullet", 6), ("bullet-nabla-1", 5)]
 
 
-@pytest.mark.parametrize("command", ["h0", "kerbasis"])
+@pytest.mark.parametrize("command", ["kerbasis"])
 @pytest.mark.parametrize("family,d", _REFUSED_ELIMINATIONS)
 def test_cli_elimination_budget(capsys, command, family, d):
-    """Each slice is above the budget, which the comment on
-    ``MAX_ELIMINATION_WIRINGS`` explains, and is refused at once."""
+    """Each slice is above the budget of ``kerbasis``, which the comment
+    on ``MAX_ELIMINATION_WIRINGS`` explains, and is refused at once."""
     start = time.perf_counter()
     code, out = _run([command, "--family", family, "--d", str(d)])
     assert time.perf_counter() - start < 1
@@ -1184,22 +1188,36 @@ def test_cli_elimination_budget(capsys, command, family, d):
         % MAX_ELIMINATION_WIRINGS in capsys.readouterr().err
 
 
+def test_cli_h0_runs_past_the_elimination_budget():
+    """h0 has only the enumeration budget: it runs bullet-nabla-wheel
+    d = 4, past ``kerbasis``'s budget with 77 996 wirings at degree 0."""
+    code, out = _run(["h0", "--family", "bullet-nabla-wheel", "--d", "4"])
+    assert code == 0 and json.loads(out)["h0"] == 3020
+
+
 def test_elimination_budget_admits_the_run_slices(monkeypatch):
     """Every slice the benchmark's classify and verify set-up, CI, README
-    and the timed table run through h0 or kerbasis is admitted."""
+    and the timed table run through kerbasis is admitted, and so is
+    every slice they and the frontier table run through h0."""
     from types import SimpleNamespace
 
     monkeypatch.syspath_prepend(
         os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
 
-    slices = set(workloads.CLASSIFY_H0 + workloads.CLASSIFY_KERBASIS)
-    slices |= {(family, d) for family, d, _, _ in workloads.VERIFY_BASES}
-    slices |= {("bullet-nabla-1", 4), ("bullet-nabla", 4), ("bullet", 5),
-               ("bullet", 3), ("bullet", 2), ("bullet-nabla-1", 3)}
-    for family, d in slices:
+    kerbasis = set(workloads.CLASSIFY_KERBASIS)
+    kerbasis |= {(family, d) for family, d, _, _ in workloads.VERIFY_BASES}
+    kerbasis |= {("bullet-nabla-1", 4), ("bullet-nabla", 4), ("bullet", 5),
+                 ("bullet", 2)}
+    for family, d in kerbasis:
         args = SimpleNamespace(family=family, d=d)
         assert cli._eliminated_family(args).name == family
+    h0 = kerbasis | set(workloads.CLASSIFY_H0) | set(_REFUSED_ELIMINATIONS)
+    h0 |= {("bullet", 3), ("bullet-nabla-1", 3), ("bullet-nabla", 5),
+           ("bullet-wheel", 6), ("bullet-connected", 6)}
+    for family, d in h0:
+        args = SimpleNamespace(family=family, d=d)
+        assert cli._slice_family(args, (0, 1)).name == family
     for family, d in _REFUSED_ELIMINATIONS:
         with pytest.raises(ValueError):
             cli._eliminated_family(SimpleNamespace(family=family, d=d))

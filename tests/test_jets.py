@@ -15,7 +15,6 @@ from natops.jets import (
     CoordinateChange,
     JetData,
     Tensor,
-    apply_linear,
     jet_order,
     jet_transform,
     naturality_check,
@@ -24,7 +23,7 @@ from natops.jets import (
     realize,
     realize_graph,
 )
-from natops.linalg import mat_inv, rank
+from natops.linalg import rank
 from natops.oracle import infinitesimal_action
 
 from .helpers import (
@@ -33,6 +32,7 @@ from .helpers import (
     components,
     compose_changes,
     identity_change,
+    mat_inv,
     nabla_xy,
     p_add_into,
     p_mul,
@@ -63,13 +63,9 @@ def test_realize_bracket_on_linear_fields_is_commutator():
     y0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
 
     def lin_field(A, v0):
-        arr0 = Tensor(n, 1, 0)
-        arr1 = Tensor(n, 1, 1)
-        for a in range(n):
-            arr0.set((a,), (), v0[a])
-            for b in range(n):
-                arr1.set((a,), (b,), A[a][b])
-        return [arr0, arr1]
+        return [Tensor.from_values(n, 1, 0, {(a,): v0[a] for a in range(n)}),
+                Tensor.from_values(n, 1, 1, {(a, b): A[a][b] for a in range(n)
+                                             for b in range(n)})]
 
     data = JetData(n, 1, {"X1": lin_field(A, x0), "X2": lin_field(B, y0)}, None, None)
     b = combine(FormalSum.of(chain_xy()), FormalSum.of(chain_yx()), 1, -1)
@@ -115,8 +111,9 @@ def _state_sum_data(kind, rng, n, labels, order, conn_order):
         data = jet_transform(data, phi)
     elif kind == "integers":
         def whole(t):
-            return Tensor(t.n, t.nfixed, t.nsym,
-                          {k: exact(v.numerator) for k, v in t.data.items()})
+            return Tensor.from_values(
+                t.n, t.nfixed, t.nsym,
+                {k: exact(v.numerator) for k, v in t.data.items()})
 
         data = JetData(n, order,
                        {lab: [whole(t) for t in arrs]
@@ -148,17 +145,20 @@ def test_realize_graph_matches_state_sum(family, d, n, kind):
         assert realize_graph(g, data, gens=gens) == state_sum(g, data, gens), g
 
 
-def test_realization_rereads_an_array_after_set():
-    """Realization keeps each array's integer reading until ``set``
-    changes an entry."""
+def test_an_array_is_not_changed_through_its_data():
+    """``data`` is a fresh dict: changing it after a realization changes
+    neither the array's entries nor a second realization."""
     rng = random.Random(3)
     data = random_jet_data(rng, 2, ["X1", "X2"], 1)
     g = chain_xy()
     before = realize_graph(g, data)
     assert before == state_sum(g, data)
-    data.fields["X2"][1].set((0,), (1,), Fraction(7, 5))
-    after = realize_graph(g, data)
-    assert after == state_sum(g, data) and after != before
+    arr = data.fields["X2"][1]
+    entry = arr.get((0,), (1,))
+    arr.data[(0, 1)] = entry + 7
+    arr.data.clear()
+    assert arr.get((0,), (1,)) == entry and arr.data
+    assert realize_graph(g, data) == before
 
 
 def test_state_sum_slices_cover_wheels_loops_and_base_slots():
@@ -306,10 +306,20 @@ def test_identity_transform_fixes_jets():
         assert moved.conn[v] == data.conn[v]
 
 
+def _linear_parts(phi):
+    """The linear part of phi and its inverse, read as rational matrices
+    from their integer forms."""
+    n, var = phi.n, phi.pk.var
+    return ([[Fraction(phi.comps[a].get(var[j], 0), phi.den)
+              for j in range(n)] for a in range(n)],
+            [[Fraction(phi.inverse[a].get(j, 0), phi.inverse_den)
+              for j in range(n)] for a in range(n)])
+
+
 def test_coordinate_change_keeps_its_components():
     """A coordinate change packs its components once, exactly: they unpack
     to the ones it was given, and its linear part and that part's inverse
-    are the exact matrices."""
+    read back as the exact matrices."""
     rng = random.Random(11)
     for n, trunc in ((1, 2), (2, 4), (3, 3)):
         comps = [_random_poly(rng, n, 1, trunc) for _ in range(n)]
@@ -319,8 +329,20 @@ def test_coordinate_change_keeps_its_components():
         assert components(phi) == comps
         lin = [[comps[a].get(tuple(int(i == j) for i in range(n)), 0)
                 for j in range(n)] for a in range(n)]
-        assert phi.linear == lin
-        assert phi.linear_inverse == mat_inv(lin)
+        assert _linear_parts(phi) == (lin, mat_inv(lin))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_linear_part_times_its_inverse_is_the_identity(n):
+    """The integer inverse a coordinate change keeps is exact: times the
+    linear part it gives the identity matrix, both ways round."""
+    rng = random.Random(repr(("linear-inverse", n)))
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    for trunc in (1, 2, 3):
+        lin, inv = _linear_parts(CoordinateChange.random(rng, n, trunc))
+        for a, b in ((lin, inv), (inv, lin)):
+            assert [[sum(a[i][k] * b[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)] == ident
 
 
 def test_coordinate_change_refuses_bad_components():
@@ -331,6 +353,10 @@ def test_coordinate_change_refuses_bad_components():
         CoordinateChange(2, 2, [{x: 1, (2, 1): Fraction(1, 2)}, {y: 1}])
     with pytest.raises(ZeroDivisionError):
         CoordinateChange(2, 2, [{x: 1, y: 2}, {x: 2, y: 4, (1, 1): 3}])
+    with pytest.raises(ZeroDivisionError):
+        CoordinateChange(3, 2, [{(1, 0, 0): 1, (0, 1, 0): Fraction(1, 2)},
+                                {(0, 0, 1): 3},
+                                {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 3}])
     # a zero coefficient is no monomial
     phi = CoordinateChange(2, 2, [{x: 1, (0, 0): 0, (3, 0): 0}, {y: 1}])
     assert components(phi) == [{x: 1}, {y: 1}]
@@ -509,10 +535,10 @@ def test_infinitesimal_action_refuses_arity_below_two():
 def _along(data, delta, eps):
     """The jet data ``data + eps * delta``."""
     def add(t, d):
-        out = Tensor(t.n, t.nfixed, t.nsym, dict(t.data))
+        values = t.data
         for k, v in d.data.items():
-            out.data[k] = out.data.get(k, 0) + eps * v
-        return out
+            values[k] = values.get(k, 0) + eps * v
+        return Tensor.from_values(t.n, t.nfixed, t.nsym, values)
 
     conn = None
     if data.conn is not None:
@@ -567,5 +593,6 @@ def test_transformed_vector_value_is_linear_part():
     phi = CoordinateChange.random(rng, 2, 3)
     moved = jet_transform(data, phi)
     base = [data.fields["X1"][0].get((a,)) for a in range(2)]
-    want = apply_linear(phi.linear, base)
+    lin, _ = _linear_parts(phi)
+    want = [sum(x * v for x, v in zip(row, base)) for row in lin]
     assert [moved.fields["X1"][0].get((a,)) for a in range(2)] == want

@@ -6,13 +6,14 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from natops.linalg import Elimination, mat_inv, nullspace, rank
+from natops.linalg import Elimination, nullspace, rank
 
 from .helpers import (
     assert_same_kernel,
     dense_nullspace,
     dense_rref,
     dense_vector,
+    mat_inv,
     reference_nullspace,
 )
 

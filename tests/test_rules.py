@@ -9,6 +9,7 @@ import pytest
 from natops import cli, oracle
 from natops.complexes import differential
 from natops.graphs import CONNECTION, WHITE
+from natops.jets import Tensor
 from natops.oracle import connection_probe, derive_connection_rule
 from natops.rules import (
     OUT,
@@ -151,10 +152,13 @@ def test_derivation_rejects_an_action_no_rule_matches(monkeypatch):
         # a constant no realization of the candidates can reproduce
         moved = act(gens, data)
         top = moved.conn[-1]
+        values = top.data
         for b, c in itertools.product(range(top.n), repeat=2):
             for ds in itertools.combinations_with_replacement(
                     range(top.n), top.nsym):
-                top.set((0, b, c), ds, top.get((0, b, c), ds) + 1)
+                key = (0, b, c) + ds
+                values[key] = values.get(key, 0) + 1
+        moved.conn[-1] = Tensor.from_values(top.n, 3, top.nsym, values)
         return moved
 
     monkeypatch.setattr(oracle, "infinitesimal_action", shifted)
