@@ -45,11 +45,11 @@ canonical graph is made the same way from the tuples built here.
 Canonical graphs are hash-consed: :func:`canonicalize` returns one shared
 :class:`~natops.graphs.Graph` per canonical graph for the life of the
 process, and every edge of a canonical out-map is the one shared
-``(position, slot)`` pair for its position and slot.  The bases, the
-differential's cache, formal sums and matrix assembly therefore hold
-references, not copies, and their dict lookups succeed on identity.  A
-returned graph is shared by every caller that ever met it and must never
-be mutated.
+``(position, slot)`` pair for its position and slot.  The bases, formal
+sums, ``d2check``'s memo of differentials and matrix assembly therefore
+hold references, not copies, and their dict lookups succeed on identity.
+A returned graph is shared by every caller that ever met it and must
+never be mutated.
 
 The returned sign is the parity of the permutation carrying the presented
 white order to the canonical white order.  If two minimal labelings
@@ -78,8 +78,8 @@ class _ZeroClass:
 ZERO = _ZeroClass()
 
 #: The canonical graphs made so far, keyed by their three fields: one
-#: shared object per canonical graph, kept as long as the process (as the
-#: differential's cache is).  The empty graph is ``EMPTY``.
+#: shared object per canonical graph, kept as long as the process.  The
+#: empty graph is ``EMPTY``.
 _SHARED = {}
 
 #: The initial partition of every vertex tuple met so far (see

@@ -2,16 +2,17 @@
 
 All machine output is schema-versioned JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verification command found a violation
-(d2check residue, naturality counterexample), 2 malformed input.  A
-process whose stdout is closed before its output is written (``natops
-basis ... | head``) is ended by SIGPIPE, as C tools are: shell status 141,
-``subprocess`` return code -13, and no traceback.
+(d2check residue, naturality counterexample), 2 malformed input or an
+output that cannot be written.  A process whose stdout is closed before
+its output is written (``natops basis ... | head``) is ended by SIGPIPE,
+as C tools are: shell status 141, ``subprocess`` return code -13, and no
+traceback.
 
 ``python -m natops`` runs :func:`main`, which ends the process with
-``os._exit`` once stdout and stderr are flushed: the interpreter's
-teardown, which frees every canonical graph, cached differential and
-module one object at a time, costs a process 15-35 ms on a 2-core host
-and gives back only memory the OS takes back at exit anyway.
+``os._exit`` once its output is flushed: the interpreter's teardown,
+which frees every canonical graph, plan and module one object at a
+time, costs a process 15-35 ms on a 2-core host and gives back only
+memory the OS takes back at exit anyway.
 :func:`run`, which the tests and library callers use, returns the exit
 code and leaves the process to end as it would.
 
@@ -107,12 +108,12 @@ MAX_WIRINGS = 1_000_000
 
 #: Most wirings the degree-0 or the degree-1 slice of ``kerbasis`` may
 #: build.  ``h0`` has only ``MAX_WIRINGS``, and on a 2-core host it runs
-#: every slice that admits: bullet-nabla d = 5 (h0 = 50 514) in about 26 s
-#: at 347 MB, bullet-nabla-1 d = 5 (7 614) in 9 s at 78 MB, bullet d = 6
-#: (120) in 7 s at 192 MB, bullet-wheel d = 6 (0) in 5 s at 120 MB,
-#: bullet-nabla-trace d = 4 (5 320) in 3 s at 53 MB, bullet-connected d = 6
-#: (120) in 3 s at 45 MB and bullet-nabla-wheel d = 4 (3 020) in 2 s at
-#: 35 MB.  ``kerbasis`` also back-substitutes and prints one vector per
+#: every slice that admits: bullet-nabla d = 5 (h0 = 50 514) in about 30 s
+#: at 291 MB, bullet-nabla-1 d = 5 (7 614) in 10 s at 70 MB, bullet d = 6
+#: (120) in 9 s at 171 MB, bullet-wheel d = 6 (0) in 5 s at 111 MB,
+#: bullet-nabla-trace d = 4 (5 320) in 3 s at 47 MB, bullet-connected d = 6
+#: (120) in 2 s at 42 MB and bullet-nabla-wheel d = 4 (3 020) in 2 s at
+#: 31 MB.  ``kerbasis`` also back-substitutes and prints one vector per
 #: dimension of h0, one whole graph object per term: 7.95 MB of JSON for
 #: the 376 vectors of bullet-nabla-1 d = 4, and about 670 MB for the 7 614
 #: at d = 5.  The slowest slices this admits, bullet-nabla d = 4 (10 396
@@ -120,44 +121,23 @@ MAX_WIRINGS = 1_000_000
 MAX_ELIMINATION_WIRINGS = 20_000
 
 
-def _slice_family(args, degrees):
+def _slice_family(args, degrees, limit=MAX_WIRINGS, why=" to enumerate"):
     """The family of ``args``, once the slices of the given degrees are
-    known to build at most ``MAX_WIRINGS`` wirings each."""
+    known to build at most ``limit`` wirings each; a refusal ends with
+    ``why``."""
     from .complexes import wiring_count
 
     family = FAMILIES[args.family]
     for m in degrees:
         try:
-            count = wiring_count(family, args.d, m, limit=MAX_WIRINGS)
+            count = wiring_count(family, args.d, m, limit=limit)
         except RecursionError:
             # the arity multisets nest one level per field or white, so a
             # slice too deep to count is far too large to enumerate
             count = None
-        if count is None or count > MAX_WIRINGS:
-            raise ValueError(
-                "%s d=%d degree %d has more than %d wirings to enumerate"
-                % (family.name, args.d, m, MAX_WIRINGS))
-    return family
-
-
-def _eliminated_family(args):
-    """The family of ``args`` for ``kerbasis``, once its degree-0 and
-    degree-1 slices are known to build at most ``MAX_ELIMINATION_WIRINGS``
-    wirings each."""
-    from .complexes import wiring_count
-
-    family = FAMILIES[args.family]
-    for m in (0, 1):
-        try:
-            count = wiring_count(family, args.d, m,
-                                 limit=MAX_ELIMINATION_WIRINGS)
-        except RecursionError:  # far too large, as in _slice_family
-            count = None
-        if count is None or count > MAX_ELIMINATION_WIRINGS:
-            raise ValueError(
-                "%s d=%d degree %d has more than %d wirings, too many to "
-                "eliminate and print as a kernel basis"
-                % (family.name, args.d, m, MAX_ELIMINATION_WIRINGS))
+        if count is None or count > limit:
+            raise ValueError("%s d=%d degree %d has more than %d wirings%s"
+                             % (family.name, args.d, m, limit, why))
     return family
 
 
@@ -174,7 +154,8 @@ def _read_json(path):
 
 
 def _unwritable(out, reason):
-    return ValueError("cannot write --out %s: %s" % (out, reason))
+    where = "stdout" if out in (None, "-") else "--out " + out
+    return ValueError("cannot write %s: %s" % (where, reason))
 
 
 def _check_out(out):
@@ -193,16 +174,20 @@ def _check_out(out):
 
 @contextmanager
 def _output(out):
-    """The text handle ``--out`` names: stdout for None or ``-``."""
-    if out in (None, "-"):
-        yield sys.stdout
-        return
+    """The text handle ``--out`` names: stdout for None or ``-``.  The
+    output is flushed before the block ends, so that a write that fails
+    (a full disk) is refused here, as an ``--out`` that cannot be opened
+    is, and never ends in a traceback and exit 1."""
     try:
+        if out in (None, "-"):
+            yield sys.stdout
+            sys.stdout.flush()
+            return
         fh = open(out, "w")
+        with fh:
+            yield fh
     except OSError as e:
         raise _unwritable(out, e.strerror)
-    with fh:
-        yield fh
 
 
 def _write(obj, out):
@@ -354,10 +339,13 @@ def main():
     traceback and exit 1, which would read as a found violation.  Once
     ``run`` returns, stdout and stderr are flushed and the process ends
     by ``os._exit``: everything natops built is given back by the OS, not
-    freed object by object, and a failed flush still raises.  An exception
-    from ``run`` (argparse's ``SystemExit`` among them) takes the normal
-    exit, and so does every process under a profiler or tracer, which
-    writes its report at teardown: one set by ``sys.setprofile`` or
+    freed object by object.  ``run`` flushes stdout with its output and
+    refuses a write that fails there, with exit 2, so stdout's flush can
+    fail only on what that write left in the buffer, which is dropped; a
+    failed flush of stderr still raises.  An exception from ``run``
+    (argparse's ``SystemExit`` among them) takes the normal exit, and so
+    does every process under a profiler or tracer, which writes its
+    report at teardown: one set by ``sys.setprofile`` or
     ``sys.settrace``, or, from Python 3.12 on, any tool registered with
     ``sys.monitoring``, through which cProfile profiles there.
     """
@@ -371,9 +359,13 @@ def main():
     if (sys.getprofile() is not None or sys.gettrace() is not None
             or _monitored()):
         sys.exit(code)  # the report is written at teardown
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the descriptor was closed
-            stream.flush()
+    if sys.stdout is not None:  # None when the descriptor was closed
+        try:
+            sys.stdout.flush()
+        except OSError:
+            code = 2  # the write that failed in run() was reported there
+    if sys.stderr is not None:
+        sys.stderr.flush()
     os._exit(code)
 
 

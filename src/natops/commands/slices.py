@@ -69,7 +69,9 @@ def cmd_h0(args):
 def cmd_kerbasis(args):
     from ..homology import kernel_basis
 
-    fam = cli._eliminated_family(args)
+    fam = cli._slice_family(
+        args, (0, 1), cli.MAX_ELIMINATION_WIRINGS,
+        ", too many to eliminate and print as a kernel basis")
     basis = kernel_basis(fam, args.d)
     obj = {
         "schema": io.SCHEMA,

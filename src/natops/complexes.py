@@ -20,10 +20,10 @@ Of that work only the edges differ between graphs with one vertex tuple and
 one white order: which rule replaces each vertex, the sign, the spliced
 white order and the vertex tuple of each term are a plan, worked out once
 per (vertices, white order) and kept in ``_PLANS`` for the life of the
-process, as the differential's cache is.  A plan row holds, per rule term,
-the term's vertex tuple, white order and coefficient, where each boundary
-port enters, the internals' own edges, and the canonical start of the
-vertex tuple, which is handed to :func:`canonicalize` with every term.
+process.  A plan row holds, per rule term, the term's vertex tuple, white
+order and coefficient, where each boundary port enters, the internals'
+own edges, and the canonical start of the vertex tuple, which is handed
+to :func:`canonicalize` with every term.
 The port maps and internal edges depend only on the rule, the replaced
 vertex's id and n (:func:`_placed`); :func:`canonicalize` maps every edge
 to its shared pair when it builds the output.
@@ -305,21 +305,10 @@ def _wirings(family, d, vs, ws, us):
         yield cg
 
 
-_DELTA_CACHE = {}
-
 #: The substitution plan of every (vertices, white order) met by
-#: :func:`delta_graph` (see :func:`_plan`), kept as long as the process
-#: (as the differential's cache is).  Plans are tuples, which nothing
-#: mutates.
+#: :func:`delta_graph` (see :func:`_plan`), kept as long as the process.
+#: Plans are tuples, which nothing mutates.
 _PLANS = {}
-
-
-def delta_graph_cached(g):
-    """Memoized differential of a canonical graph (treat as read-only)."""
-    hit = _DELTA_CACHE.get(g)
-    if hit is None:
-        hit = _DELTA_CACHE[g] = delta_graph(g)
-    return hit
 
 
 def _placed(tpl, v, n):
@@ -444,8 +433,19 @@ def differential(x):
         raise ValueError("mixed-degree input to differential")
     out = FormalSum()
     for g, c in x:
-        add_into(out.terms, delta_graph_cached(g).terms, c)
+        add_into(out.terms, delta_graph(g).terms, c)
     return out
+
+
+def delta_graph_cached(g, memo):
+    """The differential of a canonical graph, from the dict ``memo`` or
+    made by :func:`delta_graph` and kept there.  The sums it returns are
+    shared with every later call on the same memo, so its caller must
+    not change them."""
+    hit = memo.get(g)
+    if hit is None:
+        hit = memo[g] = delta_graph(g)
+    return hit
 
 
 D2Report = namedtuple("D2Report", ["family", "d", "checked", "failures"])
@@ -454,17 +454,20 @@ D2Report = namedtuple("D2Report", ["family", "d", "checked", "failures"])
 def d_squared_zero(family, d):
     """Check delta(delta(G)) = 0 on the basis graphs of degrees 0 and 1.
 
-    Each residue is added up in one dict straight from the cached
-    differentials of G and of its terms."""
+    Each residue is added up in one dict straight from the differentials
+    of G and of its terms.  A degree-1 graph is a term of many degree-0
+    differentials and a basis graph too, so each differential is made
+    once, in a memo that lives as long as this call."""
     family = as_family(family)
     failures = []
     checked = 0
+    memo = {}
     for m in (0, 1):
         for g in enumerate_basis(family, d, m).graphs:
             r = FormalSum()
             acc = r.terms
-            for h, c in delta_graph_cached(g):
-                add_into(acc, delta_graph_cached(h).terms, c)
+            for h, c in delta_graph_cached(g, memo):
+                add_into(acc, delta_graph_cached(h, memo).terms, c)
             checked += 1
             if r:
                 failures.append((g, r))

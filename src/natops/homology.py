@@ -12,18 +12,14 @@ pivot, gives ranks and span tests on ints alone, so :func:`h0_dimension`
 never makes a Fraction.  Only :func:`kernel_basis` back-substitutes and
 divides: its vectors come back in the reduced form the least-column
 elimination gives, as {col: value} on ints unless one of a vector's
-values is not an integer, and coordinates as {index: coeff}.  The kernel of the
-degree-0 differential is the space of natural operators of the family.
-Only the functions that eliminate import :mod:`natops.linalg`, so
-``natops matrix``, which writes the differential, never compiles it.
+values is not an integer.  The kernel of the degree-0 differential is the
+space of natural operators of the family.  Only the functions that
+eliminate import :mod:`natops.linalg`, so ``natops matrix``, which writes
+the differential, never compiles it.
 """
 
 from .canonical import key_bytes
-from .complexes import (
-    delta_graph_cached,
-    differential,
-    enumerate_basis,
-)
+from .complexes import delta_graph, differential, enumerate_basis
 from .formal import FormalSum
 from .graphs import as_family
 
@@ -65,7 +61,7 @@ def delta_matrix(family, d, m, source=None):
     mat = SparseMatrixQ(len(tgt.graphs), len(src.graphs))
     rows = mat.rows
     for j, g in enumerate(src.graphs):
-        for cg, coeff in delta_graph_cached(g):
+        for cg, coeff in delta_graph(g):
             i = index.get(cg)
             if i is None:
                 raise BasisIncompleteError(
@@ -100,23 +96,3 @@ def kernel_basis(family, d):
             raise AssertionError("kernel element fails differential re-check")
         out.append(s)
     return out
-
-
-def coordinates(x, basis_slice):
-    """Sparse coordinates {index: coeff} of a formal sum in a basis slice."""
-    index = {g: i for i, g in enumerate(basis_slice.graphs)}
-    vec = {}
-    for g, c in x:
-        i = index.get(g)
-        if i is None:
-            raise BasisIncompleteError("term outside slice")
-        vec[i] = c
-    return vec
-
-
-def spans(vectors, others):
-    """Do ``vectors`` span every vector in ``others`` (exact)?"""
-    from .linalg import Elimination
-
-    elimination = Elimination(vectors)
-    return not any(elimination.reduce(o) for o in others)

@@ -4,7 +4,8 @@ split of the differential, the rule template check, the reference dealer
 of wirings with its basis, run keys and connectivity filter, the
 reference sparse elimination (the least-column Gauss-Jordan Fraction
 elimination natops.linalg replaced), a dense one and the matrix inverse
-over Q, the derived connection rules, the realization state sum, the
+over Q, the coordinates of a sum in a slice and the exact span test, the
+derived connection rules, the realization state sum, the
 reference polynomial layer, the composition and identity of coordinate
 changes, the reference jet transformation law, the dual-number flow
 derivative, the truncated
@@ -666,6 +667,24 @@ def dense_coordinates(x, basis_slice):
     """Reference coordinates of a formal sum as a dense list over the slice."""
     coeff = dict(x)
     return [Fraction(coeff.get(g, 0)) for g in basis_slice.graphs]
+
+
+def coordinates(x, basis_slice):
+    """Sparse coordinates {index: coeff} of a formal sum in a basis slice."""
+    index = {g: i for i, g in enumerate(basis_slice.graphs)}
+    vec = {}
+    for g, c in x:
+        i = index.get(g)
+        if i is None:
+            raise homology.BasisIncompleteError("term outside slice")
+        vec[i] = c
+    return vec
+
+
+def spans(vectors, others):
+    """Do ``vectors`` span every vector in ``others`` (exact)?"""
+    elimination = Elimination(vectors)
+    return not any(elimination.reduce(o) for o in others)
 
 
 def state_sum(g, data, gens=None):

@@ -16,12 +16,7 @@ from natops.complexes import (
 from natops.formal import FormalSum, combine
 from natops.genfun import g_functional
 from natops.graphs import CONNECTION
-from natops.homology import (
-    coordinates,
-    h0_dimension,
-    kernel_basis,
-    spans,
-)
+from natops.homology import h0_dimension, kernel_basis
 from natops.jets import naturality_check, random_jet_data, realize
 from natops.operad import (
     arity,
@@ -37,11 +32,13 @@ from natops.oracle import connection_probe
 from .helpers import (
     chain_xy,
     chain_yx,
+    coordinates,
     derived_rule,
     dual_consistency,
     g_egf,
     g_recursion,
     nabla_xy,
+    spans,
     trace_pair,
     wheel_block_injective,
 )

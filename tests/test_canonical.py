@@ -8,7 +8,7 @@ import pytest
 
 from natops import canonical, complexes
 from natops.canonical import ZERO, canonicalize, key_bytes, start_of
-from natops.complexes import d_squared_zero, delta_graph, enumerate_basis
+from natops.complexes import delta_graph, delta_graph_cached, enumerate_basis
 from natops.graphs import (
     FAMILIES,
     SYM,
@@ -280,13 +280,19 @@ def test_shared_vertex_tuples_match_reference(monkeypatch, reverse):
 
 def test_delta_cache_holds_one_object_per_graph():
     # a memory guard on object counts, not on RSS: every key and term of
-    # the differential's cache is the one shared object of its graph
-    assert d_squared_zero("bullet-connected", 4).failures == []
+    # a differential memo, filled as complexes.d_squared_zero fills its
+    # own, is the one shared object of its graph
+    memo = {}
+    for m in (0, 1):
+        for g in enumerate_basis("bullet-connected", 4, m).graphs:
+            for h, _ in delta_graph_cached(g, memo):
+                delta_graph_cached(h, memo)
+            assert delta_graph_cached(g, memo) is memo[g]
     graphs = []
-    for g, dg in complexes._DELTA_CACHE.items():
+    for g, dg in memo.items():
         graphs.append(g)
         graphs.extend(cg for cg, _ in dg)
-    assert len(graphs) > len(complexes._DELTA_CACHE) > 0
+    assert len(graphs) > len(memo) > 0
     assert len({id(g) for g in graphs}) == len(set(graphs))
     assert all(_shared_edges(g) for g in graphs)
 

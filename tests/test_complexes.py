@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from natops.graphs import (
     disjoint_union,
     is_connected,
 )
+from natops.homology import h0_dimension, kernel_basis
 
 from .helpers import (
     chain_xy,
@@ -180,7 +182,6 @@ def test_d2check_finds_a_broken_rule(monkeypatch, tmp_path):
     monkeypatch.setattr(
         rules, "replace_white", lambda u: bad if u == 3 else replace_white(u))
     monkeypatch.setattr(complexes, "_PLANS", {})
-    monkeypatch.setattr(complexes, "_DELTA_CACHE", {})
     want = {}
     for m in (0, 1):
         for g in enumerate_basis("bullet", 3, m).graphs:
@@ -197,6 +198,21 @@ def test_d2check_finds_a_broken_rule(monkeypatch, tmp_path):
     assert cli.run(["d2check", "--family", "bullet", "--d", "3",
                     "--out", str(out)]) == 1
     assert len(json.loads(out.read_text())["failures"]) == len(want)
+
+
+def test_no_module_keeps_differentials():
+    """The differential is kept only where it is read back, in the memo
+    of one d_squared_zero call: after h0 and kernel bases no natops
+    module holds a table of formal sums."""
+    h0_dimension("bullet", 4)
+    kernel_basis("bullet", 3)
+    for name, module in list(sys.modules.items()):
+        if name != "natops" and not name.startswith("natops."):
+            continue
+        for attr, value in vars(module).items():
+            assert not (isinstance(value, dict) and any(
+                isinstance(v, FormalSum) for v in value.values())), (
+                "%s.%s holds formal sums" % (name, attr))
 
 
 def test_bigrade_split():

@@ -12,8 +12,6 @@ from natops.homology import (
     delta_matrix,
     h0_dimension,
     kernel_basis,
-    spans,
-    coordinates,
 )
 from natops.complexes import differential
 from natops import linalg
@@ -23,12 +21,14 @@ from .helpers import (
     assert_same_kernel,
     chain_xy,
     chain_yx,
+    coordinates,
     dense_coordinates,
     dense_matrix,
     dense_nullspace,
     dense_vector,
     nabla_xy,
     reference_nullspace,
+    spans,
     wheel_block_injective,
 )
 

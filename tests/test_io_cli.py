@@ -491,12 +491,13 @@ def test_cli_deeply_nested_json_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory",
-                                   "dangling-link"])
+                                   "dangling-link", "full-device"])
 def test_cli_out_that_cannot_be_written(tmp_path, capsys, where):
-    """An --out that cannot be opened exits 2 with a reason.  A directory,
-    or a path in none, is refused before the command runs (the malformed
-    --in is never read); a link into a missing directory fails only when
-    the output is opened."""
+    """An --out that cannot be opened or written exits 2 with a reason.  A
+    directory, or a path in none, is refused before the command runs (the
+    malformed --in is never read); a link into a missing directory fails
+    only when the output is opened, and a full device only when it is
+    written."""
     junk = tmp_path / "junk.json"
     junk.write_text("{not json")
     out = tmp_path / "no-such-dir" / "o.json"
@@ -505,7 +506,11 @@ def test_cli_out_that_cannot_be_written(tmp_path, capsys, where):
     elif where == "dangling-link":
         (tmp_path / "link.json").symlink_to(out)
         out = tmp_path / "link.json"
-    if where == "dangling-link":
+    elif where == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        out = "/dev/full"
+    if where in ("dangling-link", "full-device"):
         argv = ["h0", "--family", "bullet", "--d", "2", "--out", str(out)]
     else:
         argv = ["diff", "--in", str(junk), "--out", str(out)]
@@ -513,6 +518,22 @@ def test_cli_out_that_cannot_be_written(tmp_path, capsys, where):
     assert code == 2 and stdout == ""
     assert capsys.readouterr().err.startswith(
         "error: cannot write --out %s: " % out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["h0", "--family", "bullet", "--d", "3"],
+    ["basis", "--family", "bullet", "--d", "4", "--degree", "1"]])
+def test_stdout_that_cannot_be_written(argv):
+    """A stdout on a full device exits 2 with the reason and no traceback,
+    whether the write fails at the end (h0's few bytes) or while the
+    output is written (basis's 600 KB, written in pieces)."""
+    with open("/dev/full", "w") as full:
+        p = subprocess.run(
+            [sys.executable, "-m", "natops"] + argv, stdout=full,
+            stderr=subprocess.PIPE, text=True, env=_env(), timeout=120)
+    assert p.returncode == 2
+    assert p.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_cli_failed_command_leaves_out_as_it_was(tmp_path, capsys):
@@ -1211,7 +1232,8 @@ def test_elimination_budget_admits_the_run_slices(monkeypatch):
                  ("bullet", 2)}
     for family, d in kerbasis:
         args = SimpleNamespace(family=family, d=d)
-        assert cli._eliminated_family(args).name == family
+        assert cli._slice_family(
+            args, (0, 1), MAX_ELIMINATION_WIRINGS).name == family
     h0 = kerbasis | set(workloads.CLASSIFY_H0) | set(_REFUSED_ELIMINATIONS)
     h0 |= {("bullet", 3), ("bullet-nabla-1", 3), ("bullet-nabla", 5),
            ("bullet-wheel", 6), ("bullet-connected", 6)}
@@ -1220,7 +1242,8 @@ def test_elimination_budget_admits_the_run_slices(monkeypatch):
         assert cli._slice_family(args, (0, 1)).name == family
     for family, d in _REFUSED_ELIMINATIONS:
         with pytest.raises(ValueError):
-            cli._eliminated_family(SimpleNamespace(family=family, d=d))
+            cli._slice_family(SimpleNamespace(family=family, d=d), (0, 1),
+                              MAX_ELIMINATION_WIRINGS)
 
 
 def _white_fan(arity):

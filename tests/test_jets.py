@@ -31,6 +31,7 @@ from .helpers import (
     chain_yx,
     components,
     compose_changes,
+    coordinates,
     identity_change,
     mat_inv,
     nabla_xy,
@@ -40,6 +41,7 @@ from .helpers import (
     packed,
     reference_infinitesimal_action,
     reference_jet_transform,
+    spans,
     state_sum,
     trace_pair,
     unit,
@@ -453,8 +455,6 @@ def test_kernel_elements_are_natural_nonkernel_fail():
     for x in kernel_basis("bullet", 2):
         assert naturality_check(x, 2, trials=20, seed=1) is None
     src = enumerate_basis("bullet", 2, 0)
-    from natops.homology import coordinates, spans
-
     kernel_vecs = [coordinates(x, src) for x in kernel_basis("bullet", 2)]
     for g in src.graphs:
         x = FormalSum.of(g)

@@ -13,7 +13,7 @@ from natops.cli import MAX_COMPOSE_MONOMIALS, MAX_WORD_LEAVES
 from natops.complexes import differential, enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.graphs import SYM, Graph, anchor, vector
-from natops.homology import coordinates, kernel_basis, spans
+from natops.homology import kernel_basis
 from natops.operad import (
     arity,
     bracket_element,
@@ -30,8 +30,10 @@ from natops.operad import (
 )
 
 from .helpers import (
+    coordinates,
     reference_monomial_compose,
     reference_trace_map,
+    spans,
     wheel_length,
 )
 
