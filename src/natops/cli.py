@@ -337,12 +337,10 @@ def main():
     SIGPIPE gets its default action back, so a reader that stops early
     ends the process by that signal instead of a ``BrokenPipeError``
     traceback and exit 1, which would read as a found violation.  Once
-    ``run`` returns, stdout and stderr are flushed and the process ends
-    by ``os._exit``: everything natops built is given back by the OS, not
-    freed object by object.  ``run`` flushes stdout with its output and
-    refuses a write that fails there, with exit 2, so stdout's flush can
-    fail only on what that write left in the buffer, which is dropped; a
-    failed flush of stderr still raises.  An exception from ``run``
+    ``run`` returns, stderr is flushed and the process ends by
+    ``os._exit``: everything natops built is given back by the OS, not
+    freed object by object.  ``run`` has flushed stdout with its output
+    already (:func:`_output`).  An exception from ``run``
     (argparse's ``SystemExit`` among them) takes the normal exit, and so
     does every process under a profiler or tracer, which writes its
     report at teardown: one set by ``sys.setprofile`` or
@@ -359,12 +357,7 @@ def main():
     if (sys.getprofile() is not None or sys.gettrace() is not None
             or _monitored()):
         sys.exit(code)  # the report is written at teardown
-    if sys.stdout is not None:  # None when the descriptor was closed
-        try:
-            sys.stdout.flush()
-        except OSError:
-            code = 2  # the write that failed in run() was reported there
-    if sys.stderr is not None:
+    if sys.stderr is not None:  # None when the descriptor was closed
         sys.stderr.flush()
     os._exit(code)
 

@@ -425,15 +425,18 @@ def delta_graph(g):
     return out
 
 
-def differential(x):
-    """Differential of a formal sum; input must be degree-homogeneous."""
+def differential(x, memo=None):
+    """Differential of a formal sum; input must be degree-homogeneous.
+    With a dict ``memo``, each graph's differential is read from it or
+    kept there, as :func:`delta_graph_cached` does."""
     x = as_sum(x)
     degrees = {g.degree for g, _ in x}
     if len(degrees) > 1:
         raise ValueError("mixed-degree input to differential")
     out = FormalSum()
     for g, c in x:
-        add_into(out.terms, delta_graph(g).terms, c)
+        dg = delta_graph(g) if memo is None else delta_graph_cached(g, memo)
+        add_into(out.terms, dg.terms, c)
     return out
 
 

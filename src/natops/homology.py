@@ -19,7 +19,12 @@ the differential, never compiles it.
 """
 
 from .canonical import key_bytes
-from .complexes import delta_graph, differential, enumerate_basis
+from .complexes import (
+    delta_graph,
+    delta_graph_cached,
+    differential,
+    enumerate_basis,
+)
 from .formal import FormalSum
 from .graphs import as_family
 
@@ -50,10 +55,11 @@ class SparseMatrixQ:
             self.nrows, self.ncols, sum(map(len, self.rows.values())))
 
 
-def delta_matrix(family, d, m, source=None):
+def delta_matrix(family, d, m, source=None, memo=None):
     """Exact matrix of the differential from degree m to m+1, on the
     degree-m slice ``source`` (enumerated when None) and the enumerated
-    degree-(m+1) slice."""
+    degree-(m+1) slice.  With a dict ``memo``, each column's differential
+    is kept there, as :func:`delta_graph_cached` does."""
     family = as_family(family)
     src = source if source is not None else enumerate_basis(family, d, m)
     tgt = enumerate_basis(family, d, m + 1)
@@ -61,7 +67,8 @@ def delta_matrix(family, d, m, source=None):
     mat = SparseMatrixQ(len(tgt.graphs), len(src.graphs))
     rows = mat.rows
     for j, g in enumerate(src.graphs):
-        for cg, coeff in delta_graph(g):
+        dg = delta_graph(g) if memo is None else delta_graph_cached(g, memo)
+        for cg, coeff in dg:
             i = index.get(cg)
             if i is None:
                 raise BasisIncompleteError(
@@ -81,18 +88,22 @@ def h0_dimension(family, d):
 def kernel_basis(family, d):
     """Reduced exact basis of ker(delta) on the degree-0 slice.
 
-    Every returned element is re-verified to have vanishing differential.
+    Every returned element is re-verified to have vanishing differential,
+    added up again from its graphs' differentials, not read off the
+    matrix.  Those are the matrix's columns, kept in a memo that lives as
+    long as this call, so each is made once.
     """
     from .linalg import nullspace
 
     src = enumerate_basis(family, d, 0)
-    mat = delta_matrix(family, d, 0, source=src)
+    memo = {}
+    mat = delta_matrix(family, d, 0, source=src, memo=memo)
     out = []
     for vec in nullspace(mat.rows.values(), mat.ncols):
         # nonzeros on distinct basis graphs: the sum's terms as they are
         s = FormalSum()
         s.terms = {src.graphs[j]: c for j, c in vec.items()}
-        if differential(s):
+        if differential(s, memo):
             raise AssertionError("kernel element fails differential re-check")
         out.append(s)
     return out

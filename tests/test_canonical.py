@@ -278,16 +278,21 @@ def test_shared_vertex_tuples_match_reference(monkeypatch, reverse):
         assert pos is None or pos is colors
 
 
-def test_delta_cache_holds_one_object_per_graph():
+def test_delta_cache_holds_one_object_per_graph(monkeypatch):
     # a memory guard on object counts, not on RSS: every key and term of
-    # a differential memo, filled as complexes.d_squared_zero fills its
-    # own, is the one shared object of its graph
-    memo = {}
-    for m in (0, 1):
-        for g in enumerate_basis("bullet-connected", 4, m).graphs:
-            for h, _ in delta_graph_cached(g, memo):
-                delta_graph_cached(h, memo)
-            assert delta_graph_cached(g, memo) is memo[g]
+    # the memo d_squared_zero fills, reached through the module global
+    # complexes.delta_graph_cached, is the one shared object of its graph
+    memos = []
+
+    def recording(g, memo):
+        if not any(memo is m for m in memos):
+            memos.append(memo)
+        return delta_graph_cached(g, memo)
+
+    monkeypatch.setattr(complexes, "delta_graph_cached", recording)
+    assert complexes.d_squared_zero("bullet-connected", 4).failures == []
+    assert len(memos) == 1
+    memo = memos[0]
     graphs = []
     for g, dg in memo.items():
         graphs.append(g)

@@ -202,8 +202,8 @@ def test_d2check_finds_a_broken_rule(monkeypatch, tmp_path):
 
 def test_no_module_keeps_differentials():
     """The differential is kept only where it is read back, in the memo
-    of one d_squared_zero call: after h0 and kernel bases no natops
-    module holds a table of formal sums."""
+    of one d_squared_zero or kernel_basis call: after h0 and kernel bases
+    no natops module holds a table of formal sums."""
     h0_dimension("bullet", 4)
     kernel_basis("bullet", 3)
     for name, module in list(sys.modules.items()):

@@ -5,7 +5,8 @@ from math import factorial
 
 import pytest
 
-from natops.complexes import enumerate_basis
+from natops.canonical import key_bytes
+from natops.complexes import delta_graph, enumerate_basis
 from natops.formal import FormalSum, combine
 from natops.homology import (
     BasisIncompleteError,
@@ -110,6 +111,25 @@ def test_sparse_kernel_matches_dense_reference(fam, d):
     assert [dense_coordinates(x, src) for x in kb] == want
     coords = [coordinates(x, src) for x in kb]
     assert coords == null
+
+
+def test_kernel_basis_applies_delta_once_per_graph(monkeypatch):
+    # the re-check reads the differentials the matrix was built from,
+    # through the module globals, as a tracer that rebinds them sees it
+    from natops import complexes, homology
+
+    made = []
+
+    def counted(g):
+        made.append(g)
+        return delta_graph(g)
+
+    monkeypatch.setattr(complexes, "delta_graph", counted)
+    monkeypatch.setattr(homology, "delta_graph", counted)
+    src = enumerate_basis("bullet-nabla-1", 3, 0)
+    kb = kernel_basis("bullet-nabla-1", 3)
+    assert sorted(map(key_bytes, made)) == sorted(map(key_bytes, src.graphs))
+    assert {g for x in kb for g, _ in x} == set(src.graphs)
 
 
 def _matches_reference(fam, d):

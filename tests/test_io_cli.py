@@ -650,7 +650,9 @@ def sigpipe():
 
 
 def _fake_run(argv=None):
-    sys.stdout.write("output")
+    # output goes through cli._output, which flushes it; main flushes stderr
+    with cli._output(None) as fh:
+        fh.write("output")
     sys.stderr.write("note")
     return 3
 
