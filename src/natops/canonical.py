@@ -42,14 +42,20 @@ basis enumeration hand over their terms and wirings as made by
 :meth:`~natops.graphs.Graph.from_tuples`, normalized by nobody, and the
 canonical graph is made the same way from the tuples built here.
 
-Canonical graphs are hash-consed: :func:`canonicalize` returns one shared
+Canonical graphs are hash-consed (Filliâtre and Conchon, "Type-safe
+modular hash-consing", 2006): :func:`canonicalize` returns one shared
 :class:`~natops.graphs.Graph` per canonical graph for the life of the
 process, and every edge of a canonical out-map is the one shared
 ``(position, slot)`` pair for its position and slot.  The bases, formal
 sums, ``d2check``'s memo of differentials and matrix assembly therefore
 hold references, not copies, and their dict lookups succeed on identity.
 A returned graph is shared by every caller that ever met it and must
-never be mutated.
+never be mutated.  The table is keyed in two levels so that a graph
+costs only its own object and out-map: each canonical vertex tuple gets
+a small int id once, kept in its start, and the graphs of one id and one
+white set sit in one entry that holds their one shared white order,
+keyed by out-map alone.  So the lookup of a term hashes an int, its
+whites and its edges, not n vertices.
 
 The returned sign is the parity of the permutation carrying the presented
 white order to the canonical white order.  If two minimal labelings
@@ -77,10 +83,17 @@ class _ZeroClass:
 #: Canonical class of graphs that vanish by orientation symmetry.
 ZERO = _ZeroClass()
 
-#: The canonical graphs made so far, keyed by their three fields: one
-#: shared object per canonical graph, kept as long as the process.  The
-#: empty graph is ``EMPTY``.
+#: The canonical graphs made so far, one shared object per canonical graph,
+#: kept as long as the process: ``_SHARED[sid, whites]`` is ``(whites,
+#: {out: graph})`` for the graphs whose canonical vertex tuple has id
+#: ``sid`` (see ``_SIDS``) and whose sorted white positions are
+#: ``whites``; every graph of the entry holds the entry's ``whites`` as its
+#: white order.  The empty graph is ``EMPTY``.
 _SHARED = {}
+
+#: The id of every canonical vertex tuple met so far, 0, 1, 2, ... in the
+#: order they were met, kept as long as the process.
+_SIDS = {}
 
 #: The initial partition of every vertex tuple met so far (see
 #: :func:`_start`), keyed by ``g.vertices`` and kept as long as the process.
@@ -260,15 +273,24 @@ def _leaf(g, colors, cells):
     return pos if len(parities) == 1 else None
 
 
+def _sid(cverts):
+    """The id of the canonical vertex tuple ``cverts``, given once."""
+    sid = _SIDS.get(cverts)
+    if sid is None:
+        sid = _SIDS[cverts] = len(_SIDS)
+    return sid
+
+
 def _start(verts):
     """The initial partition of the vertex tuple ``verts``, as tuples
-    ``(colors, cells, pos, cverts)``.  Vertices are coloured by kind, order
-    and label: ``colors[i]`` is the position of vertex i's cell, and
+    ``(colors, cells, pos, cverts, sid)``.  Vertices are coloured by kind,
+    order and label: ``colors[i]`` is the position of vertex i's cell, and
     ``cells`` are the cells with more than one member, in colour order,
     each ascending.  For a discrete start ``pos`` is ``colors`` (the
     positions are the ranks), else None.  ``cverts`` is the canonical vertex
-    tuple, or None when a cell holds unequal vertices (an unlabelled and an
-    empty-labelled field), whose order only the leaf decides."""
+    tuple and ``sid`` its id (:func:`_sid`), or both None when a cell holds
+    unequal vertices (an unlabelled and an empty-labelled field), whose
+    order only the leaf decides."""
     n = len(verts)
     init = [(v.kind, v.order, v.label or "") for v in verts]
     inv = sorted(range(n), key=init.__getitem__)
@@ -289,8 +311,10 @@ def _start(verts):
     cverts = tuple([verts[i] for i in inv])
     if cells and any(verts[i] != verts[cell[0]]
                      for cell in cells for i in cell):
-        cverts = None
-    return colors, tuple(cells), None if cells else colors, cverts
+        cverts = sid = None
+    else:
+        sid = _sid(cverts)
+    return colors, tuple(cells), None if cells else colors, cverts, sid
 
 
 def start_of(verts):
@@ -322,7 +346,7 @@ def canonicalize(g, start=None):
         return EMPTY, 1
     if start is None:
         start = start_of(verts)
-    colors, cells, pos, cverts = start
+    colors, cells, pos, cverts, sid = start
     if pos is None:
         pos = _leaf(g, colors, cells)
         if pos is None:
@@ -330,16 +354,21 @@ def canonicalize(g, start=None):
         if cverts is None:
             inv = sorted(range(n), key=pos.__getitem__)
             cverts = tuple([verts[i] for i in inv])
+            sid = _sid(cverts)
     pairs = _PAIRS if n <= len(_PAIRS) else _pairs(n)
     edges = [None] * n
     for i, e in enumerate(g.out):
         if e is not None:
             edges[pos[i]] = pairs[pos[e[0]]][e[1]]
+    edges = tuple(edges)
     whites = [pos[w] for w in g.white_order]
-    key = (cverts, tuple(edges), tuple(sorted(whites)))
-    cg = _SHARED.get(key)
+    key = (sid, tuple(sorted(whites)))
+    entry = _SHARED.get(key)
+    if entry is None:
+        entry = _SHARED[key] = (key[1], {})
+    cg = entry[1].get(edges)
     if cg is None:
-        cg = _SHARED[key] = Graph.from_tuples(*key)
+        cg = entry[1][edges] = Graph.from_tuples(cverts, edges, entry[0])
     return cg, -1 if len(whites) > 1 and _parity(whites) else 1
 
 

@@ -109,11 +109,11 @@ MAX_WIRINGS = 1_000_000
 #: Most wirings the degree-0 or the degree-1 slice of ``kerbasis`` may
 #: build.  ``h0`` has only ``MAX_WIRINGS``, and on a 2-core host it runs
 #: every slice that admits: bullet-nabla d = 5 (h0 = 50 514) in about 30 s
-#: at 291 MB, bullet-nabla-1 d = 5 (7 614) in 10 s at 70 MB, bullet d = 6
-#: (120) in 9 s at 171 MB, bullet-wheel d = 6 (0) in 5 s at 111 MB,
-#: bullet-nabla-trace d = 4 (5 320) in 3 s at 47 MB, bullet-connected d = 6
-#: (120) in 2 s at 42 MB and bullet-nabla-wheel d = 4 (3 020) in 2 s at
-#: 31 MB.  ``kerbasis`` also back-substitutes and prints one vector per
+#: at 265 MB, bullet-nabla-1 d = 5 (7 614) in 10 s at 66 MB, bullet d = 6
+#: (120) in 9 s at 147 MB, bullet-wheel d = 6 (0) in 5 s at 99 MB,
+#: bullet-nabla-trace d = 4 (5 320) in 3 s at 44 MB, bullet-connected d = 6
+#: (120) in 2 s at 39 MB and bullet-nabla-wheel d = 4 (3 020) in 2 s at
+#: 29 MB.  ``kerbasis`` also back-substitutes and prints one vector per
 #: dimension of h0, one whole graph object per term: 7.95 MB of JSON for
 #: the 376 vectors of bullet-nabla-1 d = 4, and about 670 MB for the 7 614
 #: at d = 5.  The slowest slices this admits, bullet-nabla d = 4 (10 396

@@ -458,18 +458,25 @@ def d_squared_zero(family, d):
     """Check delta(delta(G)) = 0 on the basis graphs of degrees 0 and 1.
 
     Each residue is added up in one dict straight from the differentials
-    of G and of its terms.  A degree-1 graph is a term of many degree-0
-    differentials and a basis graph too, so each differential is made
-    once, in a memo that lives as long as this call."""
+    of G and of its terms.  A degree-1 or degree-2 graph is a term of many
+    differentials, so each differential is made once, in a memo that lives
+    as long as this call and holds only what is read again.  A degree-0
+    differential is read once and never kept.  A degree-1 graph's, kept
+    since the graph first came up as a term, is taken out of the memo when
+    its own residue is summed; every degree-1 term is a basis graph, so on
+    return the memo holds degree-2 differentials alone."""
     family = as_family(family)
     failures = []
     checked = 0
     memo = {}
     for m in (0, 1):
         for g in enumerate_basis(family, d, m).graphs:
+            dg = memo.pop(g, None)
+            if dg is None:
+                dg = delta_graph(g)
             r = FormalSum()
             acc = r.terms
-            for h, c in delta_graph_cached(g, memo):
+            for h, c in dg:
                 add_into(acc, delta_graph_cached(h, memo).terms, c)
             checked += 1
             if r:

@@ -204,7 +204,7 @@ def _white_chain():
 def _ties_survive(g):
     """Does a tie survive the refinement of ``g``'s initial partition, so
     that canonicalize goes on from the first round into the search?"""
-    colors, cells, pos, _ = canonical._start(g.vertices)
+    colors, cells, pos, _, _ = canonical._start(g.vertices)
     return pos is None and canonical._refine(g.out, list(colors), cells)[1]
 
 
@@ -273,26 +273,33 @@ def test_shared_vertex_tuples_match_reference(monkeypatch, reverse):
     assert len(starts) == len(groups)
     for verts, entry in starts.items():
         assert entry == canonical._start(verts)
-        colors, cells, pos, cverts = entry
+        colors, cells, pos, cverts, sid = entry
         assert all(type(c) is tuple for c in (colors, cells, cverts, *cells))
         assert pos is None or pos is colors
+        assert sid == canonical._SIDS[cverts]
 
 
 def test_delta_cache_holds_one_object_per_graph(monkeypatch):
     # a memory guard on object counts, not on RSS: every key and term of
     # the memo d_squared_zero fills, reached through the module global
-    # complexes.delta_graph_cached, is the one shared object of its graph
+    # complexes.delta_graph_cached, is the one shared object of its graph.
+    # The memo keeps only what is read again: no degree-0 graph ever goes
+    # in, and on return only the degree-2 terms are left
     memos = []
+    degrees = set()
 
     def recording(g, memo):
         if not any(memo is m for m in memos):
             memos.append(memo)
+        degrees.add(g.degree)
         return delta_graph_cached(g, memo)
 
     monkeypatch.setattr(complexes, "delta_graph_cached", recording)
     assert complexes.d_squared_zero("bullet-connected", 4).failures == []
     assert len(memos) == 1
+    assert degrees == {1, 2}
     memo = memos[0]
+    assert {g.degree for g in memo} == {2}
     graphs = []
     for g, dg in memo.items():
         graphs.append(g)
@@ -300,6 +307,28 @@ def test_delta_cache_holds_one_object_per_graph(monkeypatch):
     assert len(graphs) > len(memo) > 0
     assert len({id(g) for g in graphs}) == len(set(graphs))
     assert all(_shared_edges(g) for g in graphs)
+
+
+def test_graphs_of_one_vertex_tuple_and_white_set_share_one_entry(
+        monkeypatch):
+    # a memory guard on object counts, not on RSS: with the table of
+    # canonical graphs started empty, the bullet d = 4 bases of degrees 0-2
+    # fill one entry per canonical vertex tuple and white set, and every
+    # graph of the entry holds its one white order object
+    shared = {}
+    monkeypatch.setattr(canonical, "_SHARED", shared)
+    classes = {}
+    for m in (0, 1, 2):
+        for g in enumerate_basis("bullet", 4, m).graphs:
+            classes.setdefault((g.vertices, g.white_order), []).append(g)
+    assert {len(g.white_order) for gs in classes.values() for g in gs} \
+        == {0, 1, 2}
+    assert max(map(len, classes.values())) > 1
+    for gs in classes.values():
+        assert len({id(g.white_order) for g in gs}) == 1
+    assert len(shared) == len(classes)
+    assert sum(len(graphs) for _, graphs in shared.values()) \
+        == sum(map(len, classes.values()))
 
 
 @pytest.mark.parametrize("family,dmax", SLICES)
@@ -330,7 +359,20 @@ def test_start_of_matches_reference(monkeypatch):
     odd = {(blank, empty, white(2), anchor), (empty, blank, white(2), anchor)}
     every = tuples | rows | odd
     for verts in every:
-        assert start_of(verts) == reference_start(verts)
+        assert start_of(verts)[:4] == reference_start(verts)
+    # every canonical vertex tuple has one id, whatever order it was
+    # presented in, and no two have the same; a leaf-decided start has none
+    shown = {}
+    for verts in every:
+        _, _, _, cverts, sid = start_of(verts)
+        assert (cverts is None) == (sid is None) == (verts in odd)
+        if cverts is not None:
+            shown.setdefault(cverts, set()).add((verts, sid))
+    assert max(map(len, shown.values())) > 1
+    ids = {sid for pairs in shown.values() for _, sid in pairs}
+    assert all(len({sid for _, sid in pairs}) == 1
+               for pairs in shown.values())
+    assert len(ids) == len(shown)
 
 
 def test_plan_rows_hold_the_start_of_their_vertex_tuple(monkeypatch):
