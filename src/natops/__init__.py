@@ -16,13 +16,6 @@ import importlib
 _EXPORTS = {
     "canonical": ("ZERO", "canonicalize", "key_bytes"),
     "graphs": (
-        "BULLET",
-        "BULLET_CONNECTED",
-        "BULLET_NABLA",
-        "BULLET_NABLA1",
-        "BULLET_NABLA_TRACE",
-        "BULLET_NABLA_WHEEL",
-        "BULLET_WHEEL",
         "EMPTY",
         "FAMILIES",
         "Graph",

@@ -191,8 +191,10 @@ def _output(out):
 
 
 def _write(obj, out):
+    """Write the JSON object ``obj`` to ``out`` with the top-level
+    ``"schema"`` tag every JSON output carries."""
     with _output(out) as fh:
-        io.dump(obj, fh)
+        io.dump({"schema": io.SCHEMA, **obj}, fh)
 
 
 def _check_dim(dim):

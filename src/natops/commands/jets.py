@@ -100,7 +100,7 @@ def cmd_eval(args):
         data = jets.random_jet_data(rng, args.dim, labels, order, conn_order)
     val = jets.realize(x, data)
     kind = "vector" if isinstance(val, list) else "scalar"
-    cli._write({"schema": io.SCHEMA, kind: _rendered(val)}, args.out)
+    cli._write({kind: _rendered(val)}, args.out)
     return 0
 
 
@@ -115,11 +115,10 @@ def cmd_natcheck(args):
     bad = jets.naturality_check(x, args.dim, trials=args.trials,
                                 seed=args.seed)
     if bad is None:
-        cli._write({"schema": io.SCHEMA, "result": "pass",
-                    "trials": args.trials, "dim": args.dim,
-                    "seed": args.seed}, args.out)
+        cli._write({"result": "pass", "trials": args.trials,
+                    "dim": args.dim, "seed": args.seed}, args.out)
         return 0
-    cli._write({"schema": io.SCHEMA, "result": "counterexample",
+    cli._write({"result": "counterexample",
                 "trial": bad.trial, "dim": args.dim, "seed": args.seed,
                 "transformed": _rendered(bad.lhs),
                 "expected": _rendered(bad.rhs)}, args.out)

@@ -1,6 +1,7 @@
 """The remaining commands: genfun, export-dot and rule."""
 
 from .. import cli, io
+from ..graphs import Vertex
 
 
 def cmd_genfun(args):
@@ -12,9 +13,8 @@ def cmd_genfun(args):
         raise ValueError("--upto must be <= %d (the tests cross-check the "
                          "values up to it)" % cli.MAX_UPTO)
     rows = genfun.table(genfun.g_functional(args.upto))
-    cli._write({"schema": io.SCHEMA,
-                "rows": [{"d": d, "g": g, "lie": lie} for d, g, lie in rows]},
-               args.out)
+    cli._write({"rows": [{"d": d, "g": g, "lie": lie}
+                         for d, g, lie in rows]}, args.out)
     return 0
 
 
@@ -27,16 +27,13 @@ def cmd_export_dot(args):
 
 
 def cmd_rule(args):
-    from .. import rules
+    from ..rules import rule_for
 
     if args.order > cli.MAX_RULE_ORDER:
         raise ValueError("--order must be <= %d (templates grow like 2^order)"
                          % cli.MAX_RULE_ORDER)
-    if args.kind == "white":
-        tpl = rules.replace_white(args.order)
-    elif args.kind == "vector":
-        tpl = rules.replace_vectorfield(args.order)
-    else:
-        tpl = rules.replace_connection(args.order)
+    # a vector's label is replace_vectorfield's default; the other kinds
+    # have none
+    tpl = rule_for(Vertex(args.kind, "X", args.order))
     cli._write(io.template_to_obj(tpl), args.out)
     return 0

@@ -43,7 +43,6 @@ def cmd_d2check(args):
     fam = cli._slice_family(args, (0, 1))
     rep = d_squared_zero(fam, args.d)
     obj = {
-        "schema": io.SCHEMA,
         "family": rep.family,
         "d": rep.d,
         "checked": rep.checked,
@@ -61,8 +60,7 @@ def cmd_h0(args):
 
     fam = cli._slice_family(args, (0, 1))
     n = h0_dimension(fam, args.d)
-    cli._write({"schema": io.SCHEMA, "family": args.family, "d": args.d,
-                "h0": n}, args.out)
+    cli._write({"family": args.family, "d": args.d, "h0": n}, args.out)
     return 0
 
 
@@ -74,7 +72,6 @@ def cmd_kerbasis(args):
         ", too many to eliminate and print as a kernel basis")
     basis = kernel_basis(fam, args.d)
     obj = {
-        "schema": io.SCHEMA,
         "family": args.family,
         "d": args.d,
         "dimension": len(basis),
@@ -85,12 +82,13 @@ def cmd_kerbasis(args):
 
 
 def cmd_matrix(args):
+    from ..complexes import enumerate_basis
     from ..homology import delta_matrix
 
     fam = cli._slice_family(args, (args.degree, args.degree + 1))
-    mat = delta_matrix(fam, args.d, args.degree)
+    mat = delta_matrix(enumerate_basis(fam, args.d, args.degree),
+                       enumerate_basis(fam, args.d, args.degree + 1))
     obj = {
-        "schema": io.SCHEMA,
         "family": args.family,
         "d": args.d,
         "degree": args.degree,

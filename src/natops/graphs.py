@@ -41,24 +41,16 @@ Vertex = namedtuple("Vertex", ["kind", "label", "order"])
 #: vertices (nabla), connected graphs only, and the extra field X0 (trace).
 Family = namedtuple("Family", ["name", "anchored", "nabla", "connected", "trace"])
 
-BULLET = Family("bullet", True, False, False, False)
-BULLET_CONNECTED = Family("bullet-connected", True, False, True, False)
-BULLET_WHEEL = Family("bullet-wheel", False, False, True, False)
-BULLET_NABLA1 = Family("bullet-nabla-1", True, True, True, False)
-BULLET_NABLA = Family("bullet-nabla", True, True, False, False)
-BULLET_NABLA_WHEEL = Family("bullet-nabla-wheel", False, True, True, False)
-BULLET_NABLA_TRACE = Family("bullet-nabla-trace", True, True, True, True)
-
 FAMILIES = {
     f.name: f
     for f in (
-        BULLET,
-        BULLET_CONNECTED,
-        BULLET_WHEEL,
-        BULLET_NABLA1,
-        BULLET_NABLA,
-        BULLET_NABLA_WHEEL,
-        BULLET_NABLA_TRACE,
+        Family("bullet", True, False, False, False),
+        Family("bullet-connected", True, False, True, False),
+        Family("bullet-wheel", False, False, True, False),
+        Family("bullet-nabla-1", True, True, True, False),
+        Family("bullet-nabla", True, True, False, False),
+        Family("bullet-nabla-wheel", False, True, True, False),
+        Family("bullet-nabla-trace", True, True, True, True),
     )
 }
 

@@ -2,11 +2,13 @@
 
 The differential matrix of a slice has one column per degree-m basis graph
 holding the coordinates of its differential in the degree-(m+1) basis.
-The target is always the enumerated degree-(m+1) slice, so a differential
-term missing from it means the enumeration lost a graph: a fatal
-completeness error.  Everything here is in the one row format of :mod:`natops.linalg`,
-sparse {col: value} dicts holding nonzeros only: the matrix is stored as
-its rows, with the differential's int coefficients.  The one sparse exact
+:func:`delta_matrix` only assembles it, from the two slices its caller
+has enumerated, once each.  The target is always the enumerated
+degree-(m+1) slice, so a differential term missing from it means the
+enumeration lost a graph: a fatal completeness error.  Everything here
+is in the one row format of :mod:`natops.linalg`, sparse {col: value}
+dicts holding nonzeros only: the matrix is stored as its rows, with the
+differential's int coefficients.  The one sparse exact
 elimination, fraction-free with the least-used column as each row's
 pivot, gives ranks and span tests on ints alone, so :func:`h0_dimension`
 never makes a Fraction.  Only :func:`kernel_basis` back-substitutes and
@@ -26,7 +28,6 @@ from .complexes import (
     enumerate_basis,
 )
 from .formal import FormalSum
-from .graphs import as_family
 
 
 class BasisIncompleteError(RuntimeError):
@@ -55,25 +56,24 @@ class SparseMatrixQ:
             self.nrows, self.ncols, sum(map(len, self.rows.values())))
 
 
-def delta_matrix(family, d, m, source=None, memo=None):
-    """Exact matrix of the differential from degree m to m+1, on the
-    degree-m slice ``source`` (enumerated when None) and the enumerated
-    degree-(m+1) slice.  With a dict ``memo``, each column's differential
-    is kept there, as :func:`delta_graph_cached` does."""
-    family = as_family(family)
-    src = source if source is not None else enumerate_basis(family, d, m)
-    tgt = enumerate_basis(family, d, m + 1)
-    index = {g: i for i, g in enumerate(tgt.graphs)}
-    mat = SparseMatrixQ(len(tgt.graphs), len(src.graphs))
+def delta_matrix(source, target, memo=None):
+    """Exact matrix of the differential from the basis slice ``source``
+    to the basis slice ``target``, one degree up in the same family and
+    d: a column per source graph, a row per target graph.  With a dict
+    ``memo``, each column's differential is kept there, as
+    :func:`delta_graph_cached` does."""
+    index = {g: i for i, g in enumerate(target.graphs)}
+    mat = SparseMatrixQ(len(target.graphs), len(source.graphs))
     rows = mat.rows
-    for j, g in enumerate(src.graphs):
+    for j, g in enumerate(source.graphs):
         dg = delta_graph(g) if memo is None else delta_graph_cached(g, memo)
         for cg, coeff in dg:
             i = index.get(cg)
             if i is None:
                 raise BasisIncompleteError(
                     "differential term %s outside the (%s, d=%d, m=%d) basis"
-                    % (key_bytes(cg).decode(), family.name, d, m + 1))
+                    % (key_bytes(cg).decode(), target.family.name, target.d,
+                       target.m))
             # each (i, j) once, and a FormalSum holds no zero coefficient
             rows.setdefault(i, {})[j] = coeff
     return mat
@@ -81,7 +81,8 @@ def delta_matrix(family, d, m, source=None, memo=None):
 
 def h0_dimension(family, d):
     """dim ker of the degree-0 differential."""
-    mat = delta_matrix(family, d, 0)
+    mat = delta_matrix(enumerate_basis(family, d, 0),
+                       enumerate_basis(family, d, 1))
     return mat.ncols - mat.rank()
 
 
@@ -97,7 +98,7 @@ def kernel_basis(family, d):
 
     src = enumerate_basis(family, d, 0)
     memo = {}
-    mat = delta_matrix(family, d, 0, source=src, memo=memo)
+    mat = delta_matrix(src, enumerate_basis(family, d, 1), memo)
     out = []
     for vec in nullspace(mat.rows.values(), mat.ncols):
         # nonzeros on distinct basis graphs: the sum's terms as they are

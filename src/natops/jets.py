@@ -578,21 +578,13 @@ def _vertex_arrays(g, data, gens):
     return arrays
 
 
-#: The realization plan of every graph realized so far, keyed by the graph
-#: and kept for the life of the process: ``(ins, cycles, anchor)``, the
-#: in-edges of each vertex (sources ascending), the directed cycles and the
-#: anchor's id (None for a scalar graph), all tuples.
-_PLANS = {}
-
-
 def _plan(g):
-    """The realization plan of ``g``, worked out on its first realization."""
-    plan = _PLANS.get(g)
-    if plan is None:
-        anchor = next((i for i, v in enumerate(g.vertices)
-                       if v.kind == ANCHOR), None)
-        plan = _PLANS[g] = (g.in_edges(), cycles(g), anchor)
-    return plan
+    """The realization plan of ``g``: ``(ins, cycles, anchor)``, the
+    in-edges of each vertex (sources ascending), the directed cycles and
+    the anchor's id (None for a scalar graph), all tuples."""
+    anchor = next((i for i, v in enumerate(g.vertices)
+                   if v.kind == ANCHOR), None)
+    return g.in_edges(), cycles(g), anchor
 
 
 def _contract(rows, n, inputs):
@@ -655,8 +647,8 @@ def realize_graph(g, data, gens=None):
     off the cycle), and the cycle closes as the trace of the product of its
     matrices.  Scalar components multiply.  A leaf, an order-0 field, is
     not contracted: its nonzero entries are read off its array.  The
-    in-edges, cycles and anchor (the graph's plan) are worked out on its
-    first realization and kept (:func:`_plan`).
+    in-edges, cycles and anchor (the graph's plan, :func:`_plan`) are
+    worked out on each realization.
 
     The arithmetic is on integers.  Each array is read in the form it
     holds, integer numerators over its own denominator (:class:`Tensor`).

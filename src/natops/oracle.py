@@ -19,7 +19,7 @@ from .canonical import canonicalize
 from .complexes import _wirings
 from .formal import FormalSum, add_into
 from .graphs import (
-    BULLET_NABLA1,
+    FAMILIES,
     SYM,
     Graph,
     anchor,
@@ -175,7 +175,8 @@ def derive_connection_rule(w, n):
     orbits = {}
     for s in arities:
         ws = (w + 1 - s,) if s <= w + 1 else ()
-        for g in _wirings(BULLET_NABLA1, w + 2, (0,) * (w + 2), ws, (s,)):
+        for g in _wirings(FAMILIES["bullet-nabla-1"], w + 2, (0,) * (w + 2),
+                          ws, (s,)):
             orbits.setdefault(canonicalize(relabel(g, merged))[0], {})[g] = 1
     orbits = [FormalSum(orbit) for orbit in orbits.values()]
     norb = len(orbits)

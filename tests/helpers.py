@@ -1480,16 +1480,14 @@ def wheel_block_injective(family, d):
 
     For every wheel length the block of delta keeping that length must
     have full column rank; returns {wheel_length: (rank, ncols)}.  Both
-    slices come from ``homology.enumerate_basis``, the one
-    ``homology.delta_matrix`` reads, so a test that truncates it there
-    truncates the matrix's target too.
+    slices come from ``homology.enumerate_basis``, each enumerated once.
     """
     family = as_family(family)
     if family.anchored:
         raise ValueError("wheel blocks exist in anchor-free families only")
     src = homology.enumerate_basis(family, d, 0)
     tgt = homology.enumerate_basis(family, d, 1)
-    mat = homology.delta_matrix(family, d, 0, source=src)
+    mat = homology.delta_matrix(src, tgt)
     src_len = [wheel_length(g) for g in src.graphs]
     tgt_len = [wheel_length(g) for g in tgt.graphs]
     blocks = {wlen: {} for wlen in src_len}

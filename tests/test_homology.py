@@ -34,8 +34,13 @@ from .helpers import (
 )
 
 
+def _degree0_matrix(fam, d):
+    """The degree-0 differential of (fam, d), on its two slices."""
+    return delta_matrix(enumerate_basis(fam, d, 0), enumerate_basis(fam, d, 1))
+
+
 def test_nabla1_matrix_is_row_of_signs():
-    mat = delta_matrix("bullet-nabla-1", 2, 0)
+    mat = _degree0_matrix("bullet-nabla-1", 2)
     assert (mat.nrows, mat.ncols) == (1, 4)
     vals = sorted(v for row in mat.rows.values() for v in row.values())
     assert vals == [Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)]
@@ -43,13 +48,13 @@ def test_nabla1_matrix_is_row_of_signs():
 
 
 def test_unit_matrix_is_empty():
-    mat = delta_matrix("bullet", 1, 0)
+    mat = _degree0_matrix("bullet", 1)
     assert mat.ncols == 1
     assert not mat.rows and not mat.rows.values() and not mat.triplets()
 
 
 def test_bullet2_matrix_rank():
-    mat = delta_matrix("bullet", 2, 0)
+    mat = _degree0_matrix("bullet", 2)
     assert mat.ncols == 4
     assert mat.rank() == 3  # kernel is the one-dimensional bracket line
 
@@ -84,7 +89,7 @@ def test_wheel_blocks_full_rank(d):
 
 def test_rank_plus_nullity():
     for fam, d in [("bullet", 3), ("bullet-nabla-1", 2), ("bullet-wheel", 3)]:
-        mat = delta_matrix(fam, d, 0)
+        mat = _degree0_matrix(fam, d)
         null = len(linalg.nullspace(mat.rows.values(), mat.ncols))
         assert mat.rank() + null == mat.ncols
 
@@ -99,7 +104,7 @@ _REFERENCE_SLICES = (
 
 @pytest.mark.parametrize("fam,d", _REFERENCE_SLICES)
 def test_sparse_kernel_matches_dense_reference(fam, d):
-    mat = delta_matrix(fam, d, 0)
+    mat = _degree0_matrix(fam, d)
     n = mat.ncols
     want = dense_nullspace(dense_matrix(mat), n)
     assert h0_dimension(fam, d) == len(want)
@@ -136,7 +141,7 @@ def _matches_reference(fam, d):
     """The elimination's rank and kernel equal the reference elimination's
     on the degree-0 differential of (fam, d); returns whether the two
     chose different free columns."""
-    mat = delta_matrix(fam, d, 0)
+    mat = _degree0_matrix(fam, d)
     rows, n = mat.rows.values(), mat.ncols
     ref = Echelon(rows).rows
     want = reference_nullspace(rows, n)
@@ -199,8 +204,17 @@ def test_disconnected_classes_contribute_nothing(d):
     assert h0_dimension("bullet", d) == h0_dimension("bullet-connected", d)
 
 
-def _truncate_degree_one(monkeypatch):
-    """Cut every degree-1 slice homology enumerates to its first graph."""
+def test_incomplete_basis_is_fatal():
+    src = enumerate_basis("bullet", 2, 0)
+    tgt = enumerate_basis("bullet", 2, 1)
+    assert len(tgt.graphs) > 1
+    with pytest.raises(BasisIncompleteError,
+                       match=r"outside the \(bullet, d=2, m=1\) basis"):
+        delta_matrix(src, tgt._replace(graphs=tgt.graphs[:1]))
+
+
+def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
+    # cut every degree-1 slice homology enumerates to its first graph
     from natops import homology
 
     def truncated(family, d, m):
@@ -208,15 +222,5 @@ def _truncate_degree_one(monkeypatch):
         return bs._replace(graphs=bs.graphs[:1]) if m == 1 else bs
 
     monkeypatch.setattr(homology, "enumerate_basis", truncated)
-
-
-def test_incomplete_basis_is_fatal(monkeypatch):
-    _truncate_degree_one(monkeypatch)
-    with pytest.raises(BasisIncompleteError):
-        delta_matrix("bullet", 2, 0)
-
-
-def test_wheel_blocks_with_an_incomplete_basis_are_fatal(monkeypatch):
-    _truncate_degree_one(monkeypatch)
     with pytest.raises(BasisIncompleteError):
         wheel_block_injective("bullet-wheel", 2)

@@ -42,7 +42,11 @@ from natops.graphs import (
     white,
 )
 from natops.operad import lie_expand
-from natops.rules import replace_connection
+from natops.rules import (
+    replace_connection,
+    replace_vectorfield,
+    replace_white,
+)
 
 from .helpers import chain_xy, chain_yx, nabla_xy, reference_slice_to_obj
 from .test_canonical import SLICES
@@ -935,7 +939,7 @@ def test_rules_derivation_forwards_to_the_oracle():
 
 
 def test_every_exported_name_resolves():
-    assert len(natops.__all__) == 51
+    assert len(natops.__all__) == 44
     for name in natops.__all__:
         assert getattr(natops, name) is not None
     assert set(natops.__all__) <= set(dir(natops))
@@ -980,6 +984,74 @@ def test_cli_rule_order_cap(capsys, kind):
     code, out = _run(["rule", "--kind", kind, "--order", str(MAX_RULE_ORDER + 1)])
     assert code == 2 and out == ""
     assert "--order must be <= %d" % MAX_RULE_ORDER in capsys.readouterr().err
+
+
+# every command that writes JSON, with its arguments besides --out: {b} is
+# the bracket sum and {t} an X0-linear graph
+_JSON_WRITERS = {
+    "basis": ["--family", "bullet", "--d", "2", "--degree", "1"],
+    "diff": ["--in", "{b}"],
+    "d2check": ["--family", "bullet", "--d", "2"],
+    "h0": ["--family", "bullet", "--d", "2"],
+    "kerbasis": ["--family", "bullet", "--d", "2"],
+    "matrix": ["--family", "bullet", "--d", "2", "--degree", "0"],
+    "compose": ["--in", "{b}", "--slot", "1", "--with", "{b}"],
+    "lie-expand": ["--expr", "(b X1 X2)"],
+    "trace": ["--in", "{t}"],
+    "eval": ["--in", "{b}", "--dim", "2"],
+    "natcheck": ["--in", "{b}", "--dim", "2", "--trials", "1"],
+    "genfun": ["--upto", "3"],
+    "rule": ["--kind", "white", "--order", "3"],
+}
+
+
+def test_json_writers_are_every_command_but_export_dot():
+    assert set(_JSON_WRITERS) == set(cli.COMMANDS) - {"export-dot"}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_WRITERS))
+def test_every_json_output_carries_the_schema(tmp_path, command):
+    b, t = tmp_path / "b.json", tmp_path / "t.json"
+    b.write_text(json.dumps(io.sum_to_obj(lie_expand("(b X1 X2)"))))
+    t.write_text(json.dumps(io.graph_to_obj(Graph(
+        (vector("X0", 0), vector("X1", 1), anchor),
+        ((1, SYM), (2, SYM), None)))))
+    argv = [command] + [a.format(b=b, t=t) for a in _JSON_WRITERS[command]]
+    code, out = _run(argv)
+    assert code == 0
+    assert json.loads(out)["schema"] == "natops-v1" == io.SCHEMA
+
+
+def test_a_counterexample_carries_the_schema(tmp_path):
+    p = tmp_path / "o2.json"
+    p.write_text(json.dumps(io.graph_to_obj(chain_xy())))
+    code, out = _run(["natcheck", "--in", str(p), "--dim", "2"])
+    obj = json.loads(out)
+    assert code == 1 and obj["result"] == "counterexample"
+    assert obj["schema"] == io.SCHEMA
+
+
+_RULES = {"white": replace_white, "vector": replace_vectorfield,
+          "connection": replace_connection}
+
+
+@pytest.mark.parametrize("kind", sorted(_RULES))
+@pytest.mark.parametrize("order", range(-1, 6))
+def test_cli_rule_writes_the_template_of_its_kind(capsys, kind, order):
+    code, out = _run(["rule", "--kind", kind, "--order", str(order)])
+    err = capsys.readouterr().err
+    try:
+        tpl = _RULES[kind](order)
+    except ValueError as e:
+        # orders below a rule's least: a white's arity is at least 2
+        assert order < (2 if kind == "white" else 0)
+        assert str(e) == ("white arity must be >= 2" if kind == "white"
+                          else "derivative order must be >= 0")
+        assert (code, out, err) == (2, "", "error: %s\n" % e)
+        return
+    want = _io.StringIO()
+    io.dump(io.template_to_obj(tpl), want)
+    assert (code, out, err) == (0, want.getvalue(), "")
 
 
 def _bracket_data(n, entry="1/2"):

@@ -9,7 +9,8 @@ import pytest
 from natops import jets
 from natops.complexes import enumerate_basis
 from natops.formal import FormalSum, combine
-from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, cycles
+from natops.graphs import CONNECTION, SYM, VECTOR, WHITE, Graph, cycles
+from natops.homology import kernel_basis
 from natops.io import exact
 from natops.jets import (
     CoordinateChange,
@@ -47,6 +48,21 @@ from .helpers import (
     unit,
     unpacked,
 )
+
+
+def test_no_jets_table_keeps_graphs():
+    """The realization plan of a graph is worked out where it is read:
+    after realizing and checking a kernel element, no dict of
+    natops.jets is keyed by a graph."""
+    (x, *_) = kernel_basis("bullet", 3)
+    labels, order, conn_order = jets.data_requirements(x)
+    realize(x, random_jet_data(random.Random(0), 3, labels, order,
+                               conn_order))
+    assert naturality_check(x, 3, trials=2, seed=0) is None
+    for attr, value in vars(jets).items():
+        assert not (isinstance(value, dict)
+                    and any(isinstance(k, Graph) for k in value)), (
+            "natops.jets.%s keeps graphs" % attr)
 
 
 def test_realize_unit_returns_field_value():
